@@ -46,9 +46,19 @@ type client struct {
 	n, bad  int64 // requests sent and failed in the current window
 }
 
-// newClients makes one client per CPU.
+// newClients makes one client per CPU for each server tier a request
+// passes through. The clients and every tier share this process's CPUs,
+// so a routed request (coordinator, then replica) gets half as many
+// callers: with one per CPU the runtime handed goroutines between CPUs
+// at every hop, about 1% of routed requests stalled ~4 ms in those
+// hand-offs on a two-CPU host, and the p99 fell on either side of that
+// cliff from run to run.
 func (b *bench) newClients() {
-	for i := 0; i < runtime.NumCPU(); i++ {
+	n := runtime.NumCPU()
+	if b.w.routed {
+		n /= 2
+	}
+	for i := 0; i < max(1, n); i++ {
 		b.clients = append(b.clients, &client{})
 	}
 }

@@ -3,7 +3,8 @@
 // it through the real internal/server handler (behind the real
 // internal/cluster coordinator for the routed workload) on loopback
 // listeners inside this process, replays a request list generated from
-// the seed in a closed loop from one client per CPU, checks every
+// the seed in a closed loop from one client per CPU and server tier
+// (one per two CPUs for the routed workload), checks every
 // answer, and prints the end-to-end metrics. With -trace 1 it splits
 // the window into an untraced and a traced half and prints the
 // per-layer metrics instead. The last line of standard output is one

@@ -37,9 +37,9 @@ type workload struct {
 	name    string
 	routed  bool // a cluster coordinator over two replicas fronts the servers
 	dynamic bool // serve a pll.BuildDynamic index and send POST /update
-	// rate is the reference throughput in ops/s (two clients on a
-	// two-CPU container); it sizes the request list so the window ends
-	// on time rather than on an exhausted list.
+	// rate is a reference throughput in ops/s, at or above what the
+	// workload reaches on a two-CPU container; it sizes the request list
+	// so the window ends on time rather than on an exhausted list.
 	rate float64
 	// warmup is the number of requests at the head of the list replayed
 	// before the window to fill connection pools, caches, the hedge
