@@ -366,13 +366,14 @@ func BenchmarkBuildWorkers2_Dynamic(b *testing.B) { benchBuildWorkersDynamic(b, 
 func BenchmarkBuildWorkers4_Dynamic(b *testing.B) { benchBuildWorkersDynamic(b, 4) }
 func BenchmarkBuildWorkers8_Dynamic(b *testing.B) { benchBuildWorkersDynamic(b, 8) }
 
-// ---- Cold start: Open (mmap, zero-copy) vs LoadFile (heap decode) ----
+// ---- Cold start: Open (mmap, zero-copy) vs LoadFile (heap copy) ----
 //
 // BenchmarkOpenColdStart* measure time-to-first-query on the largest
 // bench graph (the BA n=20000 construction graph, bp=16): open or load
 // the container, answer one query, release. Open does no per-entry
-// decoding, so its cost is a handful of page faults regardless of
-// index size; LoadFile pays a decode pass over every label entry.
+// work, so its cost is a handful of page faults regardless of index
+// size; LoadFile copies the file onto the heap and validates every
+// label entry.
 
 var (
 	coldStartOnce sync.Once
@@ -380,9 +381,9 @@ var (
 	coldStartErr  error
 )
 
-// coldStartFiles builds the bench index once and writes it in both
-// container formats, returning the v1 and flat paths.
-func coldStartFiles(b *testing.B) (v1Path, flatPath string) {
+// coldStartFile builds the bench index once and writes it as a
+// container, returning its path.
+func coldStartFile(b *testing.B) string {
 	b.Helper()
 	coldStartOnce.Do(func() {
 		buildBenchInputs()
@@ -401,20 +402,16 @@ func coldStartFiles(b *testing.B) (v1Path, flatPath string) {
 			coldStartErr = err
 			return
 		}
-		if err := pll.WriteFile(filepath.Join(coldStartDir, "ix.v1.pllbox"), ix); err != nil {
-			coldStartErr = err
-			return
-		}
-		coldStartErr = pll.WriteFlatFile(filepath.Join(coldStartDir, "ix.flat.pllbox"), ix)
+		coldStartErr = pll.WriteFlatFile(filepath.Join(coldStartDir, "ix.pllbox"), ix)
 	})
 	if coldStartErr != nil {
 		b.Fatal(coldStartErr)
 	}
-	return filepath.Join(coldStartDir, "ix.v1.pllbox"), filepath.Join(coldStartDir, "ix.flat.pllbox")
+	return filepath.Join(coldStartDir, "ix.pllbox")
 }
 
 func BenchmarkOpenColdStart_Open(b *testing.B) {
-	_, flat := coldStartFiles(b)
+	flat := coldStartFile(b)
 	b.ResetTimer()
 	sink := int64(0)
 	for i := 0; i < b.N; i++ {
@@ -429,24 +426,7 @@ func BenchmarkOpenColdStart_Open(b *testing.B) {
 }
 
 func BenchmarkOpenColdStart_LoadFile(b *testing.B) {
-	v1, _ := coldStartFiles(b)
-	b.ResetTimer()
-	sink := int64(0)
-	for i := 0; i < b.N; i++ {
-		o, err := pll.LoadFile(v1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink += o.Distance(0, 19999)
-	}
-	_ = sink
-}
-
-// Heap-loading the flat format isolates layout from load path: the
-// columnar image decodes faster than the v1 record stream, but still
-// pays the full-validation pass Open skips.
-func BenchmarkOpenColdStart_LoadFlatFile(b *testing.B) {
-	_, flat := coldStartFiles(b)
+	flat := coldStartFile(b)
 	b.ResetTimer()
 	sink := int64(0)
 	for i := 0; i < b.N; i++ {
@@ -472,15 +452,15 @@ func BenchmarkOpenColdStart_LoadFlatFile(b *testing.B) {
 
 func batchBenchSetup(b *testing.B) (pll.Oracle, int32, []int32) {
 	b.Helper()
-	v1, _ := coldStartFiles(b)
-	o, err := pll.LoadFile(v1)
+	flat := coldStartFile(b)
+	o, err := pll.LoadFile(flat)
 	if err != nil {
 		b.Fatal(err)
 	}
 	// The heaviest-label source (batch workloads like social search key
 	// on ordinary users, not hub vertices — and ordinary means a large
 	// label).
-	cix, err := core.LoadAnyFile(v1)
+	cix, err := core.LoadAnyFile(flat)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -524,7 +504,7 @@ func BenchmarkBatchDistances_SingleQueries(b *testing.B) {
 
 func BenchmarkBatchDistances_FlatBatcher(b *testing.B) {
 	_, src, targets := batchBenchSetup(b)
-	_, flat := coldStartFiles(b)
+	flat := coldStartFile(b)
 	fi, err := pll.Open(flat)
 	if err != nil {
 		b.Fatal(err)

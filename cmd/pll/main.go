@@ -1,5 +1,5 @@
 // Command pll builds, inspects and queries pruned-landmark-labeling
-// indexes from the command line. All subcommands speak the unified
+// indexes from the command line. All subcommands speak the flat
 // container format: an index file carries its own variant tag, so
 // query/path/stats/bench work on any index without being told what
 // flavor it is.
@@ -8,7 +8,7 @@
 //
 //	pll construct -graph g.txt -index g.pll [-kind undirected|directed|weighted] [-bp 16] [-order Degree] [-paths] [-workers 0]
 //	pll query     -index g.pll 0 42 17 99        # pairs of vertices
-//	pll query     -index g.pll -disk 0 42        # disk-resident querying
+//	pll query     -index g.pll -mmap 0 42        # memory-mapped, zero-copy
 //	pll query     -index g.pll -expr "near(3,4) & near(9,2)" -k 10  # composite constraints
 //	pll knn       -index g.pll -k 10 0 42        # k nearest vertices per source
 //	pll knn       -index g.pll -radius 3 0       # everything within distance 3
@@ -16,8 +16,7 @@
 //	pll path      -index g.pll 0 42              # index must be built with -paths
 //	pll stats     -index g.pll
 //	pll bench     -index g.pll -pairs 100000     # random-query latency
-//	pll convert   -index g.pll -out g.flat       # rewrite as flat (mmap) container
-//	pll convert   -index g.pll -out g.flat -search  # + persisted search inversion
+//	pll convert   -index g.pll -out g.search.pll -search  # + persisted search inversion
 package main
 
 import (
@@ -53,8 +52,6 @@ func main() {
 		err = pathCmd(os.Args[2:])
 	case "verify":
 		err = verify(os.Args[2:])
-	case "compress":
-		err = compress(os.Args[2:])
 	case "convert":
 		err = convert(os.Args[2:])
 	default:
@@ -70,15 +67,14 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   pll construct -graph g.txt -index g.pll [-kind undirected|directed|weighted] [-bp N] [-order Degree|Random|Closeness] [-seed N] [-paths] [-workers N]
-  pll query     -index g.pll [-disk|-mmap] s t [s t ...]
+  pll query     -index g.pll [-mmap] s t [s t ...]
   pll query     -index g.pll [-mmap] -expr "near(3,4) & !near(9,1)" [-rank sum|max] [-terms src[*w],...] [-k N]
   pll knn       -index g.pll [-k N] [-radius R] [-set v1,v2,...] [-mmap] s [s ...]
   pll path      -index g.pll s t          # index must be built with -paths
   pll stats     -index g.pll
   pll bench     -index g.pll [-pairs N] [-seed N]
   pll verify    -index g.pll -graph g.txt [-pairs N]   # undirected indexes
-  pll compress  -index g.pll -out g.pllc               # undirected indexes
-  pll convert   -index g.pll -out g.flat [-to flat|v1] [-search]
+  pll convert   -index g.pll -out g2.pll [-search]
 
 to serve an index over HTTP, see the pllserved command:
   go run ./cmd/pllserved -index g.pll -addr :8355`)
@@ -151,7 +147,7 @@ func construct(args []string) error {
 		return err
 	}
 	elapsed := time.Since(start)
-	if err := pll.WriteFile(*indexPath, o); err != nil {
+	if err := pll.WriteFlatFile(*indexPath, o); err != nil {
 		return err
 	}
 	st := o.Stats()
@@ -176,7 +172,6 @@ func numEdges(g pll.BuildableGraph) int64 {
 func query(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	indexPath := fs.String("index", "", "index file")
-	disk := fs.Bool("disk", false, "answer from disk without loading labels (version-1 files)")
 	mmapped := fs.Bool("mmap", false, "memory-map a flat container instead of heap-loading it")
 	expr := fs.String("expr", "", `composite constraint expression, e.g. "near(3,4) & !near(9,1)"`)
 	rankBy := fs.String("rank", "sum", "composite ranking: sum or max of the weighted term distances")
@@ -186,13 +181,7 @@ func query(args []string) error {
 	if *indexPath == "" {
 		return fmt.Errorf("query needs -index")
 	}
-	if *disk && *mmapped {
-		return fmt.Errorf("-disk and -mmap are mutually exclusive")
-	}
 	if *expr != "" {
-		if *disk {
-			return fmt.Errorf("-expr needs the in-memory or mmap engine; drop -disk")
-		}
 		if len(fs.Args()) != 0 {
 			return fmt.Errorf("-expr takes no vertex arguments")
 		}
@@ -213,21 +202,6 @@ func query(args []string) error {
 			return fmt.Errorf("bad vertex %q: %v", rest[i+1], err)
 		}
 		pairs = append(pairs, [2]int32{int32(s), int32(t)})
-	}
-	if *disk {
-		di, err := pll.OpenDiskIndex(*indexPath)
-		if err != nil {
-			return err
-		}
-		defer di.Close()
-		for _, p := range pairs {
-			d, err := di.Distance(p[0], p[1])
-			if err != nil {
-				return err
-			}
-			printDistance(p[0], p[1], d)
-		}
-		return nil
 	}
 	var o pll.Oracle
 	var err error
@@ -394,39 +368,27 @@ func knn(args []string) error {
 	return nil
 }
 
-// convert rewrites any supported index file into the flat (version-2)
-// zero-copy container served by pll.Open / pllserved mmap startup, or
-// back into the version-1 record format.
+// convert rewrites an index file, adding the persisted search
+// inversion with -search (or dropping it without), so mmap serving
+// answers /knn with no lazy build.
 func convert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	indexPath := fs.String("index", "", "input index file (any supported format)")
+	indexPath := fs.String("index", "", "input index file")
 	out := fs.String("out", "", "output container file")
-	to := fs.String("to", "flat", "target format: flat (version-2, mmap-served) or v1 (record-oriented)")
-	search := fs.Bool("search", false, "persist the hub-inverted search index (flat only), so mmap serving answers /knn with no lazy build")
+	search := fs.Bool("search", false, "persist the hub-inverted search index, so mmap serving answers /knn with no lazy build")
 	fs.Parse(args)
 	if *indexPath == "" || *out == "" {
 		return fmt.Errorf("convert needs -index and -out")
-	}
-	if *search && *to != "flat" {
-		return fmt.Errorf("-search requires -to flat")
 	}
 	o, err := pll.LoadFile(*indexPath)
 	if err != nil {
 		return err
 	}
-	switch *to {
-	case "flat":
-		var opts []pll.FlatOption
-		if *search {
-			opts = append(opts, pll.FlatSearch())
-		}
-		err = pll.WriteFlatFile(*out, o, opts...)
-	case "v1":
-		err = pll.WriteFile(*out, o)
-	default:
-		return fmt.Errorf("unknown target format %q (want flat or v1)", *to)
+	var opts []pll.FlatOption
+	if *search {
+		opts = append(opts, pll.FlatSearch())
 	}
-	if err != nil {
+	if err := pll.WriteFlatFile(*out, o, opts...); err != nil {
 		return err
 	}
 	before, err := os.Stat(*indexPath)
@@ -437,8 +399,8 @@ func convert(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("converted %s (%d bytes) -> %s %s (%d bytes, %.1f%%)\n",
-		*indexPath, before.Size(), *to, *out, after.Size(),
+	fmt.Printf("converted %s (%d bytes) -> %s (%d bytes, %.1f%%)\n",
+		*indexPath, before.Size(), *out, after.Size(),
 		100*float64(after.Size())/float64(before.Size()))
 	return nil
 }
@@ -540,34 +502,6 @@ func verify(args []string) error {
 		return err
 	}
 	fmt.Printf("index OK: structure valid, %d sampled queries exact\n", *pairs)
-	return nil
-}
-
-func compress(args []string) error {
-	fs := flag.NewFlagSet("compress", flag.ExitOnError)
-	indexPath := fs.String("index", "", "input index file (undirected, uncompressed)")
-	out := fs.String("out", "", "output compressed index file")
-	fs.Parse(args)
-	if *indexPath == "" || *out == "" {
-		return fmt.Errorf("compress needs -index and -out")
-	}
-	ix, err := pll.LoadIndexFile(*indexPath)
-	if err != nil {
-		return err
-	}
-	if err := ix.SaveCompressedFile(*out); err != nil {
-		return err
-	}
-	before, err := os.Stat(*indexPath)
-	if err != nil {
-		return err
-	}
-	after, err := os.Stat(*out)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("compressed %d -> %d bytes (%.1f%%)\n",
-		before.Size(), after.Size(), 100*float64(after.Size())/float64(before.Size()))
 	return nil
 }
 

@@ -1,10 +1,9 @@
 // Command pllserved serves a pruned-landmark-labeling index over
 // HTTP/JSON. It accepts any .pllbox container (the variant is
-// auto-detected from the header): flat (version-2) containers — see
-// `pll convert` — are memory-mapped and served zero-copy, so startup
-// and SIGHUP reloads skip the decode pass entirely; version-1
-// containers are heap-loaded. Either way it answers distance queries in
-// microseconds while supporting zero-downtime index replacement.
+// auto-detected from the header) and memory-maps it, serving zero-copy,
+// so startup and SIGHUP reloads skip the decode pass entirely. It
+// answers distance queries in microseconds while supporting
+// zero-downtime index replacement.
 //
 // Usage:
 //
@@ -105,23 +104,16 @@ func run() error {
 		if *dynamic {
 			return errors.New("-dynamic needs -graph: serialized dynamic indexes load as frozen snapshots")
 		}
+		// Memory-mapped, zero-copy: startup cost is independent of the
+		// index size and restarts are O(1).
 		start := time.Now()
-		if fi, ferr := pll.Open(*indexPath); ferr == nil {
-			// Flat container: mmapped, zero-copy — startup cost is
-			// independent of the index size and restarts are O(1).
-			o = fi
-			log.Printf("mapped %s in %v: %s variant, %d vertices, %d bytes zero-copy",
-				*indexPath, time.Since(start).Round(time.Microsecond), fi.Variant(), fi.NumVertices(), fi.MappedBytes())
-		} else if !errors.Is(ferr, pll.ErrNotFlat) {
-			return ferr
-		} else {
-			o, err = pll.LoadFile(*indexPath)
-			if err != nil {
-				return err
-			}
-			log.Printf("loaded %s in %v: %s variant, %d vertices (heap; run `pll convert` for O(1) mmap startup)",
-				*indexPath, time.Since(start).Round(time.Millisecond), o.Stats().Variant, o.NumVertices())
+		fi, err := pll.Open(*indexPath)
+		if err != nil {
+			return err
 		}
+		o = fi
+		log.Printf("mapped %s in %v: %s variant, %d vertices, %d bytes zero-copy",
+			*indexPath, time.Since(start).Round(time.Microsecond), fi.Variant(), fi.NumVertices(), fi.MappedBytes())
 	case *graphPath != "":
 		g, err := pll.LoadGraphFile(*graphPath)
 		if err != nil {

@@ -36,7 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("initial network: %d users, %d friendships; indexed in %v (avg label %.1f)\n",
-		g.NumVertices(), g.NumEdges(), time.Since(start), di.AvgLabelSize())
+		g.NumVertices(), g.NumEdges(), time.Since(start), di.Stats().AvgLabelSize)
 
 	// A stream of new friendships arrives. New friendships in social
 	// networks skew preferential (popular users gain more), which we
@@ -74,7 +74,7 @@ func main() {
 		inserted, elapsed,
 		float64(elapsed.Microseconds())/float64(inserted),
 		float64(totalUpdates)/float64(inserted))
-	fmt.Printf("label size after stream: %.1f\n", di.AvgLabelSize())
+	fmt.Printf("label size after stream: %.1f\n", di.Stats().AvgLabelSize)
 
 	// Spot-check exactness against BFS on the final graph.
 	final, err := graph.NewGraph(g.NumVertices(), edges)
@@ -100,7 +100,7 @@ func main() {
 	// self-describing container format; any serving process loads it
 	// back with pll.LoadFile, no variant knowledge needed.
 	snap := filepath.Join(os.TempDir(), "evolving-snapshot.pllbox")
-	if err := pll.WriteFile(snap, di); err != nil {
+	if err := pll.WriteFlatFile(snap, di); err != nil {
 		log.Fatal(err)
 	}
 	o, err := pll.LoadFile(snap)

@@ -518,7 +518,7 @@ func startInProcess(n int, cfg server.Config) (string, *server.Server, error) {
 		return "", nil, err
 	}
 	indexPath = filepath.Join(dir, "loadtest.pllbox")
-	if err := pll.WriteFile(indexPath, ix); err != nil {
+	if err := pll.WriteFlatFile(indexPath, ix); err != nil {
 		return "", nil, err
 	}
 

@@ -68,9 +68,6 @@ func (b *BatchSource) Reset(s int32) {
 	}
 }
 
-// Source returns the current source vertex.
-func (b *BatchSource) Source() int32 { return b.src }
-
 // Query returns the exact distance from the batch source to t, or
 // Unreachable. Results are identical to Index.Query(source, t).
 func (b *BatchSource) Query(t int32) int {

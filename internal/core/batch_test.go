@@ -29,7 +29,7 @@ func TestBatchSourceMatchesQuery(t *testing.T) {
 		// Reset to a second source and re-check.
 		s2 := r.Int31n(n)
 		bs.Reset(s2)
-		if bs.Source() != s2 {
+		if bs.src != s2 {
 			return false
 		}
 		for i := 0; i < 40; i++ {

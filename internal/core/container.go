@@ -1,38 +1,44 @@
 package core
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 )
 
-// Self-describing container format (little endian), version 1.
+// Self-describing container format (little endian).
 //
 // Every index variant serializes to one uniform envelope so that a
-// server can load an index file blind — LoadAny inspects the header and
-// returns the right in-memory oracle:
+// server can load an index file blind — LoadAny and OpenFlat inspect
+// the header and return the right in-memory oracle:
 //
 //	magic    [8]byte  "PLLBOX" + two zero bytes
-//	version  uint16   container format version: 1 = record-oriented
-//	                  payloads (this file), 2 = flat zero-copy columnar
-//	                  sections (flat.go)
+//	version  uint16   container format version, always 2: flat
+//	                  zero-copy columnar sections (flat.go)
 //	variant  uint8    VariantUndirected | VariantDirected |
 //	                  VariantWeighted | VariantDynamic
-//	flags    uint8    bit 0: compressed payload (delta-varint labels)
+//	flags    uint8    bit 0: reserved, always rejected
 //	                  bit 1: payload carries parent pointers (paths)
+//	                  bit 2: payload carries hub-inverted search sections
 //	bp       uint32   bit-parallel width (number of BP roots, 0 if none)
-//	payload  []byte   the variant's own format, including its magic
+//	payload  []byte   flat header, section table and sections (flat.go)
 //
-// The payload keeps its legacy per-variant magic ("PLLIDX01" etc.), so
-// a container is also recoverable by tools that only understand the
-// inner formats, and LoadAny accepts bare legacy files (no container
-// header) by sniffing the first eight bytes.
+// Version 1 (record-oriented payloads, optionally delta-varint
+// compressed under flag bit 0) and the bare pre-container payloads
+// ("PLLIDX*" magic) are rejected with a message naming the conversion
+// route: an earlier build's `pll convert` rewrites them as flat
+// containers.
 var containerMagic = [8]byte{'P', 'L', 'L', 'B', 'O', 'X', 0, 0}
 
-// ContainerVersion is the current container format version.
-const ContainerVersion uint16 = 1
+// ErrBadIndexFile is wrapped by all load-time format errors.
+var ErrBadIndexFile = errors.New("core: malformed index file")
+
+// convertHint names the way out for files of the retired version-1
+// format.
+const convertHint = "this build reads only flat (version-2) containers; rewrite the file with `pll convert` from an earlier build"
 
 // Variant tags index flavors inside the container header.
 type Variant uint8
@@ -46,8 +52,8 @@ const (
 	// VariantWeighted is the WeightedIndex (32-bit distances).
 	VariantWeighted Variant = 3
 	// VariantDynamic tags a snapshot frozen from a DynamicIndex; the
-	// payload is the undirected format (plain or compressed) and loads
-	// as an Index whose Stats keep the dynamic provenance.
+	// payload is the undirected layout and loads as an Index whose Stats
+	// keep the dynamic provenance.
 	VariantDynamic Variant = 4
 )
 
@@ -66,18 +72,17 @@ func (v Variant) String() string {
 	return fmt.Sprintf("variant(%d)", uint8(v))
 }
 
-// Container flag bits.
+// Container flag bits. Bit 0 marked the retired compressed payload and
+// stays reserved: files setting it are rejected.
 const (
-	// ContainerFlagCompressed marks a delta-varint compressed payload.
-	ContainerFlagCompressed uint8 = 1 << 0
 	// ContainerFlagPaths marks a payload with per-label parent pointers.
 	ContainerFlagPaths uint8 = 1 << 1
-	// ContainerFlagSearch marks a flat (version-2) payload carrying the
-	// hub-inverted search sections (secInv*), so Open serves
-	// KNN/Range/NearestIn zero-copy with no lazy build.
+	// ContainerFlagSearch marks a payload carrying the hub-inverted
+	// search sections (secInv*), so Open serves KNN/Range/NearestIn
+	// zero-copy with no lazy build.
 	ContainerFlagSearch uint8 = 1 << 2
 
-	containerKnownFlags = ContainerFlagCompressed | ContainerFlagPaths | ContainerFlagSearch
+	containerKnownFlags = ContainerFlagPaths | ContainerFlagSearch
 )
 
 // containerHeaderSize is the fixed byte length of the container header.
@@ -104,18 +109,27 @@ func (h ContainerHeader) encode() [containerHeaderSize]byte {
 	return b
 }
 
-// parseContainerHeader validates a fixed-size header buffer. The magic
-// must already have been matched by the caller.
+// parseContainerHeader validates a fixed-size header buffer: magic,
+// version, variant tag and flag bits.
 func parseContainerHeader(b []byte) (ContainerHeader, error) {
+	if [8]byte(b[:8]) != containerMagic {
+		if bytes.HasPrefix(b, []byte("PLLIDX")) {
+			return ContainerHeader{}, fmt.Errorf("%w: bare version-1 payload (magic %q): %s", ErrBadIndexFile, b[:8], convertHint)
+		}
+		return ContainerHeader{}, fmt.Errorf("%w: unrecognized magic %q", ErrBadIndexFile, b[:8])
+	}
 	h := ContainerHeader{
 		Version:     binary.LittleEndian.Uint16(b[8:10]),
 		Variant:     Variant(b[10]),
 		Flags:       b[11],
 		BitParallel: binary.LittleEndian.Uint32(b[12:16]),
 	}
-	if h.Version != ContainerVersion && h.Version != ContainerVersionFlat {
-		return h, fmt.Errorf("%w: unsupported container version %d (this build reads versions %d and %d)",
-			ErrBadIndexFile, h.Version, ContainerVersion, ContainerVersionFlat)
+	if h.Version == 1 {
+		return h, fmt.Errorf("%w: version-1 container: %s", ErrBadIndexFile, convertHint)
+	}
+	if h.Version != ContainerVersionFlat {
+		return h, fmt.Errorf("%w: unsupported container version %d (this build reads version %d)",
+			ErrBadIndexFile, h.Version, ContainerVersionFlat)
 	}
 	switch h.Variant {
 	case VariantUndirected, VariantDirected, VariantWeighted, VariantDynamic:
@@ -124,16 +138,6 @@ func parseContainerHeader(b []byte) (ContainerHeader, error) {
 	}
 	if h.Flags&^containerKnownFlags != 0 {
 		return h, fmt.Errorf("%w: unknown container flags %#x", ErrBadIndexFile, h.Flags)
-	}
-	if h.Flags&ContainerFlagCompressed != 0 &&
-		h.Variant != VariantUndirected && h.Variant != VariantDynamic {
-		return h, fmt.Errorf("%w: compressed flag is not valid for the %s variant", ErrBadIndexFile, h.Variant)
-	}
-	if h.Version == ContainerVersionFlat && h.Flags&ContainerFlagCompressed != 0 {
-		return h, fmt.Errorf("%w: flat containers are never compressed", ErrBadIndexFile)
-	}
-	if h.Version != ContainerVersionFlat && h.Flags&ContainerFlagSearch != 0 {
-		return h, fmt.Errorf("%w: only flat containers carry inverted search sections", ErrBadIndexFile)
 	}
 	return h, nil
 }
@@ -164,127 +168,25 @@ func writeContainer(w io.Writer, h ContainerHeader, payload func(io.Writer) erro
 	return cw.n, nil
 }
 
-// WriteTo writes the index as a self-describing container (plain
-// payload). It implements io.WriterTo. Indexes frozen from a
-// DynamicIndex keep the dynamic variant tag so the provenance survives
-// round trips.
-func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	h := ContainerHeader{
-		Version:     ContainerVersion,
-		Variant:     ix.Variant(),
-		BitParallel: uint32(ix.numBP),
-	}
-	if ix.labelParent != nil {
-		h.Flags |= ContainerFlagPaths
-	}
-	return writeContainer(w, h, ix.Save)
-}
-
-// WriteToCompressed writes the index as a container with a delta-varint
-// compressed payload. Parent pointers are not supported.
-func (ix *Index) WriteToCompressed(w io.Writer) (int64, error) {
-	if ix.labelParent != nil {
-		// Checked before the header goes out so a failed call writes no
-		// bytes (a partial header would corrupt the destination).
-		return 0, fmt.Errorf("core: compressed format does not support parent pointers")
-	}
-	h := ContainerHeader{
-		Version:     ContainerVersion,
-		Variant:     ix.Variant(),
-		Flags:       ContainerFlagCompressed,
-		BitParallel: uint32(ix.numBP),
-	}
-	return writeContainer(w, h, ix.SaveCompressed)
-}
-
-// WriteTo writes the directed index as a self-describing container.
-func (ix *DirectedIndex) WriteTo(w io.Writer) (int64, error) {
-	if ix.outParent != nil {
-		return 0, fmt.Errorf("core: directed format does not support parent pointers")
-	}
-	h := ContainerHeader{Version: ContainerVersion, Variant: VariantDirected}
-	return writeContainer(w, h, ix.Save)
-}
-
-// WriteTo writes the weighted index as a self-describing container.
-func (ix *WeightedIndex) WriteTo(w io.Writer) (int64, error) {
-	if ix.labelParent != nil {
-		return 0, fmt.Errorf("core: weighted format does not support parent pointers")
-	}
-	h := ContainerHeader{Version: ContainerVersion, Variant: VariantWeighted}
-	return writeContainer(w, h, ix.Save)
-}
-
-// WriteTo freezes the dynamic index and writes the snapshot as a
-// container tagged VariantDynamic. Loading it yields a static Index
-// whose Stats keep the dynamic provenance (edge insertion does not
-// survive serialization).
-func (di *DynamicIndex) WriteTo(w io.Writer) (int64, error) {
-	return di.Freeze().WriteTo(w)
-}
-
-// LoadAny reads any index file — a version-1 container or a bare legacy
-// payload ("PLLIDX01" / "PLLIDXC1" / "PLLIDXW1" / "PLLIDXD1") — and
-// returns the matching oracle: *Index, *DirectedIndex or
-// *WeightedIndex. VariantDynamic containers load as a static *Index
-// snapshot. Malformed input yields an error wrapping ErrBadIndexFile.
+// LoadAny reads a flat container onto the heap with full per-entry
+// validation and returns the matching oracle: *Index, *DirectedIndex
+// or *WeightedIndex. VariantDynamic containers load as a static *Index
+// snapshot. Malformed input, including files of the retired version-1
+// format, yields an error wrapping ErrBadIndexFile. OpenFlat is the
+// zero-copy path for the same files.
 func LoadAny(r io.Reader) (any, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	magic, err := br.Peek(8)
-	if err != nil {
-		return nil, fmt.Errorf("%w: missing magic: %v", ErrBadIndexFile, err)
-	}
-	if [8]byte(magic) != containerMagic {
-		// Bare legacy payload; each loader re-checks its own magic.
-		switch [8]byte(magic) {
-		case indexMagic:
-			return loadPlain(br)
-		case compressedMagic:
-			return loadCompressedPayload(br)
-		case weightedMagic:
-			return loadWeightedPayload(br)
-		case directedMagic:
-			return loadDirectedPayload(br)
-		}
-		return nil, fmt.Errorf("%w: unrecognized magic %q", ErrBadIndexFile, magic)
-	}
 	var hdr [containerHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: truncated container header: %v", ErrBadIndexFile, err)
 	}
 	h, err := parseContainerHeader(hdr[:])
 	if err != nil {
 		return nil, err
 	}
-	if h.Version == ContainerVersionFlat {
-		// Flat (version-2) payload: one columnar image, heap-loaded here
-		// with full per-entry validation. OpenFlat is the zero-copy path.
-		return loadFlatFromReader(br, h)
-	}
-	switch h.Variant {
-	case VariantUndirected, VariantDynamic:
-		var ix *Index
-		if h.Flags&ContainerFlagCompressed != 0 {
-			ix, err = loadCompressedPayload(br)
-		} else {
-			ix, err = loadPlain(br)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if h.Variant == VariantDynamic {
-			ix.origin = VariantDynamic
-		}
-		return ix, nil
-	case VariantDirected:
-		return loadDirectedPayload(br)
-	case VariantWeighted:
-		return loadWeightedPayload(br)
-	}
-	return nil, fmt.Errorf("%w: unknown variant tag %d", ErrBadIndexFile, uint8(h.Variant))
+	return loadFlatFromReader(r, h)
 }
 
-// LoadAnyFile reads any index file from a path.
+// LoadAnyFile reads an index file from a path.
 func LoadAnyFile(path string) (any, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -613,3 +614,36 @@ func BenchmarkQuery(b *testing.B) {
 		ix.Query(p[0], p[1])
 	}
 }
+
+func TestConcurrentQueriesAreSafe(t *testing.T) {
+	// The index is immutable after Build; concurrent readers must agree
+	// with sequential answers. Run with -race to verify.
+	g := gen.BarabasiAlbert(300, 3, 7)
+	ix := buildOrFail(t, g, Options{NumBitParallel: 4})
+	pairs := randPairs(300, 256, 3)
+	want := make([]int, len(pairs))
+	for i, p := range pairs {
+		want[i] = ix.Query(p[0], p[1])
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, p := range pairs {
+				if got := ix.Query(p[0], p[1]); got != want[i] {
+					errs <- errMismatch
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+}
+
+var errMismatch = errors.New("concurrent query mismatch")

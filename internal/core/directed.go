@@ -393,15 +393,6 @@ func chainDirected(n int, r, hub int32, off []int64, vs []int32, ps []int32) ([]
 	return chain, nil
 }
 
-// AvgLabelSize returns the mean of |L_IN| + |L_OUT| over all vertices.
-func (ix *DirectedIndex) AvgLabelSize() float64 {
-	if ix.n == 0 {
-		return 0
-	}
-	total := (ix.outOff[ix.n] - int64(ix.n)) + (ix.inOff[ix.n] - int64(ix.n))
-	return float64(total) / float64(ix.n)
-}
-
 // ComputeStats scans the directed index and returns summary statistics.
 // Per-vertex label sizes are |L_OUT(v)| + |L_IN(v)|.
 func (ix *DirectedIndex) ComputeStats() Stats {

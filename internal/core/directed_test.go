@@ -111,7 +111,7 @@ func TestDirectedStats(t *testing.T) {
 	if ix.NumVertices() != 60 {
 		t.Fatal("vertex count mismatch")
 	}
-	if ix.AvgLabelSize() <= 0 {
+	if ix.ComputeStats().AvgLabelSize <= 0 {
 		t.Fatal("avg label size should be positive")
 	}
 }

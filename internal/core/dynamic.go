@@ -264,18 +264,6 @@ func (di *DynamicIndex) upsertLabel(u, root int32, d uint8) bool {
 	return true
 }
 
-// AvgLabelSize returns the mean label size per vertex.
-func (di *DynamicIndex) AvgLabelSize() float64 {
-	if di.n == 0 {
-		return 0
-	}
-	total := 0
-	for _, l := range di.labV {
-		total += len(l)
-	}
-	return float64(total) / float64(di.n)
-}
-
 // ComputeStats scans the dynamic index and returns summary statistics.
 func (di *DynamicIndex) ComputeStats() Stats {
 	st := Stats{Variant: VariantDynamic, NumVertices: di.n}
@@ -299,7 +287,7 @@ func (di *DynamicIndex) ComputeStats() Stats {
 
 // Freeze snapshots the dynamic index into a static Index (flattened,
 // sentinel-terminated label arrays; no bit-parallel labels). The
-// snapshot answers the same queries and can be serialized, disk-queried
+// snapshot answers the same queries and can be serialized, memory-mapped
 // and verified like any statically built index; further InsertEdge
 // calls on the dynamic index do not affect it.
 func (di *DynamicIndex) Freeze() *Index {

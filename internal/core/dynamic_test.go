@@ -205,7 +205,7 @@ func TestDynamicAvgLabelSizeGrowsModestly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := di.AvgLabelSize()
+	before := di.ComputeStats().AvgLabelSize
 	r := rng.New(77)
 	for i := 0; i < 30; i++ {
 		a, b := r.Int31n(300), r.Int31n(300)
@@ -215,7 +215,7 @@ func TestDynamicAvgLabelSizeGrowsModestly(t *testing.T) {
 			}
 		}
 	}
-	after := di.AvgLabelSize()
+	after := di.ComputeStats().AvgLabelSize
 	if after < before {
 		t.Fatalf("labels shrank: %v -> %v", before, after)
 	}

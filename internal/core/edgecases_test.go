@@ -1,14 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"testing"
-	"testing/quick"
 
 	"pll/internal/bfs"
 	"pll/internal/gen"
-	"pll/internal/graph"
-	"pll/internal/rng"
 )
 
 func TestLabelOfBPConsumedVertexIsSmall(t *testing.T) {
@@ -47,59 +43,6 @@ func TestQueryPathAdjacent(t *testing.T) {
 	p, err := ix.QueryPath(2, 3)
 	if err != nil || len(p) != 2 {
 		t.Fatalf("adjacent path = %v, %v", p, err)
-	}
-}
-
-func TestDiskIndexTinyGraphs(t *testing.T) {
-	for _, n := range []int{1, 2} {
-		g, err := graph.NewGraph(n, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix := buildOrFail(t, g, Options{})
-		path := t.TempDir() + "/tiny.pll"
-		if err := ix.SaveFile(path); err != nil {
-			t.Fatal(err)
-		}
-		di, err := OpenDiskIndex(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := di.Query(0, 0)
-		if err != nil || d != 0 {
-			t.Fatalf("n=%d: self query = %d, %v", n, d, err)
-		}
-		di.Close()
-	}
-}
-
-func TestCompressedRandomRoundTripProperty(t *testing.T) {
-	check := func(seed uint64, bp uint8) bool {
-		g := randomGraph(seed, 50)
-		ix, err := Build(g, Options{Seed: seed, NumBitParallel: int(bp % 5)})
-		if err != nil {
-			return false
-		}
-		var buf1 bytes.Buffer
-		if err := ix.SaveCompressed(&buf1); err != nil {
-			return false
-		}
-		loaded, err := LoadCompressed(&buf1)
-		if err != nil {
-			return false
-		}
-		n := int32(g.NumVertices())
-		r := rng.New(seed ^ 0xcafe)
-		for i := 0; i < 25; i++ {
-			s, u := r.Int31n(n), r.Int31n(n)
-			if ix.Query(s, u) != loaded.Query(s, u) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -15,12 +14,11 @@ import (
 
 // Container format version 2 ("flat"): the index laid out in its
 // query-ready columnar form so a file can be memory-mapped (or read in
-// one call) and served with zero per-entry decoding. Where version 1
-// stores interleaved per-vertex label records that must be parsed into
-// slices, version 2 stores the in-memory arrays themselves — offsets,
-// hub ranks, distances, bit-parallel blocks, sentinels included — each
-// 8-byte aligned so a mapped file doubles as the backing store of an
-// *Index / *DirectedIndex / *WeightedIndex.
+// one call) and served with zero per-entry decoding. The payload stores
+// the in-memory arrays themselves — offsets, hub ranks, distances,
+// bit-parallel blocks, sentinels included — each 8-byte aligned so a
+// mapped file doubles as the backing store of an *Index /
+// *DirectedIndex / *WeightedIndex.
 //
 // Layout (little endian; offsets absolute from the file start):
 //
@@ -59,14 +57,9 @@ const (
 	secInvDist     uint32 = 19 // uint32, L       inverted entries: distances
 )
 
-// ContainerVersionFlat is the flat (zero-copy) container format version.
+// ContainerVersionFlat is the flat (zero-copy) container format
+// version, the only one this build reads and writes.
 const ContainerVersionFlat uint16 = 2
-
-// ErrNotFlat is returned by OpenFlat for well-formed index files that
-// are not flat (version-2) containers — version-1 containers and bare
-// legacy payloads must be heap-loaded (LoadAny) or rewritten with
-// WriteFlat ("pll convert").
-var ErrNotFlat = errors.New("core: not a flat (version-2) container")
 
 const (
 	flatHeaderSize  = 16
@@ -318,6 +311,26 @@ func (ix *WeightedIndex) WriteFlat(w io.Writer, opts ...FlatOption) (int64, erro
 func (di *DynamicIndex) WriteFlat(w io.Writer, opts ...FlatOption) (int64, error) {
 	return di.Freeze().WriteFlat(w, opts...)
 }
+
+// WriteTo writes the index as a flat container without the optional
+// search sections. It implements io.WriterTo. Indexes frozen from a
+// DynamicIndex keep the dynamic variant tag so the provenance survives
+// round trips.
+func (ix *Index) WriteTo(w io.Writer) (int64, error) { return ix.WriteFlat(w) }
+
+// WriteTo writes the directed index as a flat container (see
+// Index.WriteTo).
+func (ix *DirectedIndex) WriteTo(w io.Writer) (int64, error) { return ix.WriteFlat(w) }
+
+// WriteTo writes the weighted index as a flat container (see
+// Index.WriteTo).
+func (ix *WeightedIndex) WriteTo(w io.Writer) (int64, error) { return ix.WriteFlat(w) }
+
+// WriteTo freezes the dynamic index and writes the snapshot as a flat
+// container tagged VariantDynamic. Loading it yields a static Index
+// whose Stats keep the dynamic provenance (edge insertion does not
+// survive serialization).
+func (di *DynamicIndex) WriteTo(w io.Writer) (int64, error) { return di.WriteFlat(w) }
 
 // ---------------------------------------------------------------------
 // Parsing (shared by the mmap and heap paths)
@@ -571,9 +584,6 @@ func (p *flatParser) parseSearch(numBP int, bps1, bps0 []uint64) (*hubsearch.Inv
 }
 
 func (p *flatParser) parseUndirected() (*Index, error) {
-	if p.h.Flags&ContainerFlagCompressed != 0 {
-		return nil, fmt.Errorf("%w: flat containers are never compressed", ErrBadIndexFile)
-	}
 	perm, rank, err := p.permRank()
 	if err != nil {
 		return nil, err
@@ -725,11 +735,33 @@ func (p *flatParser) parseWeighted() (*WeightedIndex, error) {
 // Heap loading (reader path, full validation)
 // ---------------------------------------------------------------------
 
-// loadFlatFromReader reads a version-2 payload from a stream into one
-// heap buffer and parses it with full per-entry validation. The
-// container header was already consumed by LoadAny.
-func loadFlatFromReader(br *bufio.Reader, h ContainerHeader) (any, error) {
-	fixed, err := readBytesCapped(br, flatHeaderSize, "flat header")
+// allocChunk bounds how many bytes the heap loader allocates ahead of
+// the bytes actually read. The section table of a malformed (or
+// adversarial) file can declare sizes in the gigabytes while the stream
+// holds a few hundred bytes; readBytesCapped therefore grows its result
+// incrementally, so bogus sizes fail with a small footprint instead of
+// an OOM. The pll.FuzzLoad target leans on this.
+const allocChunk = 1 << 20
+
+// readBytesCapped reads exactly n bytes, allocating in bounded chunks.
+func readBytesCapped(r io.Reader, n int64, what string) ([]byte, error) {
+	out := make([]byte, 0, min(n, allocChunk))
+	for int64(len(out)) < n {
+		k := min(n-int64(len(out)), allocChunk)
+		start := len(out)
+		out = append(out, make([]byte, k)...)
+		if _, err := io.ReadFull(r, out[start:]); err != nil {
+			return nil, fmt.Errorf("%w: truncated %s: %v", ErrBadIndexFile, what, err)
+		}
+	}
+	return out, nil
+}
+
+// loadFlatFromReader reads a flat payload from a stream into one heap
+// buffer and parses it with full per-entry validation. The container
+// header was already consumed by LoadAny.
+func loadFlatFromReader(r io.Reader, h ContainerHeader) (any, error) {
+	fixed, err := readBytesCapped(r, flatHeaderSize, "flat header")
 	if err != nil {
 		return nil, err
 	}
@@ -737,7 +769,7 @@ func loadFlatFromReader(br *bufio.Reader, h ContainerHeader) (any, error) {
 	if nsec > flatMaxSections {
 		return nil, fmt.Errorf("%w: implausible section count %d", ErrBadIndexFile, nsec)
 	}
-	table, err := readBytesCapped(br, int64(nsec)*flatSectionSize, "flat section table")
+	table, err := readBytesCapped(r, int64(nsec)*flatSectionSize, "flat section table")
 	if err != nil {
 		return nil, err
 	}
@@ -765,7 +797,7 @@ func loadFlatFromReader(br *bufio.Reader, h ContainerHeader) (any, error) {
 	data = append(data, hdr[:]...)
 	data = append(data, fixed...)
 	data = append(data, table...)
-	rest, err := readBytesCapped(br, int64(end)-int64(len(data)), "flat sections")
+	rest, err := readBytesCapped(r, int64(end)-int64(len(data)), "flat sections")
 	if err != nil {
 		return nil, err
 	}
@@ -796,9 +828,9 @@ type FlatStore struct {
 	unmap    func() error
 }
 
-// OpenFlat maps path and returns its flat store. Files that are valid
-// indexes but not flat (version-2) containers yield ErrNotFlat;
-// malformed files yield errors wrapping ErrBadIndexFile.
+// OpenFlat maps path and returns its flat store. Malformed files,
+// including files of the retired version-1 format, yield errors
+// wrapping ErrBadIndexFile.
 //
 // The structural metadata (section table, perm/rank, offsets,
 // sentinels) is validated up front; label contents are trusted, exactly
@@ -831,19 +863,9 @@ func OpenFlat(path string) (*FlatStore, error) {
 
 // newFlatStore parses a complete flat file image into a store.
 func newFlatStore(data []byte, size int64, unmap func() error) (*FlatStore, error) {
-	if [8]byte(data[:8]) != containerMagic {
-		switch [8]byte(data[:8]) {
-		case indexMagic, compressedMagic, weightedMagic, directedMagic:
-			return nil, fmt.Errorf("%w (bare legacy payload; rewrite with WriteFlat)", ErrNotFlat)
-		}
-		return nil, fmt.Errorf("%w: unrecognized magic %q", ErrBadIndexFile, data[:8])
-	}
 	h, err := parseContainerHeader(data[:containerHeaderSize])
 	if err != nil {
 		return nil, err
-	}
-	if h.Version != ContainerVersionFlat {
-		return nil, fmt.Errorf("%w (container version %d; rewrite with WriteFlat)", ErrNotFlat, h.Version)
 	}
 	oracle, zeroCopy, err := parseFlat(data, h, true, false)
 	if err != nil {

@@ -10,9 +10,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pll/internal/gen"
+	"pll/internal/graph"
 )
 
 func buildFlatTestIndex(t testing.TB) *Index {
@@ -129,42 +131,65 @@ func TestFlatHeapAndMapAgree(t *testing.T) {
 	}
 }
 
-// TestOpenFlatRejectsV1 ensures version-1 files are routed to the heap
-// loader with the ErrNotFlat sentinel rather than a format error.
+// TestOpenFlatRejectsV1 ensures files of the retired version-1 format
+// (a version-1 container header, or a bare "PLLIDX*" payload) fail on
+// both load paths with ErrBadIndexFile and a message naming the
+// conversion route.
 func TestOpenFlatRejectsV1(t *testing.T) {
 	ix := buildFlatTestIndex(t)
 	dir := t.TempDir()
-	v1 := filepath.Join(dir, "v1.pllbox")
-	f, err := os.Create(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.WriteTo(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if _, err := OpenFlat(v1); !errors.Is(err, ErrNotFlat) {
-		t.Fatalf("OpenFlat(v1): got %v, want ErrNotFlat", err)
-	}
-	if errors.Is(ErrNotFlat, ErrBadIndexFile) {
-		t.Fatal("ErrNotFlat must not wrap ErrBadIndexFile: it marks a valid, convertible file")
+	v1 := containerBytes(t, ix)
+	v1[8] = 1 // container version 1
+	legacy := append([]byte("PLLIDX01"), v1[8:]...)
+	for name, data := range map[string][]byte{"v1.pllbox": v1, "legacy.pll": legacy} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenFlat(path); !errors.Is(err, ErrBadIndexFile) || !strings.Contains(err.Error(), "pll convert") {
+			t.Fatalf("OpenFlat(%s): got %v, want ErrBadIndexFile naming pll convert", name, err)
+		}
+		if _, err := LoadAny(bytes.NewReader(data)); !errors.Is(err, ErrBadIndexFile) || !strings.Contains(err.Error(), "pll convert") {
+			t.Fatalf("LoadAny(%s): got %v, want ErrBadIndexFile naming pll convert", name, err)
+		}
 	}
 }
 
-// TestDiskIndexRejectsFlat keeps the two on-disk paths from being
-// crossed: DiskIndex ranged reads need the version-1 record layout.
-func TestDiskIndexRejectsFlat(t *testing.T) {
-	ix := buildFlatTestIndex(t)
-	path := filepath.Join(t.TempDir(), "flat.pllbox")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.WriteFlat(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if _, err := OpenDiskIndex(path); !errors.Is(err, ErrBadIndexFile) {
-		t.Fatalf("OpenDiskIndex(flat): got %v, want ErrBadIndexFile", err)
+// TestFlatTinyGraphs opens and heap-loads containers of the smallest
+// indexes (no vertices, one, two isolated ones), with and without
+// parent pointers, so empty sections and one-entry labels parse.
+func TestFlatTinyGraphs(t *testing.T) {
+	for _, n := range []int{0, 1, 2} {
+		for _, paths := range []bool{false, true} {
+			g, err := graph.NewGraph(n, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix := buildOrFail(t, g, Options{StorePaths: paths})
+			path := writeContainerFile(t, "tiny.pllbox", ix)
+			fs, err := OpenFlat(path)
+			if err != nil {
+				t.Fatalf("n=%d paths=%v: OpenFlat: %v", n, paths, err)
+			}
+			for _, got := range []*Index{fs.Oracle().(*Index), loadFileAs[*Index](t, path)} {
+				if got.NumVertices() != n || got.HasPaths() != paths {
+					t.Fatalf("n=%d paths=%v: loaded n=%d paths=%v", n, paths, got.NumVertices(), got.HasPaths())
+				}
+				if n >= 1 && got.Query(0, 0) != 0 {
+					t.Fatalf("n=%d: self distance %d", n, got.Query(0, 0))
+				}
+				if n == 2 && got.Query(0, 1) != Unreachable {
+					t.Fatalf("edgeless pair distance %d", got.Query(0, 1))
+				}
+				if n >= 1 && paths {
+					if p, err := got.QueryPath(0, 0); err != nil || len(p) != 1 {
+						t.Fatalf("n=%d: self path %v, %v", n, p, err)
+					}
+				}
+			}
+			if err := fs.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

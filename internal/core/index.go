@@ -41,7 +41,7 @@ var ErrDiameterTooLarge = errors.New("core: graph diameter exceeds the 8-bit dis
 
 // Index is an immutable pruned-landmark-labeling index over an
 // undirected, unweighted graph. Build one with Build; query it with
-// Query, QueryPath, or through a DiskIndex.
+// Query or QueryPath.
 //
 // Internally vertices are identified by rank (position in the
 // construction order): labels store ranks so that they are sorted
@@ -320,15 +320,25 @@ func (ix *Index) QueryPath(s, t int32) ([]int32, error) {
 }
 
 // chainToHub follows parent pointers from rank r to the hub rank,
-// returning the rank sequence [r ... hub].
+// returning the rank sequence [r ... hub]. A BFS-tree chain has exactly
+// d(r, hub) steps, the distance r's label records for the hub, so a
+// longer walk means corrupt parent pointers (a cycle in a loaded file)
+// and is reported instead of followed forever.
 func (ix *Index) chainToHub(r, hub int32) ([]int32, error) {
 	chain := []int32{r}
 	cur := r
+	steps := -1 // d(r, hub), read from r's label on the first step
 	for cur != hub {
 		lo, hi := ix.labelOff[cur], ix.labelOff[cur+1]-1
 		idx := searchLabel(ix.labelVertex[lo:hi], hub)
 		if idx < 0 {
 			return nil, fmt.Errorf("core: broken parent chain at rank %d for hub %d", cur, hub)
+		}
+		if steps < 0 {
+			steps = int(ix.labelDist[lo+int64(idx)])
+		}
+		if len(chain) > steps {
+			return nil, fmt.Errorf("core: parent chain from rank %d exceeds its distance %d to hub %d", r, steps, hub)
 		}
 		p := ix.labelParent[lo+int64(idx)]
 		if p < 0 { // reached the hub's own self entry

@@ -377,14 +377,6 @@ func (ix *WeightedIndex) LabelSize(v int32) int {
 	return int(ix.labelOff[r+1] - ix.labelOff[r] - 1)
 }
 
-// AvgLabelSize returns the mean label size over all vertices.
-func (ix *WeightedIndex) AvgLabelSize() float64 {
-	if ix.n == 0 {
-		return 0
-	}
-	return float64(ix.labelOff[ix.n]-int64(ix.n)) / float64(ix.n)
-}
-
 // ComputeStats scans the weighted index and returns summary statistics.
 func (ix *WeightedIndex) ComputeStats() Stats {
 	st := Stats{

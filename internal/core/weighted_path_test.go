@@ -101,7 +101,7 @@ func TestWeightedSaveRejectsParents(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sink discardWriter
-	if err := ix.Save(&sink); err == nil {
+	if _, err := ix.WriteTo(&sink); err == nil {
 		t.Fatal("expected error saving a path-storing weighted index")
 	}
 }

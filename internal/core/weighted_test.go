@@ -139,14 +139,14 @@ func TestWeightedLabelStats(t *testing.T) {
 	if ix.NumVertices() != wg.NumVertices() {
 		t.Fatal("vertex count mismatch")
 	}
-	if ix.AvgLabelSize() <= 0 {
+	if ix.ComputeStats().AvgLabelSize <= 0 {
 		t.Fatal("average label size should be positive")
 	}
 	total := 0
 	for v := int32(0); int(v) < wg.NumVertices(); v++ {
 		total += ix.LabelSize(v)
 	}
-	if float64(total)/float64(wg.NumVertices()) != ix.AvgLabelSize() {
+	if float64(total)/float64(wg.NumVertices()) != ix.ComputeStats().AvgLabelSize {
 		t.Fatal("AvgLabelSize disagrees with per-vertex sizes")
 	}
 }

@@ -11,8 +11,8 @@ import (
 // A malformed (or adversarial) index file can declare sizes in the
 // gigabytes while holding a few hundred bytes; the loaders therefore
 // either cap every speculative allocation (make(T, 0, min(x,
-// allocChunk))) or grow slices behind actual reads (the *Capped
-// readers in internal/core/serialize.go). This analyzer enforces the
+// allocChunk))) or grow slices behind actual reads (readBytesCapped
+// in internal/core/flat.go). This analyzer enforces the
 // pattern mechanically: it taints the results of binary decoding
 // (binary.LittleEndian.UintNN, binary.ReadUvarint/ReadVarint) and
 // every field read of structs marked `pllvet:untrusted` (the parsed

@@ -261,7 +261,7 @@ func TestRangeTotals(t *testing.T) {
 // that a reload purges everything.
 func TestResultCacheEndpoints(t *testing.T) {
 	dir := t.TempDir()
-	path := writeIndexFile(t, dir, "v1.pllbox", 10)
+	path := writeIndexFile(t, dir, "ix.pllbox", 10)
 	o, err := pll.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -296,8 +296,8 @@ func TestConformanceAllVariants(t *testing.T) {
 	}
 	// The same ground truths re-checked against memory-mapped flat
 	// containers of each variant. The flat directed/weighted formats
-	// (like version 1) cannot serialize parent pointers, so those two
-	// cases rebuild path-free on their own graphs.
+	// cannot serialize parent pointers, so those two cases rebuild
+	// path-free on their own graphs.
 	cases = append(cases,
 		flatVariant(t, cases[0], true), // undirected: flat keeps parents
 		flatVariant(t, cases[3], false),

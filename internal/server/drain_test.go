@@ -36,7 +36,7 @@ func waitInflight(t *testing.T, s *Server, want int64) {
 // of this test is the regression guard).
 func TestShutdownDrainFlatContainer(t *testing.T) {
 	dir := t.TempDir()
-	path := writeFlatIndexFile(t, dir, "flat.pllbox", 64)
+	path := writeIndexFile(t, dir, "flat.pllbox", 64)
 	fi, err := pll.Open(path)
 	if err != nil {
 		t.Fatal(err)

@@ -180,7 +180,7 @@ func TestMetricsExposition(t *testing.T) {
 // keyed on (generation, updates) picks up the new index's gauges.
 func TestMetricsReloadCounters(t *testing.T) {
 	dir := t.TempDir()
-	path := writeFlatIndexFile(t, dir, "next.pllbox", 31)
+	path := writeIndexFile(t, dir, "next.pllbox", 31)
 	ix, err := pll.Build(lineGraph(t, 8))
 	if err != nil {
 		t.Fatal(err)

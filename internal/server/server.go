@@ -596,17 +596,16 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// Reload loads the container at path and atomically swaps it in,
-// purging the distance cache. Flat (version-2) containers are opened
-// zero-copy via pll.Open — the swap is O(1) in the index size — and
-// every other format is heap-loaded. In-flight requests keep answering
+// Reload opens the container at path zero-copy (pll.Open, O(1) in the
+// index size) and atomically swaps it in, purging the distance cache.
+// In-flight requests keep answering
 // from the index they started on; no request fails or blocks. A
 // swapped-out resource-backed oracle is closed after CloseGrace. It is
 // the shared implementation behind POST /reload and SIGHUP.
 func (s *Server) Reload(path string) (pll.Stats, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	o, err := loadOracle(path)
+	o, err := pll.Open(path)
 	if err != nil {
 		return pll.Stats{}, err
 	}
@@ -621,19 +620,6 @@ func (s *Server) Reload(path string) (pll.Stats, error) {
 	s.reloads.Add(1)
 	s.retire(old, oldInflight)
 	return st, nil
-}
-
-// loadOracle opens flat containers zero-copy and heap-loads every
-// other supported format.
-func loadOracle(path string) (pll.Oracle, error) {
-	fi, err := pll.Open(path)
-	if err == nil {
-		return fi, nil
-	}
-	if !errors.Is(err, pll.ErrNotFlat) {
-		return nil, err
-	}
-	return pll.LoadFile(path)
 }
 
 // retire closes a swapped-out oracle's resources (mapping, file) once

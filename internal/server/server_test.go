@@ -315,23 +315,8 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 // writeIndexFile builds an index over a line graph of n vertices and
-// writes it as a container file.
+// writes it as a container file, the format /reload opens zero-copy.
 func writeIndexFile(t *testing.T, dir string, name string, n int) string {
-	t.Helper()
-	ix, err := pll.Build(lineGraph(t, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, name)
-	if err := pll.WriteFile(path, ix); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// writeFlatIndexFile writes a line-graph index as a flat (version-2)
-// container, the format /reload opens zero-copy.
-func writeFlatIndexFile(t *testing.T, dir string, name string, n int) string {
 	t.Helper()
 	ix, err := pll.Build(lineGraph(t, n))
 	if err != nil {
@@ -344,20 +329,20 @@ func writeFlatIndexFile(t *testing.T, dir string, name string, n int) string {
 	return path
 }
 
-// TestReloadFlatContainer hot-swaps the serving oracle onto a memory-
-// mapped flat container and then back to a heap-loaded one, exercising
-// the zero-copy reload path and the deferred Close of the retired
-// mapping (a short CloseGrace lets the retirement actually run).
+// TestReloadFlatContainer hot-swaps a heap-loaded serving oracle onto a
+// memory-mapped container and then onto another one, exercising the
+// zero-copy reload path and the deferred Close of the retired mapping
+// (a short CloseGrace lets the retirement actually run).
 func TestReloadFlatContainer(t *testing.T) {
 	dir := t.TempDir()
-	v1 := writeIndexFile(t, dir, "v1.pllbox", 4)
-	flat := writeFlatIndexFile(t, dir, "flat.pllbox", 9)
+	first := writeIndexFile(t, dir, "first.pllbox", 4)
+	flat := writeIndexFile(t, dir, "flat.pllbox", 9)
 
-	o, err := pll.LoadFile(v1)
+	o, err := pll.LoadFile(first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, ts := newTestServer(t, o, Config{IndexPath: v1, CacheSize: 16, CloseGrace: time.Millisecond})
+	srv, ts := newTestServer(t, o, Config{IndexPath: first, CacheSize: 16, CloseGrace: time.Millisecond})
 
 	var rr struct {
 		Vertices   int    `json:"vertices"`
@@ -377,11 +362,11 @@ func TestReloadFlatContainer(t *testing.T) {
 		t.Fatalf("d(0,8) = %d on the mapped line graph, want 8", dr.Distance)
 	}
 
-	// Swap back to the heap index: the retired FlatIndex must be closed
-	// after the grace period without disturbing serving.
+	// Swap back to the -index file: the retired FlatIndex must be
+	// closed after the grace period without disturbing serving.
 	postJSON(t, ts.URL+"/reload", reloadRequest{}, http.StatusOK, &rr)
 	if rr.Vertices != 4 {
-		t.Fatalf("reloaded v1 index has %d vertices, want 4", rr.Vertices)
+		t.Fatalf("reloaded first index has %d vertices, want 4", rr.Vertices)
 	}
 	time.Sleep(20 * time.Millisecond) // let the AfterFunc close the mapping
 	getJSON(t, ts.URL+"/distance?s=0&t=3", http.StatusOK, &dr)

@@ -2,9 +2,7 @@ package pll_test
 
 // Batcher capability conformance: DistanceFrom must equal per-pair
 // Distance on every variant (including the mapped FlatIndex and the
-// ConcurrentOracle wrapper), reuse the destination slice, and the
-// deprecated BatchSource wrapper must validate inputs with errors
-// instead of panics while following the Oracle int64/-1 convention.
+// ConcurrentOracle wrapper) and reuse the destination slice.
 
 import (
 	"path/filepath"
@@ -71,54 +69,5 @@ func TestBatcherConformanceAllVariants(t *testing.T) {
 				t.Fatalf("empty batch returned %d distances", len(got))
 			}
 		})
-	}
-}
-
-// TestBatchSourceValidates covers the deprecated wrapper's repaired
-// semantics: errors (not panics) for out-of-range vertices, int64
-// distances with Unreachable (-1), and Reset keeping the old source on
-// a rejected input.
-func TestBatchSourceValidates(t *testing.T) {
-	g, err := pll.NewGraph(4, []pll.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := pll.BuildIndex(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := ix.NewBatchSource(-1); err == nil {
-		t.Fatal("NewBatchSource(-1) succeeded")
-	}
-	if _, err := ix.NewBatchSource(4); err == nil {
-		t.Fatal("NewBatchSource(n) succeeded")
-	}
-	bs, err := ix.NewBatchSource(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bs.Distance(99); err == nil {
-		t.Fatal("Distance(out of range) succeeded")
-	}
-	d, err := bs.Distance(2)
-	if err != nil || d != 2 {
-		t.Fatalf("Distance(2) = %d, %v; want 2, nil", d, err)
-	}
-	d, err = bs.Distance(3) // vertex 3 is isolated
-	if err != nil || d != pll.Unreachable {
-		t.Fatalf("Distance(disconnected) = %d, %v; want -1, nil", d, err)
-	}
-	if err := bs.Reset(-7); err == nil {
-		t.Fatal("Reset(-7) succeeded")
-	}
-	if bs.Source() != 0 {
-		t.Fatalf("rejected Reset moved the source to %d", bs.Source())
-	}
-	if err := bs.Reset(2); err != nil {
-		t.Fatal(err)
-	}
-	if d, err := bs.Distance(0); err != nil || d != 2 {
-		t.Fatalf("after Reset(2): Distance(0) = %d, %v; want 2, nil", d, err)
 	}
 }

@@ -16,7 +16,7 @@ package pll
 //
 // Every index variant in this package (*Index, *DirectedIndex,
 // *WeightedIndex, *DynamicIndex, *FlatIndex and *ConcurrentOracle)
-// implements Batcher; *FlatIndex and *DiskIndex implement Closer.
+// implements Batcher; *FlatIndex implements Closer.
 
 // Batcher answers many distance queries that share one source faster
 // than repeated Distance calls: the source's label is expanded into a
@@ -36,8 +36,8 @@ type Batcher interface {
 }
 
 // Closer marks oracles backed by an external resource (a memory
-// mapping, an open file) that must be released when the oracle is no
-// longer queried. Close is idempotent; queries after Close are invalid.
+// mapping) that must be released when the oracle is no longer queried.
+// Close is idempotent; queries after Close are invalid.
 type Closer interface {
 	Close() error
 }

@@ -7,9 +7,12 @@ package pll_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"pll/internal/gen"
 	"pll/internal/rng"
@@ -67,35 +70,6 @@ func TestContainerRoundTripPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 	roundTrip(t, ix, pll.VariantUndirected)
-}
-
-func TestContainerRoundTripCompressed(t *testing.T) {
-	ix, err := pll.BuildIndex(testGraph(t), pll.WithBitParallel(4), pll.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var plain, comp bytes.Buffer
-	if _, err := ix.WriteTo(&plain); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.WriteToCompressed(&comp); err != nil {
-		t.Fatal(err)
-	}
-	if comp.Len() >= plain.Len() {
-		t.Fatalf("compressed container (%d bytes) not smaller than plain (%d bytes)", comp.Len(), plain.Len())
-	}
-	loaded, err := pll.Load(&comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(3)
-	n := int32(ix.NumVertices())
-	for i := 0; i < 200; i++ {
-		s, u := r.Int31n(n), r.Int31n(n)
-		if loaded.Distance(s, u) != ix.Distance(s, u) {
-			t.Fatalf("compressed round trip mismatch at (%d,%d)", s, u)
-		}
-	}
 }
 
 func TestContainerRoundTripPaths(t *testing.T) {
@@ -166,77 +140,55 @@ func TestContainerRoundTripDynamicFrozen(t *testing.T) {
 	if _, ok := loaded.(*pll.Index); !ok {
 		t.Fatalf("frozen dynamic index loaded as %T, want *pll.Index", loaded)
 	}
-	// Freezing explicitly, then compressing, keeps the tag too.
-	var comp bytes.Buffer
-	if _, err := di.Freeze().WriteToCompressed(&comp); err != nil {
-		t.Fatal(err)
-	}
-	fromComp, err := pll.Load(&comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := fromComp.Stats().Variant; v != pll.VariantDynamic {
-		t.Fatalf("compressed frozen snapshot variant = %s, want dynamic", v)
-	}
-	if fromComp.Distance(0, 5) != di.Distance(0, 5) {
-		t.Fatal("compressed frozen snapshot distance mismatch")
-	}
+	// Freezing explicitly keeps the tag too.
+	roundTrip(t, di.Freeze(), pll.VariantDynamic)
 }
 
-// Every WriteTo output must load through LoadFile too, and the unified
-// file loader must reject a variant-specific legacy wrapper mismatch.
+// Every saved file must load through LoadFile and the typed
+// LoadIndexFile, and the typed loader must reject another variant with
+// a descriptive error instead of misparsing bytes.
 func TestContainerFileRoundTripAndVariantMismatch(t *testing.T) {
 	g := testGraph(t)
 	ix, err := pll.BuildIndex(g, pll.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "ix.pllbox")
-	if err := pll.WriteFile(path, ix); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ix.pllbox")
+	if err := pll.WriteFlatFile(path, ix); err != nil {
 		t.Fatal(err)
 	}
 	o, err := pll.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Distance(0, 5) != ix.Distance(0, 5) {
+	typed, err := pll.LoadIndexFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Distance(0, 5) != ix.Distance(0, 5) || typed.Distance(0, 5) != ix.Distance(0, 5) {
 		t.Fatal("file round trip mismatch")
 	}
-	// The deprecated typed loaders must reject the wrong variant with a
-	// descriptive error instead of misparsing bytes.
-	if _, err := pll.LoadWeightedFile(path); err == nil {
-		t.Fatal("LoadWeightedFile accepted an undirected container")
-	}
-	if _, err := pll.LoadDirectedFile(path); err == nil {
-		t.Fatal("LoadDirectedFile accepted an undirected container")
-	}
-}
-
-// Dropping the 16-byte container header leaves a bare legacy payload;
-// Load must still recognize it by its inner magic (pre-container files
-// stay loadable).
-func TestLoadAcceptsBareLegacyPayload(t *testing.T) {
-	ix, err := pll.BuildIndex(testGraph(t), pll.WithBitParallel(2), pll.WithSeed(1))
+	dg, err := pll.NewDigraph(3, []pll.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	dix, err := pll.BuildDirected(dg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := buf.Bytes()[16:]
-	o, err := pll.Load(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("bare legacy payload rejected: %v", err)
+	dpath := filepath.Join(dir, "d.pllbox")
+	if err := pll.WriteFlatFile(dpath, dix); err != nil {
+		t.Fatal(err)
 	}
-	if o.Distance(1, 7) != ix.Distance(1, 7) {
-		t.Fatal("legacy payload loaded wrong")
+	if _, err := pll.LoadIndexFile(dpath); err == nil || !strings.Contains(err.Error(), "directed") {
+		t.Fatalf("LoadIndexFile on a directed container: got %v, want a variant mismatch error", err)
 	}
 }
 
 // A WriteTo that cannot serialize (parent pointers on variants whose
-// payload lacks them) must fail before emitting any bytes, so a failed
-// save never leaves a partial header on the destination.
+// container lacks them) must fail before emitting any bytes, so a
+// failed save never leaves a partial header on the destination.
 func TestContainerWriteToFailsBeforeWriting(t *testing.T) {
 	dg, err := pll.NewDigraph(3, []pll.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	if err != nil {
@@ -250,13 +202,16 @@ func TestContainerWriteToFailsBeforeWriting(t *testing.T) {
 	if n, err := dix.WriteTo(&buf); err == nil || n != 0 || buf.Len() != 0 {
 		t.Fatalf("directed WithPaths WriteTo: n=%d len=%d err=%v, want 0 bytes and an error", n, buf.Len(), err)
 	}
-	ix, err := pll.BuildIndex(testGraph(t), pll.WithPaths())
+	wg, err := pll.NewWeightedGraph(3, []pll.WeightedEdge{{U: 0, V: 1, Weight: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf.Reset()
-	if n, err := ix.WriteToCompressed(&buf); err == nil || n != 0 || buf.Len() != 0 {
-		t.Fatalf("compressed WithPaths WriteTo: n=%d len=%d err=%v, want 0 bytes and an error", n, buf.Len(), err)
+	wix, err := pll.BuildWeighted(wg, pll.WithPaths())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := wix.WriteTo(&buf); err == nil || n != 0 || buf.Len() != 0 {
+		t.Fatalf("weighted WithPaths WriteTo: n=%d len=%d err=%v, want 0 bytes and an error", n, buf.Len(), err)
 	}
 }
 
@@ -282,6 +237,9 @@ func TestContainerRejectsCorruptHeaders(t *testing.T) {
 	corrupt("truncated header", func(b []byte) []byte { return b[:10] })
 	corrupt("bad magic", func(b []byte) []byte { b[0] = 'X'; return b })
 	corrupt("unknown version", func(b []byte) []byte { b[8], b[9] = 0xFF, 0xFF; return b })
+	corrupt("version-1 header", func(b []byte) []byte { b[8], b[9] = 1, 0; return b })
+	corrupt("bare version-1 payload", func(b []byte) []byte { return append([]byte("PLLIDX01"), b[16:]...) })
+	corrupt("reserved flag bit 0 (retired compression)", func(b []byte) []byte { b[11] |= 1; return b })
 	corrupt("unknown variant", func(b []byte) []byte { b[10] = 99; return b })
 	corrupt("unknown flags", func(b []byte) []byte { b[11] |= 0x80; return b })
 	corrupt("compressed flag on directed tag", func(b []byte) []byte { b[10], b[11] = 2, 1; return b })
@@ -289,41 +247,95 @@ func TestContainerRejectsCorruptHeaders(t *testing.T) {
 	corrupt("variant/payload mismatch", func(b []byte) []byte { b[10] = 3; return b }) // weighted tag, plain payload
 }
 
-// Disk-resident querying must work on container files (the §6 fast
-// path reads label blocks at offsets shifted by the header).
-func TestDiskIndexOnContainerFile(t *testing.T) {
-	ix, err := pll.BuildIndex(testGraph(t), pll.WithBitParallel(2), pll.WithSeed(1))
+// flatSection returns the payload bytes of flat section id (a
+// little-endian array of count elements of elem bytes each).
+func flatSection(t *testing.T, data []byte, id uint32) []byte {
+	t.Helper()
+	nsec := binary.LittleEndian.Uint32(data[24:28])
+	for i := uint32(0); i < nsec; i++ {
+		e := data[32+24*i:]
+		if binary.LittleEndian.Uint32(e[0:4]) == id {
+			elem := uint64(binary.LittleEndian.Uint32(e[4:8]))
+			off, count := binary.LittleEndian.Uint64(e[8:16]), binary.LittleEndian.Uint64(e[16:24])
+			return data[off : off+count*elem]
+		}
+	}
+	t.Fatalf("container has no section %d", id)
+	return nil
+}
+
+// TestPathRejectsParentCycle loads a container whose parent pointers
+// form a cycle — each pointer passes the loader's range check — and
+// asks for the path that walks it: Path must return an error instead
+// of following the cycle forever.
+func TestPathRejectsParentCycle(t *testing.T) {
+	edges := make([]pll.Edge, 7)
+	for i := range edges {
+		edges[i] = pll.Edge{U: int32(i), V: int32(i + 1)}
+	}
+	g, err := pll.NewGraph(8, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ix.pllbox")
-	if err := pll.WriteFile(path, ix); err != nil {
-		t.Fatal(err)
-	}
-	di, err := pll.OpenDiskIndex(path)
+	ix, err := pll.BuildIndex(g, pll.WithPaths())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer di.Close()
-	r := rng.New(21)
-	n := int32(ix.NumVertices())
-	for i := 0; i < 100; i++ {
-		s, u := r.Int31n(n), r.Int31n(n)
-		got, err := di.Distance(s, u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != ix.Distance(s, u) {
-			t.Fatalf("disk mismatch at (%d,%d)", s, u)
-		}
-	}
-	// Compressed containers cannot be disk-queried.
-	cpath := filepath.Join(dir, "ix.pllc")
-	if err := ix.SaveCompressedFile(cpath); err != nil {
+	var buf bytes.Buffer
+	if _, err := pll.WriteFlat(&buf, ix); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pll.OpenDiskIndex(cpath); !errors.Is(err, pll.ErrBadIndexFile) {
-		t.Fatalf("OpenDiskIndex on compressed container: got %v, want ErrBadIndexFile", err)
+	data := buf.Bytes()
+	const secPerm, secLabelOff, secLabelVertex, secLabelDist, secLabelParent = 1, 3, 4, 5, 6
+	perm := flatSection(t, data, secPerm)
+	offs := flatSection(t, data, secLabelOff)
+	hubs := flatSection(t, data, secLabelVertex)
+	dists := flatSection(t, data, secLabelDist)
+	parents := flatSection(t, data, secLabelParent)
+	i32 := func(b []byte, i int) int32 { return int32(binary.LittleEndian.Uint32(b[4*i:])) }
+	entry := func(r, hub int32) int { // label entry of hub in rank r's label
+		lo, hi := binary.LittleEndian.Uint64(offs[8*r:]), binary.LittleEndian.Uint64(offs[8*r+8:])
+		for e := int(lo); e < int(hi); e++ {
+			if i32(hubs, e) == hub {
+				return e
+			}
+		}
+		t.Fatalf("rank %d carries no hub %d", r, hub)
+		return 0
+	}
+	// The farthest entry (r, hub) has a parent p != hub; pointing p's
+	// own parent for that hub back at r makes the chain r -> p -> r ...
+	far := 0
+	for e := range dists {
+		if dists[e] != 255 && dists[e] > dists[far] {
+			far = e
+		}
+	}
+	if dists[far] < 2 {
+		t.Fatalf("no label entry at distance >= 2")
+	}
+	r := int32(0)
+	for binary.LittleEndian.Uint64(offs[8*(r+1):]) <= uint64(far) {
+		r++
+	}
+	hub, p := i32(hubs, far), i32(parents, far)
+	binary.LittleEndian.PutUint32(parents[4*entry(p, hub):], uint32(r))
+
+	o, err := pll.Load(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("Load rejected in-range parent pointers: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := o.Path(i32(perm, int(r)), i32(perm, int(hub)))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Path over a parent cycle succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Path over a parent cycle did not return")
 	}
 }

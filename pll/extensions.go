@@ -26,37 +26,6 @@ func WithWorkers(n int) Option {
 // to 1. Useful for logging build setups next to wall-time measurements.
 func EffectiveWorkers(n int) int { return core.EffectiveWorkers(n) }
 
-// WriteToCompressed serializes the index as a container whose payload
-// uses delta-varint label compression (typically 40-60% smaller than
-// WriteTo). Load reads it back transparently; disk-resident querying
-// requires the uncompressed layout. Indexes built WithPaths are not
-// supported by the compressed payload.
-func (ix *Index) WriteToCompressed(w io.Writer) (int64, error) { return ix.ix.WriteToCompressed(w) }
-
-// SaveCompressed writes the index with delta-varint label compression.
-//
-// Deprecated: use WriteToCompressed.
-func (ix *Index) SaveCompressed(w io.Writer) error {
-	_, err := ix.WriteToCompressed(w)
-	return err
-}
-
-// SaveCompressedFile writes the compressed index to a path.
-func (ix *Index) SaveCompressedFile(path string) error {
-	return writeFileWith(path, ix.WriteToCompressed)
-}
-
-// LoadCompressed reads an undirected index (compressed or not).
-//
-// Deprecated: use Load; the container header records the compression
-// flag, so no dedicated entry point is needed.
-func LoadCompressed(r io.Reader) (*Index, error) { return LoadIndex(r) }
-
-// LoadCompressedFile reads a compressed index file.
-//
-// Deprecated: use LoadFile.
-func LoadCompressedFile(path string) (*Index, error) { return LoadIndexFile(path) }
-
 // DynamicIndex is an incrementally updatable exact distance oracle:
 // edges may be inserted after construction and queries remain exact
 // (the evolving-network direction of the paper's §8, implemented with
@@ -108,69 +77,16 @@ func (d *DynamicIndex) NumVertices() int { return d.di.NumVertices() }
 // Stats summarizes the index.
 func (d *DynamicIndex) Stats() Stats { return d.di.ComputeStats() }
 
-// AvgLabelSize returns the mean label size per vertex.
-//
-// Deprecated: use Stats().AvgLabelSize.
-func (d *DynamicIndex) AvgLabelSize() float64 { return d.di.AvgLabelSize() }
-
 // Freeze snapshots the dynamic index into a static *Index covering all
 // insertions so far. The snapshot is independent of later InsertEdge
 // calls and supports everything a statically built index does
-// (serialization, disk querying, batch sources).
+// (serialization, batch and search queries).
 func (d *DynamicIndex) Freeze() *Index { return &Index{ix: d.di.Freeze()} }
 
 // WriteTo freezes the index and serializes the snapshot as a container
 // tagged with the dynamic variant. Loading it yields a static *Index;
 // the insertion log does not survive serialization.
 func (d *DynamicIndex) WriteTo(w io.Writer) (int64, error) { return d.di.WriteTo(w) }
-
-// BatchSource answers many queries sharing one source faster than
-// repeated Distance calls (one label scan per target instead of a merge
-// join). It validates vertex IDs like Validate instead of panicking and
-// follows the Oracle convention (int64 distances, Unreachable (-1) for
-// disconnected pairs). Not safe for concurrent use; Reset re-targets it
-// to another source.
-//
-// Deprecated: use the Batcher capability — DistanceFrom pins the source
-// label once per call, works on every variant (not just *Index), is
-// safe for concurrent use, and needs no explicit lifecycle.
-type BatchSource struct {
-	ix *Index
-	bs *core.BatchSource
-}
-
-// NewBatchSource prepares batched querying from source s, rejecting an
-// out-of-range s with an error.
-//
-// Deprecated: use the Batcher capability (DistanceFrom).
-func (ix *Index) NewBatchSource(s int32) (*BatchSource, error) {
-	if err := Validate(ix, s); err != nil {
-		return nil, err
-	}
-	return &BatchSource{ix: ix, bs: ix.ix.NewBatchSource(s)}, nil
-}
-
-// Distance returns the exact distance from the batch source to t, or
-// Unreachable (-1); an out-of-range t yields an error.
-func (b *BatchSource) Distance(t int32) (int64, error) {
-	if err := Validate(b.ix, t); err != nil {
-		return 0, err
-	}
-	return int64(b.bs.Query(t)), nil
-}
-
-// Reset switches the batch to a new source vertex, rejecting an
-// out-of-range s with an error (the previous source stays active).
-func (b *BatchSource) Reset(s int32) error {
-	if err := Validate(b.ix, s); err != nil {
-		return err
-	}
-	b.bs.Reset(s)
-	return nil
-}
-
-// Source returns the current source vertex.
-func (b *BatchSource) Source() int32 { return b.bs.Source() }
 
 // Verify cross-checks the index against the graph it was built from:
 // structural label invariants plus sampledPairs random queries against

@@ -1,47 +1,8 @@
 package pll
 
 import (
-	"bytes"
 	"testing"
 )
-
-func TestPublicCompressedRoundTrip(t *testing.T) {
-	g := square()
-	ix, err := BuildIndex(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ix.SaveCompressed(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadCompressed(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Distance(0, 2) != 2 {
-		t.Fatal("compressed round trip broke queries")
-	}
-}
-
-func TestPublicCompressedFile(t *testing.T) {
-	g := square()
-	ix, err := BuildIndex(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/c.pllc"
-	if err := ix.SaveCompressedFile(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadCompressedFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Distance(1, 3) != 2 {
-		t.Fatal("compressed file index wrong")
-	}
-}
 
 func TestPublicWorkers(t *testing.T) {
 	g := square()
@@ -72,7 +33,7 @@ func TestPublicDynamic(t *testing.T) {
 	if d := di.Distance(0, 3); d != 3 {
 		t.Fatalf("post-insert distance = %d, want 3", d)
 	}
-	if di.NumVertices() != 4 || di.AvgLabelSize() <= 0 {
+	if di.NumVertices() != 4 || di.Stats().AvgLabelSize <= 0 {
 		t.Fatal("dynamic accessors wrong")
 	}
 }

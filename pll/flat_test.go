@@ -1,9 +1,9 @@
 package pll_test
 
-// Flat (version-2) container coverage: byte/answer equivalence against
-// the version-1 format across all variants × paths × bit-parallel,
-// zero-copy Open on files, rejection of malformed input, and
-// concurrent FlatIndex querying (run under -race in CI).
+// Flat container coverage: byte/answer equivalence across all variants
+// × paths × bit-parallel, zero-copy Open on files, rejection of
+// malformed and retired-format input, and concurrent FlatIndex
+// querying (run under -race in CI).
 
 import (
 	"bytes"
@@ -113,21 +113,24 @@ func equalPath(a, b []int32) bool {
 	return true
 }
 
-// TestFlatRoundTripAllVariants proves the tentpole equivalence: for
-// every variant, flat bytes heap-load (Load) into an oracle whose
-// answers match the original exhaustively, and whose version-1
-// re-serialization is byte-identical to the original's — so v1 -> flat
-// -> v1 conversion is lossless.
+// TestFlatRoundTripAllVariants proves the format equivalence: for
+// every variant, WriteTo and WriteFlat emit the same bytes, those bytes
+// heap-load (Load) into an oracle whose answers match the original
+// exhaustively, and the loaded oracle re-serializes byte-identically —
+// so save -> load -> save is lossless.
 func TestFlatRoundTripAllVariants(t *testing.T) {
 	for _, tc := range buildFlatCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			var v1 bytes.Buffer
-			if _, err := tc.oracle.WriteTo(&v1); err != nil {
+			var written bytes.Buffer
+			if _, err := tc.oracle.WriteTo(&written); err != nil {
 				t.Fatal(err)
 			}
 			var flat bytes.Buffer
 			if _, err := pll.WriteFlat(&flat, tc.oracle); err != nil {
 				t.Fatal(err)
+			}
+			if !bytes.Equal(written.Bytes(), flat.Bytes()) {
+				t.Fatalf("WriteTo and WriteFlat differ (%d vs %d bytes)", written.Len(), flat.Len())
 			}
 			loaded, err := pll.Load(bytes.NewReader(flat.Bytes()))
 			if err != nil {
@@ -138,18 +141,17 @@ func TestFlatRoundTripAllVariants(t *testing.T) {
 			if _, err := loaded.WriteTo(&back); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(v1.Bytes(), back.Bytes()) {
-				t.Fatalf("v1 -> flat -> v1 is not byte-identical (%d vs %d bytes)",
-					v1.Len(), back.Len())
+			if !bytes.Equal(flat.Bytes(), back.Bytes()) {
+				t.Fatalf("save -> load -> save is not byte-identical (%d vs %d bytes)",
+					flat.Len(), back.Len())
 			}
 		})
 	}
 }
 
 // TestOpenServesFlatFiles proves the mmap path: Open answers match the
-// heap-loaded oracle on every variant, the variant tag is preserved,
-// WriteTo inverts the conversion byte-identically, and Close is
-// idempotent.
+// built oracle on every variant, the variant tag is preserved, WriteTo
+// re-serializes byte-identically, and Close is idempotent.
 func TestOpenServesFlatFiles(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range buildFlatCases(t) {
@@ -169,14 +171,14 @@ func TestOpenServesFlatFiles(t *testing.T) {
 			if fi.Variant() != wantVariant {
 				t.Fatalf("variant %s, want %s", fi.Variant(), wantVariant)
 			}
-			var v1, back bytes.Buffer
-			if _, err := tc.oracle.WriteTo(&v1); err != nil {
+			var orig, back bytes.Buffer
+			if _, err := tc.oracle.WriteTo(&orig); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := fi.WriteTo(&back); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(v1.Bytes(), back.Bytes()) {
+			if !bytes.Equal(orig.Bytes(), back.Bytes()) {
 				t.Fatal("FlatIndex.WriteTo is not byte-identical to the source index's")
 			}
 			if err := fi.Close(); err != nil {
@@ -220,32 +222,27 @@ func TestOpenBatchesZeroCopy(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsNonFlat: version-1 containers and legacy payloads are
-// valid indexes but not Open-able; the sentinel tells callers to fall
-// back to LoadFile.
+// TestOpenRejectsNonFlat: files of the retired version-1 format (a
+// version-1 container header, a bare "PLLIDX*" payload) are malformed
+// to this build; Open says so with ErrBadIndexFile.
 func TestOpenRejectsNonFlat(t *testing.T) {
 	dir := t.TempDir()
 	tc := buildFlatCases(t)[0]
-
-	v1 := filepath.Join(dir, "v1.pllbox")
-	if err := pll.WriteFile(v1, tc.oracle); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pll.Open(v1); !errors.Is(err, pll.ErrNotFlat) {
-		t.Fatalf("Open(v1 container): got %v, want ErrNotFlat", err)
-	}
-
-	// Bare legacy payload = v1 container minus its 16-byte header.
 	var buf bytes.Buffer
 	if _, err := tc.oracle.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	legacy := filepath.Join(dir, "legacy.pll")
-	if err := os.WriteFile(legacy, buf.Bytes()[16:], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pll.Open(legacy); !errors.Is(err, pll.ErrNotFlat) {
-		t.Fatalf("Open(legacy payload): got %v, want ErrNotFlat", err)
+	v1 := append([]byte(nil), buf.Bytes()...)
+	v1[8] = 1 // container version 1
+	legacy := append([]byte("PLLIDX01"), buf.Bytes()[16:]...)
+	for name, data := range map[string][]byte{"v1.pllbox": v1, "legacy.pll": legacy} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pll.Open(path); !errors.Is(err, pll.ErrBadIndexFile) {
+			t.Fatalf("Open(%s): got %v, want ErrBadIndexFile", name, err)
+		}
 	}
 
 	if _, err := pll.Open(filepath.Join(dir, "missing.pllbox")); err == nil {
@@ -282,7 +279,11 @@ func TestOpenAndLoadRejectMalformedFlat(t *testing.T) {
 		}
 	}
 
-	for _, cut := range []int{33, 48, len(valid) / 2, len(valid) - 1} {
+	cuts := []int{33, 48, len(valid) / 2, len(valid) - 1}
+	for cut := 0; cut < len(valid)-1; cut += 97 {
+		cuts = append(cuts, cut)
+	}
+	for _, cut := range cuts {
 		check(fmt.Sprintf("truncated-%d", cut), append([]byte(nil), valid[:cut]...))
 	}
 	flip := func(off int) []byte {

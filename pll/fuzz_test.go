@@ -1,74 +1,39 @@
 package pll_test
 
-// Native fuzz target for the container/payload parsers behind pll.Load.
-// The contract under test: any input either loads successfully or fails
+// Native fuzz target for the container parser behind pll.Load. The
+// contract under test: any input either loads successfully or fails
 // with an error wrapping ErrBadIndexFile — never a panic, never an
-// unbounded allocation (see allocChunk in internal/core/serialize.go).
-// The seed corpus holds a round-tripped index of every variant and
-// payload flavor, so mutations explore each branch of the dispatcher.
+// unbounded allocation (see allocChunk in internal/core/flat.go), and
+// a loaded index answers Distance, Stats and Path without hanging. The
+// seed corpus holds a round-tripped index of every variant, with and
+// without the persisted search sections, so mutations explore each
+// branch of the section parser.
 //
-// CI runs a short coverage-guided session (-fuzz=FuzzLoad -fuzztime=30s,
+// CI runs a short coverage-guided session (-fuzz=FuzzLoad -fuzztime=60s,
 // see .github/workflows/ci.yml); plain `go test` replays the corpus.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
 	"pll/pll"
 )
 
-// fuzzCorpus serializes one index per variant, plus the bare legacy
-// payloads (a container is header + legacy payload, so slicing off the
-// 16-byte header yields the legacy encoding Load also accepts).
+// fuzzCorpus serializes one index per variant, with and without the
+// persisted search sections.
 func fuzzCorpus(f *testing.F) [][]byte {
 	f.Helper()
-	var out [][]byte
-	add := func(b []byte, err error) {
-		if err != nil {
-			f.Fatal(err)
-		}
-		out = append(out, b, b[16:])
-	}
-
 	edges := []pll.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}, {U: 1, V: 4}, {U: 4, V: 5}}
 	g, err := pll.NewGraph(7, edges) // vertex 6 isolated: exercises empty labels
 	if err != nil {
 		f.Fatal(err)
 	}
-
-	marshal := func(o pll.Oracle, err error) ([]byte, error) {
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if _, err := o.WriteTo(&buf); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	}
-
-	add(marshal(pll.BuildIndex(g, pll.WithBitParallel(2))))
-	add(marshal(pll.BuildIndex(g, pll.WithBitParallel(0))))
-	add(marshal(pll.BuildIndex(g, pll.WithPaths())))
-
-	// Compressed payload.
-	ix, err := pll.BuildIndex(g, pll.WithBitParallel(2))
-	if err != nil {
-		f.Fatal(err)
-	}
-	var cbuf bytes.Buffer
-	if _, err := ix.WriteToCompressed(&cbuf); err != nil {
-		f.Fatal(err)
-	}
-	out = append(out, cbuf.Bytes(), cbuf.Bytes()[16:])
-
 	dg, err := pll.NewDigraph(6, edges)
 	if err != nil {
 		f.Fatal(err)
 	}
-	add(marshal(pll.BuildDirected(dg)))
-
 	wedges := make([]pll.WeightedEdge, len(edges))
 	for i, e := range edges {
 		wedges[i] = pll.WeightedEdge{U: e.U, V: e.V, Weight: uint32(i%3 + 1)}
@@ -77,63 +42,63 @@ func fuzzCorpus(f *testing.F) [][]byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	add(marshal(pll.BuildWeighted(wg)))
 
-	di, err := pll.BuildDynamic(g)
-	if err != nil {
-		f.Fatal(err)
-	}
-	add(marshal(pll.Oracle(di), nil))
-
-	// Flat (version-2) containers of every variant: the columnar parser
-	// behind Load's v2 branch must reject any mutation with
-	// ErrBadIndexFile, never panic.
-	marshalFlat := func(o pll.Oracle, err error) ([]byte, error) {
+	must := func(o pll.Oracle, err error) pll.Oracle {
 		if err != nil {
-			return nil, err
+			f.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if _, err := pll.WriteFlat(&buf, o); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		return o
 	}
-	add(marshalFlat(pll.BuildIndex(g, pll.WithBitParallel(2))))
-	add(marshalFlat(pll.BuildIndex(g, pll.WithPaths())))
-	add(marshalFlat(pll.BuildDirected(dg)))
-	add(marshalFlat(pll.BuildWeighted(wg)))
-	add(marshalFlat(pll.Oracle(di), nil))
-
-	// Flat containers carrying the persisted hub-inverted search
-	// sections: the secInv* parsing and validation paths must reject
-	// truncated or misaligned mutants with ErrBadIndexFile.
-	marshalSearch := func(o pll.Oracle, err error) ([]byte, error) {
-		if err != nil {
-			return nil, err
-		}
+	var out [][]byte
+	add := func(o pll.Oracle, opts ...pll.FlatOption) {
 		var buf bytes.Buffer
-		if _, err := pll.WriteFlat(&buf, o, pll.FlatSearch()); err != nil {
-			return nil, err
+		if _, err := pll.WriteFlat(&buf, o, opts...); err != nil {
+			f.Fatal(err)
 		}
-		return buf.Bytes(), nil
+		out = append(out, buf.Bytes())
 	}
-	add(marshalSearch(pll.BuildIndex(g, pll.WithBitParallel(2))))
-	add(marshalSearch(pll.BuildDirected(dg)))
-	add(marshalSearch(pll.BuildWeighted(wg)))
+	add(must(pll.BuildIndex(g, pll.WithBitParallel(2))))
+	add(must(pll.BuildIndex(g, pll.WithBitParallel(0))))
+	add(must(pll.BuildIndex(g, pll.WithPaths())))
+	add(must(pll.BuildDirected(dg)))
+	add(must(pll.BuildWeighted(wg)))
+	add(must(pll.BuildDynamic(g)))
+	// Containers carrying the persisted hub-inverted search sections:
+	// the secInv* parsing and validation paths must reject truncated or
+	// misaligned mutants with ErrBadIndexFile.
+	add(must(pll.BuildIndex(g, pll.WithBitParallel(2))), pll.FlatSearch())
+	add(must(pll.BuildDirected(dg)), pll.FlatSearch())
+	add(must(pll.BuildWeighted(wg)), pll.FlatSearch())
 	return out
+}
+
+// seedMalformations derive extra seeds from each corpus container
+// (offsets per internal/core/container.go and flat.go). Each one drives
+// a different rejection branch of the parser, so coverage-guided
+// mutation starts next to all of them.
+var seedMalformations = []func(b []byte) []byte{
+	func(b []byte) []byte { return b[:17] },       // truncated container header
+	func(b []byte) []byte { return b[:len(b)/2] }, // truncated sections
+	func(b []byte) []byte { return b[:len(b)-1] }, // one byte short
+	func(b []byte) []byte { // section table, no sections
+		return b[:32+24*binary.LittleEndian.Uint32(b[24:28])]
+	},
+	func(b []byte) []byte { b[9] ^= 0xff; return b },        // unknown container version
+	func(b []byte) []byte { b[8] = 1; return b },            // retired version-1 header
+	func(b []byte) []byte { copy(b, "PLLIDX01"); return b }, // bare version-1 magic
+	func(b []byte) []byte { b[10] ^= 0x03; return b },       // wrong variant tag
+	func(b []byte) []byte { b[11] |= 0x01; return b },       // reserved flag bit 0
+	func(b []byte) []byte { b[16] ^= 0x01; return b },       // vertex count
+	func(b []byte) []byte { b[24] ^= 0xff; return b },       // section count
+	func(b []byte) []byte { b[40] ^= 0x01; return b },       // first section offset, misaligned
+	func(b []byte) []byte { b[48] ^= 0xff; return b },       // first section element count
 }
 
 func FuzzLoad(f *testing.F) {
 	for _, b := range fuzzCorpus(f) {
 		f.Add(b)
-		// A few deterministic malformations as extra seeds: truncations
-		// and single-byte corruption in the header region.
-		if len(b) > 20 {
-			f.Add(b[:len(b)/2])
-			f.Add(b[:17])
-			mut := append([]byte(nil), b...)
-			mut[9] ^= 0xff // container version / payload header byte
-			f.Add(mut)
+		for _, malform := range seedMalformations {
+			f.Add(malform(append([]byte(nil), b...)))
 		}
 	}
 	f.Add([]byte{})
@@ -159,8 +124,13 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("negative vertex count %d", n)
 		}
 		if n > 0 && n <= 1<<12 {
-			_ = o.Stats()
+			st := o.Stats()
 			_ = o.Distance(0, int32(n-1))
+			if st.HasParentPointers {
+				// Parent pointers pass range checks only; Path must
+				// still terminate (an error is fine) on any of them.
+				_, _ = o.Path(0, int32(n-1))
+			}
 			var buf bytes.Buffer
 			if _, err := o.WriteTo(&buf); err != nil {
 				// Round-tripping a loaded index may only fail for

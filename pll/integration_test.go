@@ -64,8 +64,8 @@ func TestFourOraclesAgreeOnDatasetStandIn(t *testing.T) {
 	}
 }
 
-// TestFullPersistencePipeline walks graph -> build -> save (both
-// formats) -> load -> disk query, checking agreement at every step.
+// TestFullPersistencePipeline walks graph -> build -> save -> heap load
+// and mmap open, checking agreement at every step.
 func TestFullPersistencePipeline(t *testing.T) {
 	rec, err := datasets.ByName("Epinions")
 	if err != nil {
@@ -81,46 +81,30 @@ func TestFullPersistencePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dir := t.TempDir()
-	plain := filepath.Join(dir, "ix.pll")
-	comp := filepath.Join(dir, "ix.pllc")
-	if err := pll.WriteFile(plain, ix); err != nil {
+	path := filepath.Join(t.TempDir(), "ix.pllbox")
+	if err := pll.WriteFlatFile(path, ix); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.SaveCompressedFile(comp); err != nil {
-		t.Fatal(err)
-	}
-	fromPlain, err := pll.LoadFile(plain)
+	loaded, err := pll.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromComp, err := pll.LoadCompressedFile(comp)
+	mapped, err := pll.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, err := pll.OpenDiskIndex(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk.Close()
+	defer mapped.Close()
 
 	r := rng.New(4)
 	n := int32(g.NumVertices())
 	for i := 0; i < 200; i++ {
 		s, u := r.Int31n(n), r.Int31n(n)
 		want := ix.Distance(s, u)
-		if fromPlain.Distance(s, u) != want {
-			t.Fatal("plain load mismatch")
+		if loaded.Distance(s, u) != want {
+			t.Fatal("heap load mismatch")
 		}
-		if fromComp.Distance(s, u) != want {
-			t.Fatal("compressed load mismatch")
-		}
-		got, err := disk.Distance(s, u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatal("disk query mismatch")
+		if mapped.Distance(s, u) != want {
+			t.Fatal("mmap open mismatch")
 		}
 	}
 }

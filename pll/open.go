@@ -3,18 +3,14 @@ package pll
 import (
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 
 	"pll/internal/core"
 )
 
-// ErrNotFlat is returned by Open for index files that are valid but not
-// flat (version-2) containers: version-1 containers and bare legacy
-// payloads must be heap-loaded with LoadFile, or rewritten once with
-// WriteFlatFile (or `pll convert`) to become Open-able.
-var ErrNotFlat = core.ErrNotFlat
-
-// FlatIndex serves a flat (version-2) container zero-copy: Open
-// memory-maps the file and the query arrays alias the mapping, so
+// FlatIndex serves a flat container zero-copy: Open memory-maps the
+// file and the query arrays alias the mapping, so
 // startup does no per-entry decoding and no label-array copies
 // regardless of index size, the kernel shares the pages across
 // processes serving the same file, and an index larger than the heap
@@ -42,20 +38,19 @@ type FlatIndex struct {
 	o     Oracle // wrapper over the index aliasing the mapping
 }
 
-// Open memory-maps a flat container and returns its zero-copy oracle.
-// Non-flat index files yield ErrNotFlat; malformed files yield errors
-// wrapping ErrBadIndexFile.
+// Open memory-maps a container and returns its zero-copy oracle.
+// Malformed files, including files of the retired version-1 format,
+// yield errors wrapping ErrBadIndexFile.
 //
 // Open vs LoadFile: Open decodes, copies and allocates nothing — its
 // structural validation is O(n) in the vertex count (perm/offset
 // checks plus one sentinel probe per vertex, a single streaming sweep
 // of the mapped hub section when the page cache is cold, and
 // effectively instant when warm) and keeps the index off the heap, but
-// requires the flat format and trusts label contents. LoadFile reads
-// any supported format onto the heap with full validation, paying a
-// per-entry decode pass plus allocations proportional to the index
-// size. Serving restarts and hot reloads want Open; ad-hoc tooling and
-// untrusted input want LoadFile.
+// trusts label contents. LoadFile copies the same file onto the heap
+// and validates every entry, paying a pass over the labels plus
+// allocations proportional to the index size. Serving restarts and hot
+// reloads want Open; ad-hoc tooling and untrusted input want LoadFile.
 func Open(path string) (*FlatIndex, error) {
 	st, err := core.OpenFlat(path)
 	if err != nil {
@@ -93,8 +88,8 @@ func (fi *FlatIndex) Stats() Stats { return fi.o.Stats() }
 // Variant reports the container's variant tag without scanning.
 func (fi *FlatIndex) Variant() Variant { return fi.store.Header().Variant }
 
-// WriteTo serializes the index as a version-1 container (the
-// heap-loadable record format) — the inverse of `pll convert`.
+// WriteTo serializes the index as a flat container without the
+// optional search sections.
 func (fi *FlatIndex) WriteTo(w io.Writer) (int64, error) { return fi.o.WriteTo(w) }
 
 // MappedBytes returns the size of the mapped file image.
@@ -118,11 +113,12 @@ type FlatOption = core.FlatOption
 // by roughly one (int32, uint32) pair per label entry.
 func FlatSearch() FlatOption { return core.FlatSearch() }
 
-// WriteFlat serializes any oracle as a flat (version-2) container that
-// Open can serve zero-copy. Dynamic indexes are frozen first (like
-// WriteTo); a ConcurrentOracle writes its current snapshot. Directed
-// and weighted indexes built WithPaths cannot be serialized, matching
-// WriteTo. Pass FlatSearch() to persist the search inversion too.
+// WriteFlat serializes any oracle as a flat container that Open can
+// serve zero-copy; without options it writes the same bytes as the
+// oracle's WriteTo. Dynamic indexes are frozen first; a
+// ConcurrentOracle writes its current snapshot. Directed and weighted
+// indexes built WithPaths cannot be serialized. Pass FlatSearch() to
+// persist the search inversion too.
 func WriteFlat(w io.Writer, o Oracle, opts ...FlatOption) (int64, error) {
 	switch ix := o.(type) {
 	case *Index:
@@ -148,7 +144,40 @@ func WriteFlat(w io.Writer, o Oracle, opts ...FlatOption) (int64, error) {
 }
 
 // WriteFlatFile writes o to path as a flat container, atomically and
-// durably (temp file, fsync, rename) like WriteFile.
+// durably: the container is written to a temp file in the destination
+// directory, fsynced, and renamed over path, so a concurrent reader —
+// in particular a pllserved SIGHUP reload — can never observe a torn
+// or half-written container, and a crash after return cannot lose the
+// rename. The old file, if any, stays intact until the atomic swap.
 func WriteFlatFile(path string, o Oracle, opts ...FlatOption) error {
-	return writeFileWith(path, func(w io.Writer) (int64, error) { return WriteFlat(w, o, opts...) })
+	f, tmp, err := createTemp(path)
+	if err != nil {
+		return err
+	}
+	fail := func(err error) error {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if _, err := WriteFlat(f, o, opts...); err != nil {
+		return fail(err)
+	}
+	if err := f.Sync(); err != nil {
+		return fail(err)
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	// Make the rename itself durable. Best effort: some filesystems
+	// reject directory fsync, and the data file is already synced.
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
+		d.Sync() //nolint:errcheck
+		d.Close()
+	}
+	return nil
 }

@@ -51,9 +51,7 @@ import (
 // *DynamicIndex is NOT safe for concurrent use — InsertEdge mutates the
 // labels in place, so callers must either serialize all access
 // externally or wrap the index in a ConcurrentOracle, which takes the
-// read/write locks automatically and adds atomic hot-swapping. Helper
-// objects with per-call state (BatchSource, DiskIndex) are never safe
-// for concurrent use regardless of variant.
+// read/write locks automatically and adds atomic hot-swapping.
 type Oracle interface {
 	// Distance returns the exact shortest-path distance from s to t, or
 	// Unreachable (-1) if t cannot be reached from s.
@@ -66,7 +64,7 @@ type Oracle interface {
 	NumVertices() int
 	// Stats summarizes the index (variant, label entries, bytes, ...).
 	Stats() Stats
-	// WriteTo serializes the index in the versioned container format.
+	// WriteTo serializes the index as a flat container.
 	io.WriterTo
 }
 
@@ -100,13 +98,13 @@ func Build(g BuildableGraph, opts ...Option) (Oracle, error) {
 	return g.build(opts)
 }
 
-// Load reads an index serialized by any Oracle's WriteTo (or by the
-// deprecated per-variant Save methods) and returns the matching oracle.
-// The container header names the variant, so callers need not know what
-// kind of index the stream holds; bare pre-container payloads are also
-// recognized by their magic. A VariantDynamic container loads as a
-// static *Index snapshot whose Stats keep the dynamic tag. Malformed
-// input yields an error wrapping ErrBadIndexFile.
+// Load reads an index serialized by any Oracle's WriteTo (or by
+// WriteFlat) onto the heap, validating every entry, and returns the
+// matching oracle. The container header names the variant, so callers
+// need not know what kind of index the stream holds. A VariantDynamic
+// container loads as a static *Index snapshot whose Stats keep the
+// dynamic tag. Malformed input, including files of the retired
+// version-1 format, yields an error wrapping ErrBadIndexFile.
 func Load(r io.Reader) (Oracle, error) {
 	v, err := core.LoadAny(r)
 	if err != nil {
@@ -115,8 +113,8 @@ func Load(r io.Reader) (Oracle, error) {
 	return wrapOracle(v)
 }
 
-// LoadFile reads an index file written in the container format (or a
-// bare legacy payload) and returns the matching oracle.
+// LoadFile reads an index file like Load and returns the matching
+// oracle.
 func LoadFile(path string) (Oracle, error) {
 	v, err := core.LoadAnyFile(path)
 	if err != nil {
@@ -159,54 +157,6 @@ func wrapOracle(v any) (Oracle, error) {
 		return &WeightedIndex{ix: ix}, nil
 	}
 	return nil, fmt.Errorf("pll: unsupported index type %T", v)
-}
-
-// WriteFile serializes any oracle to path in the version-1 container
-// format, atomically and durably: the bytes land in a temp file that is
-// fsynced and renamed over path, so concurrent readers (and SIGHUP
-// reloads) never see a torn container. Use WriteFlatFile for the
-// mmap-servable flat format.
-func WriteFile(path string, o Oracle) error {
-	return writeFileWith(path, o.WriteTo)
-}
-
-// writeFileWith is the shared file lifecycle for every save entry
-// point: the container is written to a temp file in the destination
-// directory, fsynced, and renamed over path, so a concurrent reader —
-// in particular a pllserved SIGHUP reload — can never observe a torn
-// or half-written container, and a crash after return cannot lose the
-// rename. The old file, if any, stays intact until the atomic swap.
-func writeFileWith(path string, write func(io.Writer) (int64, error)) error {
-	f, tmp, err := createTemp(path)
-	if err != nil {
-		return err
-	}
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := write(f); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Make the rename itself durable. Best effort: some filesystems
-	// reject directory fsync, and the data file is already synced.
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		d.Sync() //nolint:errcheck
-		d.Close()
-	}
-	return nil
 }
 
 // createTemp opens a fresh temp file next to path with os.Create's

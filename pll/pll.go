@@ -23,20 +23,18 @@
 // Every index flavor — undirected (*Index), directed (*DirectedIndex),
 // weighted (*WeightedIndex) and dynamic (*DynamicIndex) — implements
 // the Oracle interface, Build dispatches on the graph kind, and all
-// variants serialize through WriteTo into one self-describing container
-// format that Load reads back without being told the variant. The
-// per-variant Save/Load entry points remain as deprecated wrappers.
+// variants serialize through WriteTo (or WriteFlatFile) into one
+// self-describing, flat container format that is read back without
+// being told the variant.
 //
 // Two ways to get an index file serving:
 //
-//   - Load / LoadFile decode any supported format (version-1
-//     containers, flat version-2 containers, bare legacy payloads)
-//     onto the heap with full validation — right for ad-hoc tooling
-//     and untrusted input.
-//   - Open memory-maps a flat (version-2) container written by
-//     WriteFlatFile and serves it zero-copy: startup is O(1) in the
-//     label count, pages are shared across processes and the index may
-//     exceed the heap — right for servers that restart or hot-reload.
+//   - Load / LoadFile copy the container onto the heap and validate
+//     every entry — right for ad-hoc tooling and untrusted input.
+//   - Open memory-maps the container and serves it zero-copy: startup
+//     is O(1) in the label count, pages are shared across processes
+//     and the index may exceed the heap — right for servers that
+//     restart or hot-reload.
 //
 // Optional query surfaces are capability interfaces discovered by
 // type-assertion: Batcher (amortized single-source batch distances,
@@ -197,22 +195,9 @@ type Stats = core.Stats
 // Stats summarizes the index.
 func (ix *Index) Stats() Stats { return ix.ix.ComputeStats() }
 
-// WriteTo serializes the index in the self-describing container format
-// read back by Load. It implements io.WriterTo.
+// WriteTo serializes the index as a flat container, read back by Load
+// and Open. It implements io.WriterTo.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) { return ix.ix.WriteTo(w) }
-
-// Save writes the index in the container format.
-//
-// Deprecated: use WriteTo, which also reports the bytes written.
-func (ix *Index) Save(w io.Writer) error {
-	_, err := ix.WriteTo(w)
-	return err
-}
-
-// SaveFile writes the index to a file in the container format.
-//
-// Deprecated: use WriteFile.
-func (ix *Index) SaveFile(path string) error { return WriteFile(path, ix) }
 
 // LoadIndex reads an undirected index, rejecting other variants with a
 // descriptive error. Use Load when the variant is not known up front.
@@ -241,48 +226,3 @@ func asIndex(o Oracle) (*Index, error) {
 	}
 	return ix, nil
 }
-
-// DiskIndex answers queries directly from a version-1 index file with
-// two ranged reads per query (paper §6, disk-based query answering).
-// It validates vertex IDs (errors, not panics) and follows the Oracle
-// convention: int64 distances, Unreachable (-1) for disconnected pairs.
-// Not safe for concurrent use.
-//
-// Deprecated: convert the file to the flat format (`pll convert`, or
-// WriteFlatFile) and use Open — the memory-mapped FlatIndex also keeps
-// the labels out of the heap, but serves reads from shared page-cache
-// pages instead of issuing two syscalls per query, is safe for
-// concurrent use, and supports every variant plus batch queries.
-type DiskIndex struct {
-	di *core.DiskIndex
-}
-
-// OpenDiskIndex opens a version-1 index file for disk-resident
-// querying.
-//
-// Deprecated: use Open on a flat container (see DiskIndex).
-func OpenDiskIndex(path string) (*DiskIndex, error) {
-	di, err := core.OpenDiskIndex(path)
-	if err != nil {
-		return nil, err
-	}
-	return &DiskIndex{di: di}, nil
-}
-
-// Distance returns the exact s-t distance or Unreachable. Out-of-range
-// vertices yield an error.
-func (d *DiskIndex) Distance(s, t int32) (int64, error) {
-	v, err := d.di.Query(s, t)
-	return int64(v), err
-}
-
-// NumVertices returns the number of vertices the index covers.
-func (d *DiskIndex) NumVertices() int { return d.di.NumVertices() }
-
-// Close releases the underlying file.
-func (d *DiskIndex) Close() error { return d.di.Close() }
-
-// Validate sanity-checks vertex IDs against the index's range.
-//
-// Deprecated: use the package-level Validate, which accepts any Oracle.
-func (ix *Index) Validate(vertices ...int32) error { return Validate(ix, vertices...) }

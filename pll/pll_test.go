@@ -90,7 +90,7 @@ func TestPublicSaveLoadAndDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "ix.pll")
-	if err := WriteFile(path, ix); err != nil {
+	if err := WriteFlatFile(path, ix); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadFile(path)
@@ -100,14 +100,13 @@ func TestPublicSaveLoadAndDisk(t *testing.T) {
 	if loaded.Distance(1, 3) != 2 {
 		t.Fatal("loaded index wrong")
 	}
-	di, err := OpenDiskIndex(path)
+	fi, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer di.Close()
-	d, err := di.Distance(1, 3)
-	if err != nil || d != 2 {
-		t.Fatalf("disk distance = %d, %v", d, err)
+	defer fi.Close()
+	if d := fi.Distance(1, 3); d != 2 {
+		t.Fatalf("mapped distance = %d", d)
 	}
 }
 
@@ -155,7 +154,7 @@ func TestPublicWeighted(t *testing.T) {
 	if d := ix.Distance(0, 2); d != 10 {
 		t.Fatalf("weighted distance = %d, want 10", d)
 	}
-	if ix.NumVertices() != 3 || ix.AvgLabelSize() <= 0 {
+	if ix.NumVertices() != 3 || ix.Stats().AvgLabelSize <= 0 {
 		t.Fatal("weighted accessors wrong")
 	}
 	if g.NumVertices() != 3 || g.NumEdges() != 2 {
@@ -192,7 +191,7 @@ func TestPublicDirected(t *testing.T) {
 	if d := ix.Distance(2, 0); d != Unreachable {
 		t.Fatalf("reverse distance = %d, want Unreachable", d)
 	}
-	if ix.NumVertices() != 3 || ix.AvgLabelSize() <= 0 {
+	if ix.NumVertices() != 3 || ix.Stats().AvgLabelSize <= 0 {
 		t.Fatal("directed accessors wrong")
 	}
 	if g.NumVertices() != 3 || g.NumArcs() != 2 {
@@ -220,7 +219,7 @@ func TestPublicErrors(t *testing.T) {
 	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Fatal("expected missing-file error")
 	}
-	if _, err := OpenDiskIndex(filepath.Join(t.TempDir(), "nope")); err == nil {
+	if _, err := Open(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Fatal("expected missing-file error")
 	}
 }

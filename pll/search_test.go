@@ -266,8 +266,7 @@ func TestSearchConformanceAllForms(t *testing.T) {
 }
 
 // TestSearchPersistedSections pins the container plumbing: FlatSearch
-// grows the file, Open still works on both, and a version-1 container
-// can never carry the search flag.
+// grows the file and Open still works on both.
 func TestSearchPersistedSections(t *testing.T) {
 	gg := gen.ErdosRenyi(40, 90, 5)
 	pg, err := pll.NewGraph(40, gg.Edges())

@@ -1,18 +1,11 @@
 package pll
 
 import (
-	"fmt"
 	"io"
 
 	"pll/internal/core"
 	"pll/internal/graph"
 )
-
-// UnreachableW is the sentinel the deprecated WeightedIndex.Weight
-// query space used for disconnected pairs.
-//
-// Deprecated: Distance now returns Unreachable (-1) for every variant.
-const UnreachableW = core.UnreachableW
 
 // WeightedGraph is an immutable undirected graph with non-negative
 // integer edge weights.
@@ -110,58 +103,9 @@ func (ix *WeightedIndex) NumVertices() int { return ix.ix.NumVertices() }
 // Stats summarizes the index.
 func (ix *WeightedIndex) Stats() Stats { return ix.ix.ComputeStats() }
 
-// AvgLabelSize returns the mean label size per vertex.
-//
-// Deprecated: use Stats().AvgLabelSize.
-func (ix *WeightedIndex) AvgLabelSize() float64 { return ix.ix.AvgLabelSize() }
-
-// WriteTo serializes the index in the self-describing container format
-// read back by Load. Indexes built WithPaths cannot be serialized.
+// WriteTo serializes the index as a flat container, read back by Load
+// and Open. Indexes built WithPaths cannot be serialized.
 func (ix *WeightedIndex) WriteTo(w io.Writer) (int64, error) { return ix.ix.WriteTo(w) }
-
-// Save writes the weighted index in the container format.
-//
-// Deprecated: use WriteTo.
-func (ix *WeightedIndex) Save(w io.Writer) error {
-	_, err := ix.WriteTo(w)
-	return err
-}
-
-// SaveFile writes the weighted index to a file in the container format.
-//
-// Deprecated: use WriteFile.
-func (ix *WeightedIndex) SaveFile(path string) error { return WriteFile(path, ix) }
-
-// LoadWeighted reads a weighted index, rejecting other variants.
-//
-// Deprecated: use Load, which detects the variant from the header.
-func LoadWeighted(r io.Reader) (*WeightedIndex, error) {
-	o, err := Load(r)
-	if err != nil {
-		return nil, err
-	}
-	return asWeighted(o)
-}
-
-// LoadWeightedFile reads a weighted index file, rejecting other
-// variants.
-//
-// Deprecated: use LoadFile.
-func LoadWeightedFile(path string) (*WeightedIndex, error) {
-	o, err := LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return asWeighted(o)
-}
-
-func asWeighted(o Oracle) (*WeightedIndex, error) {
-	ix, ok := o.(*WeightedIndex)
-	if !ok {
-		return nil, fmt.Errorf("pll: expected a weighted index, the file holds the %s variant", variantOf(o))
-	}
-	return ix, nil
-}
 
 // Digraph is an immutable directed, unweighted graph.
 type Digraph struct {
@@ -239,55 +183,6 @@ func (ix *DirectedIndex) NumVertices() int { return ix.ix.NumVertices() }
 // Stats summarizes the index; per-vertex sizes are |L_OUT| + |L_IN|.
 func (ix *DirectedIndex) Stats() Stats { return ix.ix.ComputeStats() }
 
-// AvgLabelSize returns the mean of |L_IN|+|L_OUT| per vertex.
-//
-// Deprecated: use Stats().AvgLabelSize.
-func (ix *DirectedIndex) AvgLabelSize() float64 { return ix.ix.AvgLabelSize() }
-
-// WriteTo serializes the index in the self-describing container format
-// read back by Load. Indexes built WithPaths cannot be serialized.
+// WriteTo serializes the index as a flat container, read back by Load
+// and Open. Indexes built WithPaths cannot be serialized.
 func (ix *DirectedIndex) WriteTo(w io.Writer) (int64, error) { return ix.ix.WriteTo(w) }
-
-// Save writes the directed index in the container format.
-//
-// Deprecated: use WriteTo.
-func (ix *DirectedIndex) Save(w io.Writer) error {
-	_, err := ix.WriteTo(w)
-	return err
-}
-
-// SaveFile writes the directed index to a file in the container format.
-//
-// Deprecated: use WriteFile.
-func (ix *DirectedIndex) SaveFile(path string) error { return WriteFile(path, ix) }
-
-// LoadDirected reads a directed index, rejecting other variants.
-//
-// Deprecated: use Load, which detects the variant from the header.
-func LoadDirected(r io.Reader) (*DirectedIndex, error) {
-	o, err := Load(r)
-	if err != nil {
-		return nil, err
-	}
-	return asDirected(o)
-}
-
-// LoadDirectedFile reads a directed index file, rejecting other
-// variants.
-//
-// Deprecated: use LoadFile.
-func LoadDirectedFile(path string) (*DirectedIndex, error) {
-	o, err := LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return asDirected(o)
-}
-
-func asDirected(o Oracle) (*DirectedIndex, error) {
-	ix, ok := o.(*DirectedIndex)
-	if !ok {
-		return nil, fmt.Errorf("pll: expected a directed index, the file holds the %s variant", variantOf(o))
-	}
-	return ix, nil
-}

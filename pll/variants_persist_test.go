@@ -17,21 +17,24 @@ func TestPublicWeightedPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadWeighted(&buf)
+	loaded, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := loaded.(*WeightedIndex); !ok {
+		t.Fatalf("loaded %T, want *WeightedIndex", loaded)
 	}
 	if loaded.Distance(0, 3) != 9 {
 		t.Fatalf("loaded weighted distance = %d, want 9", loaded.Distance(0, 3))
 	}
 	path := t.TempDir() + "/w.pll"
-	if err := ix.SaveFile(path); err != nil {
+	if err := WriteFlatFile(path, ix); err != nil {
 		t.Fatal(err)
 	}
-	fromFile, err := LoadWeightedFile(path)
+	fromFile, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,21 +92,24 @@ func TestPublicDirectedPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDirected(&buf)
+	loaded, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := loaded.(*DirectedIndex); !ok {
+		t.Fatalf("loaded %T, want *DirectedIndex", loaded)
 	}
 	if loaded.Distance(0, 2) != 2 || loaded.Distance(2, 0) != Unreachable {
 		t.Fatal("loaded directed distances wrong")
 	}
 	path := t.TempDir() + "/d.pll"
-	if err := ix.SaveFile(path); err != nil {
+	if err := WriteFlatFile(path, ix); err != nil {
 		t.Fatal(err)
 	}
-	fromFile, err := LoadDirectedFile(path)
+	fromFile, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

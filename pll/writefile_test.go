@@ -1,6 +1,6 @@
 package pll_test
 
-// Atomic, durable WriteFile: a failed or interrupted write must never
+// Atomic, durable WriteFlatFile: a failed or interrupted write must never
 // leave path torn or replace it with a partial container — the reload
 // path (pllserved SIGHUP) depends on it.
 
@@ -18,12 +18,12 @@ func TestWriteFileAtomicReplace(t *testing.T) {
 	path := filepath.Join(dir, "ix.pllbox")
 	cases := buildFlatCases(t)
 
-	if err := pll.WriteFile(path, cases[0].oracle); err != nil {
+	if err := pll.WriteFlatFile(path, cases[0].oracle); err != nil {
 		t.Fatal(err)
 	}
 	// Overwrite with a different variant; the file must read back as
 	// the new index and the directory must hold no temp litter.
-	if err := pll.WriteFile(path, cases[3].oracle); err != nil {
+	if err := pll.WriteFlatFile(path, cases[3].oracle); err != nil {
 		t.Fatal(err)
 	}
 	o, err := pll.LoadFile(path)
@@ -40,7 +40,7 @@ func TestWriteFileFailureKeepsOldFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ix.pllbox")
 	cases := buildFlatCases(t)
-	if err := pll.WriteFile(path, cases[0].oracle); err != nil {
+	if err := pll.WriteFlatFile(path, cases[0].oracle); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(path)
@@ -48,7 +48,7 @@ func TestWriteFileFailureKeepsOldFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A weighted index built WithPaths cannot serialize: WriteFile must
+	// A weighted index built WithPaths cannot serialize: WriteFlatFile must
 	// fail without touching the existing container or leaving a temp.
 	wg, err := pll.NewWeightedGraph(3, []pll.WeightedEdge{{U: 0, V: 1, Weight: 2}})
 	if err != nil {
@@ -58,20 +58,20 @@ func TestWriteFileFailureKeepsOldFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pll.WriteFile(path, unserializable); err == nil {
-		t.Fatal("WriteFile of an unserializable index succeeded")
+	if err := pll.WriteFlatFile(path, unserializable); err == nil {
+		t.Fatal("WriteFlatFile of an unserializable index succeeded")
 	}
 	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(before) != string(after) {
-		t.Fatal("failed WriteFile modified the existing container")
+		t.Fatal("failed WriteFlatFile modified the existing container")
 	}
 	assertNoTempFiles(t, dir)
 
-	if err := pll.WriteFile(filepath.Join(dir, "no/such/dir/ix.pllbox"), cases[0].oracle); err == nil {
-		t.Fatal("WriteFile into a missing directory succeeded")
+	if err := pll.WriteFlatFile(filepath.Join(dir, "no/such/dir/ix.pllbox"), cases[0].oracle); err == nil {
+		t.Fatal("WriteFlatFile into a missing directory succeeded")
 	}
 }
 
