@@ -7,63 +7,108 @@ import (
 	"pll/internal/gen"
 	"pll/internal/graph"
 	"pll/internal/rng"
+	"pll/internal/trace"
 )
 
-func TestBatchSourceMatchesQuery(t *testing.T) {
+// batchOracle is the single-source surface every variant shares.
+type batchOracle interface {
+	NumVertices() int
+	Distance(s, t int32, p *trace.QueryProfile) int64
+	DistanceFrom(s int32, targets []int32, dst []int64, p *trace.QueryProfile) []int64
+}
+
+// checkDistanceFrom answers two single-source batches per source (the
+// pooled scratch is reused between them) and compares every entry with
+// the pairwise merge join.
+func checkDistanceFrom(o batchOracle, seed uint64) bool {
+	n := int32(o.NumVertices())
+	r := rng.New(seed ^ 0xba7c4)
+	targets := make([]int32, 40)
+	var dst []int64
+	for round := 0; round < 2; round++ {
+		s := r.Int31n(n)
+		for i := range targets {
+			targets[i] = r.Int31n(n)
+		}
+		targets[0] = s
+		dst = o.DistanceFrom(s, targets, dst, nil)
+		if len(dst) != len(targets) {
+			return false
+		}
+		for i, u := range targets {
+			if dst[i] != o.Distance(s, u, nil) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func TestDistanceFromMatchesQuery(t *testing.T) {
 	check := func(seed uint64, bp uint8) bool {
-		g := randomGraph(seed, 60)
-		ix, err := Build(g, Options{Seed: seed, NumBitParallel: int(bp % 6)})
+		ix, err := Build(randomGraph(seed, 60), Options{Seed: seed, NumBitParallel: int(bp % 6)})
 		if err != nil {
 			return false
 		}
-		n := int32(g.NumVertices())
-		r := rng.New(seed ^ 0xba7c4)
-		s := r.Int31n(n)
-		bs := ix.NewBatchSource(s)
-		for i := 0; i < 40; i++ {
-			u := r.Int31n(n)
-			if bs.Query(u) != ix.Query(s, u) {
-				return false
-			}
-		}
-		// Reset to a second source and re-check.
-		s2 := r.Int31n(n)
-		bs.Reset(s2)
-		if bs.src != s2 {
+		dx, err := BuildDirected(randomDigraphFor(seed, 60), DirectedOptions{Seed: seed})
+		if err != nil {
 			return false
 		}
-		for i := 0; i < 40; i++ {
-			u := r.Int31n(n)
-			if bs.Query(u) != ix.Query(s2, u) {
-				return false
-			}
+		wx, err := BuildWeighted(randomWeightedGraph(seed, 60, 9), WeightedOptions{Seed: seed})
+		if err != nil {
+			return false
 		}
-		return true
+		return checkDistanceFrom(ix, seed) && checkDistanceFrom(dx, seed) && checkDistanceFrom(wx, seed)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestBatchSourceSelf(t *testing.T) {
-	g := gen.Path(10)
-	ix := buildOrFail(t, g, Options{})
-	bs := ix.NewBatchSource(3)
-	if bs.Query(3) != 0 {
-		t.Fatal("self distance wrong")
-	}
-}
-
-func TestBatchSourceDisconnected(t *testing.T) {
-	// Star plus one isolated vertex.
-	gBig, err := graph.NewGraph(6, gen.Star(5).Edges())
+// starOracles builds every variant over a 5-vertex star plus one
+// isolated vertex (5).
+func starOracles(t *testing.T) map[string]batchOracle {
+	t.Helper()
+	g, err := graph.NewGraph(6, gen.Star(5).Edges())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := buildOrFail(t, gBig, Options{})
-	bs := ix.NewBatchSource(0)
-	if bs.Query(5) != Unreachable {
-		t.Fatal("expected unreachable")
+	dg, err := graph.NewDigraph(6, gen.Star(5).Edges())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dx, err := BuildDirected(dg, DirectedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wx, err := BuildWeighted(graph.UniformWeighted(g, 3), WeightedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]batchOracle{
+		"undirected": buildOrFail(t, g, Options{}),
+		"bp":         buildOrFail(t, g, Options{NumBitParallel: 2}),
+		"directed":   dx,
+		"weighted":   wx,
+	}
+}
+
+func TestDistanceFromSelf(t *testing.T) {
+	for name, o := range starOracles(t) {
+		if got := o.DistanceFrom(3, []int32{3, 3}, nil, nil); got[0] != 0 || got[1] != 0 {
+			t.Fatalf("%s: DistanceFrom(3, [3 3]) = %v, want [0 0]", name, got)
+		}
+		if got := o.DistanceFrom(3, nil, nil, nil); len(got) != 0 {
+			t.Fatalf("%s: empty batch returned %v", name, got)
+		}
+	}
+}
+
+func TestDistanceFromDisconnected(t *testing.T) {
+	for name, o := range starOracles(t) {
+		if got := o.DistanceFrom(0, []int32{5, 1}, nil, nil); got[0] != Unreachable || got[1] == Unreachable {
+			t.Fatalf("%s: DistanceFrom(0, [5 1]) = %v, want [-1 d]", name, got)
+		}
 	}
 }
 
@@ -94,9 +139,9 @@ func TestVerifyDetectsCorruptedLabels(t *testing.T) {
 	g := gen.BarabasiAlbert(100, 2, 5)
 	ix := buildOrFail(t, g, Options{Seed: 1})
 	// Corrupt one label distance.
-	for i := range ix.labelDist {
-		if ix.labelDist[i] != InfDist && ix.labelDist[i] > 0 {
-			ix.labelDist[i]++
+	for i, d := range ix.out.dist {
+		if d != InfDist && d > 0 {
+			ix.out.dist[i]++
 			break
 		}
 	}
@@ -113,21 +158,21 @@ func TestVerifySkipsExactnessWhenNegative(t *testing.T) {
 	}
 }
 
-func BenchmarkBatchSourceQuery(b *testing.B) {
+func BenchmarkDistanceFromQuery(b *testing.B) {
 	g := gen.BarabasiAlbert(20000, 5, 1)
 	ix, err := Build(g, Options{NumBitParallel: 8})
 	if err != nil {
 		b.Fatal(err)
 	}
-	bs := ix.NewBatchSource(0)
 	targets := make([]int32, 1024)
 	r := rng.New(5)
 	for i := range targets {
 		targets[i] = r.Int31n(20000)
 	}
+	var dst []int64
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bs.Query(targets[i&1023])
+	for i := 0; i < b.N; i += len(targets) {
+		dst = ix.DistanceFrom(0, targets, dst, nil)
 	}
 }
 

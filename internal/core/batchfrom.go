@@ -1,14 +1,15 @@
 package core
 
-// Single-source batch distance engines: DistanceFrom(s, targets, dst)
-// answers |targets| queries sharing the source s with the source-side
-// label expanded into a rank-indexed array once (the §4.5 "Querying"
+// Single-source batch distances: DistanceFrom(s, targets, dst) answers
+// |targets| queries sharing the source s with the source-side label
+// expanded into a rank-indexed array once (the §4.5 "Querying"
 // technique the paper uses during construction), so each target costs
 // one scan of its own label instead of a full merge join — the §4
 // merge-join amortization for the paper's one-to-many workloads
-// (socially-sensitive search, context-aware ranking).
+// (socially-sensitive search, context-aware ranking). The same pinned
+// source answers the composite engine's point probes (composite.go).
 //
-// Every variant implements the same contract:
+// Every index implements the same contract:
 //
 //   - dst is reused when its capacity suffices, and the returned slice
 //     has len(targets), dst[i] = d(s, targets[i]).
@@ -17,10 +18,16 @@ package core
 //   - Out-of-range vertices panic, mirroring Query; validate first.
 //
 // Scratch arrays (O(n) each) are recycled through per-index sync.Pools,
-// so concurrent batches on immutable variants are safe and allocation-
+// so concurrent batches on immutable indexes are safe and allocation-
 // free in steady state.
 
-import "sync"
+import (
+	"sync"
+	"time"
+
+	"pll/internal/runquery"
+	"pll/internal/trace"
+)
 
 // ensureI64 returns dst resized to n entries, reusing its capacity.
 func ensureI64(dst []int64, n int) []int64 {
@@ -30,190 +37,160 @@ func ensureI64(dst []int64, n int) []int64 {
 	return dst[:n]
 }
 
-// DistanceFrom answers a single-source batch: dst[i] = d(s, targets[i])
-// with the Oracle convention (-1 unreachable). The source's normal and
-// bit-parallel labels are pinned once; each target then costs one label
-// scan. Safe for concurrent use.
-func (ix *Index) DistanceFrom(s int32, targets []int32, dst []int64) []int64 {
-	dst = ensureI64(dst, len(targets))
-	if len(targets) == 0 {
-		return dst
-	}
-	bs, _ := ix.batchPool.Get().(*BatchSource)
-	if bs == nil {
-		bs = ix.NewBatchSource(s)
-	} else {
-		bs.Reset(s)
-	}
-	for i, t := range targets {
-		dst[i] = int64(bs.Query(t))
-	}
-	ix.batchPool.Put(bs)
-	return dst
-}
-
-// rankScratch8 is the pooled T array of one 8-bit-distance batch:
-// t[w] = distance from the source to hub rank w, InfDist if absent.
-type rankScratch8 struct {
-	t      []uint8
+// sourceScratch is the pinned source of one batch: t[w] is the
+// source's distance to hub rank w, or inf when w is not in its label.
+// loaded lists the set entries for an O(|L(s)|) reset.
+type sourceScratch[D dist] struct {
+	t      []D
 	loaded []int32
 }
 
-func getScratch8(pool *sync.Pool, n int) *rankScratch8 {
-	sc, _ := pool.Get().(*rankScratch8)
+// getSourceScratch takes an all-inf scratch for n vertices from pool.
+func getSourceScratch[D dist](pool *sync.Pool, n int) *sourceScratch[D] {
+	sc, _ := pool.Get().(*sourceScratch[D])
 	if sc == nil {
-		sc = &rankScratch8{t: make([]uint8, n+1)}
+		sc = &sourceScratch[D]{t: make([]D, n+1)}
+		inf := infOf[D]()
 		for i := range sc.t {
-			sc.t[i] = InfDist
+			sc.t[i] = inf
 		}
 	}
 	return sc
 }
 
-func (sc *rankScratch8) release(pool *sync.Pool) {
+// load pins the source label given by its hub ranks and distances.
+func (sc *sourceScratch[D]) load(hubs []int32, dists []D) {
+	dists = dists[:len(hubs)]
+	for i, w := range hubs {
+		sc.t[w] = dists[i]
+	}
+	sc.loaded = append(sc.loaded, hubs...)
+}
+
+// probe lowers best to the least source→hub→target distance over the
+// target label given by its hub ranks and distances.
+func (sc *sourceScratch[D]) probe(hubs []int32, dists []D, best int64) int64 {
+	t, inf := sc.t, infOf[D]()
+	dists = dists[:len(hubs)]
+	for j, w := range hubs {
+		if tw := t[w]; tw != inf {
+			if d := int64(tw) + int64(dists[j]); d < best {
+				best = d
+			}
+		}
+	}
+	return best
+}
+
+// release resets the pinned entries and returns the scratch to pool.
+func (sc *sourceScratch[D]) release(pool *sync.Pool) {
+	inf := infOf[D]()
 	for _, w := range sc.loaded {
-		sc.t[w] = InfDist
+		sc.t[w] = inf
 	}
 	sc.loaded = sc.loaded[:0]
 	pool.Put(sc)
 }
 
-// DistanceFrom answers a single-source directed batch:
-// dst[i] = d(s, targets[i]) (directed, -1 unreachable). L_OUT(s) is
-// expanded once; each target costs one scan of L_IN(target). Safe for
-// concurrent use.
-func (ix *DirectedIndex) DistanceFrom(s int32, targets []int32, dst []int64) []int64 {
-	dst = ensureI64(dst, len(targets))
-	if len(targets) == 0 {
-		return dst
-	}
-	rs := ix.rank[s]
-	sc := getScratch8(&ix.batchPool, ix.n)
-	lo, hi := ix.outOff[rs], ix.outOff[rs+1]-1
-	for i := lo; i < hi; i++ {
-		w := ix.outVertex[i]
-		sc.t[w] = ix.outDist[i]
-		sc.loaded = append(sc.loaded, w)
-	}
-	for k, tv := range targets {
-		if tv == s {
-			dst[k] = 0
-			continue
-		}
-		rt := ix.rank[tv]
-		best := infQuery
-		jlo, jhi := ix.inOff[rt], ix.inOff[rt+1]-1
-		for j := jlo; j < jhi; j++ {
-			if tw := sc.t[ix.inVertex[j]]; tw != InfDist {
-				if d := int(tw) + int(ix.inDist[j]); d < best {
-					best = d
-				}
-			}
-		}
-		if best >= infQuery {
-			dst[k] = Unreachable
-		} else {
-			dst[k] = int64(best)
-		}
-	}
-	sc.release(&ix.batchPool)
-	return dst
+// prober pins one source rank of a store: L_OUT(source) in a pooled
+// scratch, so each probe costs one scan of the candidate's L_IN plus
+// its bit-parallel row. It is a runquery.Prober; Release returns the
+// scratch.
+type prober[D dist] struct {
+	st *store[D]
+	sc *sourceScratch[D]
+	rs int32
 }
 
-// rankScratch32 is the 32-bit-distance T array of one weighted batch.
-type rankScratch32 struct {
-	t      []uint32
-	loaded []int32
+func (st *store[D]) newProber(rs int32) prober[D] {
+	sc := getSourceScratch[D](&st.batchPool, st.n)
+	sc.load(st.out.span(rs))
+	return prober[D]{st: st, sc: sc, rs: rs}
 }
 
-// DistanceFrom answers a single-source weighted batch:
-// dst[i] = d(s, targets[i]) as summed edge weights, -1 unreachable.
-// Safe for concurrent use.
-func (ix *WeightedIndex) DistanceFrom(s int32, targets []int32, dst []int64) []int64 {
+// NewProber pins source rank rs for composite point probes.
+func (st *store[D]) NewProber(rs int32) runquery.Prober { return st.newProber(rs) }
+
+// Dist returns the exact distance from the pinned source to rank rv,
+// or Unreachable.
+func (p prober[D]) Dist(rv int32) int64 {
+	if rv == p.rs {
+		return 0
+	}
+	st := p.st
+	best := unreached
+	if st.numBP > 0 {
+		best = st.bpLower(p.rs, rv, best)
+	}
+	hubs, dists := st.in.span(rv)
+	return orUnreachable(p.sc.probe(hubs, dists, best))
+}
+
+// Release returns the pinned scratch to the index's pool.
+func (p prober[D]) Release() { p.sc.release(&p.st.batchPool) }
+
+// DistanceFrom answers a single-source batch: dst[i] = d(s, targets[i])
+// with the Oracle convention. The source's label (L_OUT on directed
+// indexes) is pinned once; each target then costs one scan of its own
+// (L_IN) label and bit-parallel row. A non-nil profile records one
+// merge covering the whole batch: the source label and every target
+// label, each with its bit-parallel row. Safe for concurrent use.
+func (st *store[D]) DistanceFrom(s int32, targets []int32, dst []int64, p *trace.QueryProfile) []int64 {
+	var start time.Time
+	if p != nil {
+		start = time.Now()
+	}
 	dst = ensureI64(dst, len(targets))
-	if len(targets) == 0 {
-		return dst
-	}
-	rs := ix.rank[s]
-	sc, _ := ix.batchPool.Get().(*rankScratch32)
-	if sc == nil {
-		sc = &rankScratch32{t: make([]uint32, ix.n+1)}
-		for i := range sc.t {
-			sc.t[i] = InfWeight32
+	if len(targets) > 0 {
+		pr := st.newProber(st.rank[s])
+		for i, t := range targets {
+			dst[i] = pr.Dist(st.rank[t])
 		}
+		pr.Release()
 	}
-	lo, hi := ix.labelOff[rs], ix.labelOff[rs+1]-1
-	for i := lo; i < hi; i++ {
-		w := ix.labelVertex[i]
-		sc.t[w] = ix.labelDist[i]
-		sc.loaded = append(sc.loaded, w)
-	}
-	for k, tv := range targets {
-		if tv == s {
-			dst[k] = 0
-			continue
+	if p != nil {
+		elapsed := time.Since(start)
+		entries := st.out.size(st.rank[s]) + int64(st.numBP)
+		for _, t := range targets {
+			entries += st.in.size(st.rank[t]) + int64(st.numBP)
 		}
-		rt := ix.rank[tv]
-		best := UnreachableW
-		jlo, jhi := ix.labelOff[rt], ix.labelOff[rt+1]-1
-		for j := jlo; j < jhi; j++ {
-			if tw := sc.t[ix.labelVertex[j]]; tw != InfWeight32 {
-				if d := uint64(tw) + uint64(ix.labelDist[j]); d < best {
-					best = d
-				}
-			}
-		}
-		if best == UnreachableW {
-			dst[k] = Unreachable
-		} else {
-			dst[k] = int64(best)
-		}
+		p.AddMerge(entries, elapsed)
 	}
-	for _, w := range sc.loaded {
-		sc.t[w] = InfWeight32
-	}
-	sc.loaded = sc.loaded[:0]
-	ix.batchPool.Put(sc)
 	return dst
 }
 
 // DistanceFrom answers a single-source batch over the current labels
-// (-1 unreachable). Like every DynamicIndex read it may run under a
-// ConcurrentOracle read lock concurrently with other reads, so the
-// scratch is pooled rather than owned.
-func (di *DynamicIndex) DistanceFrom(s int32, targets []int32, dst []int64) []int64 {
+// (-1 unreachable), profiled like the static indexes' DistanceFrom.
+// Like every DynamicIndex read it may run under a ConcurrentOracle read
+// lock concurrently with other reads, so the scratch is pooled rather
+// than owned.
+func (di *DynamicIndex) DistanceFrom(s int32, targets []int32, dst []int64, p *trace.QueryProfile) []int64 {
+	var start time.Time
+	if p != nil {
+		start = time.Now()
+	}
 	dst = ensureI64(dst, len(targets))
-	if len(targets) == 0 {
-		return dst
-	}
-	rs := di.rank[s]
-	sc := getScratch8(&di.batchPool, di.n)
-	sv, sd := di.labV[rs], di.labD[rs]
-	for i, w := range sv {
-		sc.t[w] = sd[i]
-		sc.loaded = append(sc.loaded, w)
-	}
-	for k, tv := range targets {
-		if tv == s {
-			dst[k] = 0
-			continue
-		}
-		rt := di.rank[tv]
-		best := infQuery
-		bv, bd := di.labV[rt], di.labD[rt]
-		for j, w := range bv {
-			if tw := sc.t[w]; tw != InfDist {
-				if d := int(tw) + int(bd[j]); d < best {
-					best = d
-				}
+	if len(targets) > 0 {
+		rs := di.rank[s]
+		sc := getSourceScratch[uint8](&di.batchPool, di.n)
+		sc.load(di.labV[rs], di.labD[rs])
+		for k, tv := range targets {
+			if tv == s {
+				dst[k] = 0
+				continue
 			}
+			rt := di.rank[tv]
+			dst[k] = orUnreachable(sc.probe(di.labV[rt], di.labD[rt], unreached))
 		}
-		if best >= infQuery {
-			dst[k] = Unreachable
-		} else {
-			dst[k] = int64(best)
-		}
+		sc.release(&di.batchPool)
 	}
-	sc.release(&di.batchPool)
+	if p != nil {
+		elapsed := time.Since(start)
+		entries := int64(len(di.labV[di.rank[s]]))
+		for _, t := range targets {
+			entries += int64(len(di.labV[di.rank[t]]))
+		}
+		p.AddMerge(entries, elapsed)
+	}
 	return dst
 }

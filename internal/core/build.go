@@ -21,7 +21,7 @@ type Options struct {
 	// before pruned labeling starts (§5.4). 0 disables bit-parallel
 	// labels. The paper uses 16 for small and 64 for large networks.
 	NumBitParallel int
-	// StorePaths records a parent pointer per label entry so QueryPath
+	// StorePaths records a parent pointer per label entry so Path
 	// can reconstruct shortest paths (§6). Path reconstruction needs
 	// every covered pair to have a hub in the *normal* labels, so
 	// StorePaths forces NumBitParallel to 0.
@@ -92,11 +92,8 @@ func Build(g *graph.Graph, opt Options) (*Index, error) {
 		return nil, fmt.Errorf("core: invalid CustomOrder: %w", err)
 	}
 
-	ix := &Index{
-		n:    n,
-		perm: append([]int32(nil), perm...),
-		rank: order.RankOf(perm),
-	}
+	ix := &Index{}
+	ix.setOrder(VariantUndirected, perm)
 
 	b := newBuilder(h, ix, opt.StorePaths, opt.CollectStats)
 	workers := EffectiveWorkers(opt.Workers)
@@ -110,7 +107,8 @@ func Build(g *graph.Graph, opt Options) (*Index, error) {
 	} else if err := b.runPrunedPhase(); err != nil {
 		return nil, err
 	}
-	b.flatten()
+	ix.out = flatten(b.labV, b.labD, b.labP)
+	ix.in = ix.out
 	return ix, nil
 }
 
@@ -540,42 +538,4 @@ func (sc *prunedScratch) reset(visited []int32, rootLabelVertices []int32) {
 	for _, w := range rootLabelVertices {
 		sc.rootLab[w] = InfDist
 	}
-}
-
-// flatten converts the per-vertex growing labels into the final CSR
-// arrays with one sentinel entry per vertex.
-func (b *builder) flatten() {
-	ix := b.ix
-	n := b.n
-	total := int64(0)
-	for v := 0; v < n; v++ {
-		total += int64(len(b.labV[v])) + 1 // +1 sentinel
-	}
-	ix.labelOff = make([]int64, n+1)
-	ix.labelVertex = make([]int32, total)
-	ix.labelDist = make([]uint8, total)
-	if b.storePaths {
-		ix.labelParent = make([]int32, total)
-	}
-	w := int64(0)
-	for v := 0; v < n; v++ {
-		ix.labelOff[v] = w
-		copy(ix.labelVertex[w:], b.labV[v])
-		copy(ix.labelDist[w:], b.labD[v])
-		if b.storePaths {
-			copy(ix.labelParent[w:], b.labP[v])
-		}
-		w += int64(len(b.labV[v]))
-		ix.labelVertex[w] = int32(n) // sentinel
-		ix.labelDist[w] = InfDist
-		if b.storePaths {
-			ix.labelParent[w] = -1
-		}
-		w++
-		b.labV[v], b.labD[v] = nil, nil
-		if b.storePaths {
-			b.labP[v] = nil
-		}
-	}
-	ix.labelOff[n] = w
 }

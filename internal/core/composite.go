@@ -10,18 +10,16 @@ package core
 // intermediate neighborhood materialized.
 //
 // This file owns the ID-space request/response types shared by the
-// public API, the HTTP server and the CLI, the per-variant adapters
-// that present each index to the rank-space engine, and the pinned-
-// label probers (the §4.5 single-source trick of batchfrom.go) the
-// engine uses to test candidates against non-driving constraints.
+// public API, the HTTP server and the CLI, and the entry point that
+// presents an index to the rank-space engine; the engine tests
+// candidates against non-driving constraints through the pinned-label
+// prober of batchfrom.go (the §4.5 single-source trick).
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
-	"pll/internal/hubsearch"
 	"pll/internal/runquery"
 )
 
@@ -405,211 +403,21 @@ func finishComposite(perm []int32, rs *runquery.ResultSet, k int) *CompositeResu
 	return out
 }
 
-// ---------------------------------------------------------------------
-// Undirected (and frozen-dynamic) Index
-// ---------------------------------------------------------------------
-
-// indexBackend presents an Index to the rank-space engine.
-type indexBackend struct{ ix *Index }
-
-func (b indexBackend) NumVertices() int              { return b.ix.n }
-func (b indexBackend) Inverted() *hubsearch.Inverted { return b.ix.EnsureSearch() }
-func (b indexBackend) GetScratch() *hubsearch.Scratch {
-	return b.ix.search.getScratch(b.ix.n)
-}
-func (b indexBackend) PutScratch(sc *hubsearch.Scratch) { b.ix.search.pool.Put(sc) }
-func (b indexBackend) SourceRuns(rs int32) ([]hubsearch.Run, []uint64, []uint64) {
-	return b.ix.searchSource(rs)
-}
-
-// indexProber pins one source through the pooled BatchSource engine
-// (bit-parallel §5.3 corrections included), converting the engine's
-// ranks back to IDs at the boundary.
-type indexProber struct {
-	ix *Index
-	bs *BatchSource
-}
-
-func (p indexProber) Dist(rv int32) int64 { return int64(p.bs.Query(p.ix.perm[rv])) }
-func (p indexProber) Release()            { p.ix.batchPool.Put(p.bs) }
-
-func (b indexBackend) NewProber(rs int32) runquery.Prober {
-	s := b.ix.perm[rs]
-	bs, _ := b.ix.batchPool.Get().(*BatchSource)
-	if bs == nil {
-		bs = b.ix.NewBatchSource(s)
-	} else {
-		bs.Reset(s)
-	}
-	return indexProber{ix: b.ix, bs: bs}
-}
-
 // Composite answers a multi-constraint query; see CompositeRequest.
+// The store itself is the rank-space engine's backend: constraints run
+// over its inverted labels and non-driving constraints probe through
+// its pinned-source prober, with bit-parallel §5.3 corrections on
+// undirected indexes and forward distances d(s → v) on directed ones.
 // Results follow the deterministic (score, vertex ID) ordering shared
 // by every variant and container form. Safe for concurrent use.
-func (ix *Index) Composite(req *CompositeRequest) (*CompositeResult, error) {
-	q, err := req.toRankQuery(ix.n, ix.rank)
+func (st *store[D]) Composite(req *CompositeRequest) (*CompositeResult, error) {
+	q, err := req.toRankQuery(st.n, st.rank)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := runquery.Execute(indexBackend{ix}, q)
+	rs, err := runquery.Execute(st, q)
 	if err != nil {
 		return nil, err
 	}
-	return finishComposite(ix.perm, rs, req.K), nil
-}
-
-// ---------------------------------------------------------------------
-// DirectedIndex: forward constraints d(s -> v), like its KNN.
-// ---------------------------------------------------------------------
-
-type directedBackend struct{ ix *DirectedIndex }
-
-func (b directedBackend) NumVertices() int              { return b.ix.n }
-func (b directedBackend) Inverted() *hubsearch.Inverted { return b.ix.EnsureSearch() }
-func (b directedBackend) GetScratch() *hubsearch.Scratch {
-	return b.ix.search.getScratch(b.ix.n)
-}
-func (b directedBackend) PutScratch(sc *hubsearch.Scratch) { b.ix.search.pool.Put(sc) }
-func (b directedBackend) SourceRuns(rs int32) ([]hubsearch.Run, []uint64, []uint64) {
-	return b.ix.searchSource(rs), nil, nil
-}
-
-// directedProber pins L_OUT(source) once; each probe scans L_IN of the
-// candidate — the batchfrom.go single-source idiom in rank space.
-type directedProber struct {
-	ix *DirectedIndex
-	sc *rankScratch8
-	rs int32
-}
-
-func (p directedProber) Dist(rv int32) int64 {
-	if rv == p.rs {
-		return 0
-	}
-	ix := p.ix
-	best := infQuery
-	for j := ix.inOff[rv]; j < ix.inOff[rv+1]-1; j++ {
-		if tw := p.sc.t[ix.inVertex[j]]; tw != InfDist {
-			if d := int(tw) + int(ix.inDist[j]); d < best {
-				best = d
-			}
-		}
-	}
-	if best >= infQuery {
-		return Unreachable
-	}
-	return int64(best)
-}
-
-func (p directedProber) Release() { p.sc.release(&p.ix.batchPool) }
-
-func (b directedBackend) NewProber(rs int32) runquery.Prober {
-	ix := b.ix
-	sc := getScratch8(&ix.batchPool, ix.n)
-	for i := ix.outOff[rs]; i < ix.outOff[rs+1]-1; i++ {
-		w := ix.outVertex[i]
-		sc.t[w] = ix.outDist[i]
-		sc.loaded = append(sc.loaded, w)
-	}
-	return directedProber{ix: ix, sc: sc, rs: rs}
-}
-
-// Composite answers a multi-constraint query over forward distances
-// d(s → v); see Index.Composite for the contract.
-func (ix *DirectedIndex) Composite(req *CompositeRequest) (*CompositeResult, error) {
-	q, err := req.toRankQuery(ix.n, ix.rank)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := runquery.Execute(directedBackend{ix}, q)
-	if err != nil {
-		return nil, err
-	}
-	return finishComposite(ix.perm, rs, req.K), nil
-}
-
-// ---------------------------------------------------------------------
-// WeightedIndex
-// ---------------------------------------------------------------------
-
-type weightedBackend struct{ ix *WeightedIndex }
-
-func (b weightedBackend) NumVertices() int              { return b.ix.n }
-func (b weightedBackend) Inverted() *hubsearch.Inverted { return b.ix.EnsureSearch() }
-func (b weightedBackend) GetScratch() *hubsearch.Scratch {
-	return b.ix.search.getScratch(b.ix.n)
-}
-func (b weightedBackend) PutScratch(sc *hubsearch.Scratch) { b.ix.search.pool.Put(sc) }
-func (b weightedBackend) SourceRuns(rs int32) ([]hubsearch.Run, []uint64, []uint64) {
-	return b.ix.searchSource(rs), nil, nil
-}
-
-func getScratch32(pool *sync.Pool, n int) *rankScratch32 {
-	sc, _ := pool.Get().(*rankScratch32)
-	if sc == nil {
-		sc = &rankScratch32{t: make([]uint32, n+1)}
-		for i := range sc.t {
-			sc.t[i] = InfWeight32
-		}
-	}
-	return sc
-}
-
-type weightedProber struct {
-	ix *WeightedIndex
-	sc *rankScratch32
-	rs int32
-}
-
-func (p weightedProber) Dist(rv int32) int64 {
-	if rv == p.rs {
-		return 0
-	}
-	ix := p.ix
-	best := UnreachableW
-	for j := ix.labelOff[rv]; j < ix.labelOff[rv+1]-1; j++ {
-		if tw := p.sc.t[ix.labelVertex[j]]; tw != InfWeight32 {
-			if d := uint64(tw) + uint64(ix.labelDist[j]); d < best {
-				best = d
-			}
-		}
-	}
-	if best == UnreachableW {
-		return Unreachable
-	}
-	return int64(best)
-}
-
-func (p weightedProber) Release() {
-	for _, w := range p.sc.loaded {
-		p.sc.t[w] = InfWeight32
-	}
-	p.sc.loaded = p.sc.loaded[:0]
-	p.ix.batchPool.Put(p.sc)
-}
-
-func (b weightedBackend) NewProber(rs int32) runquery.Prober {
-	ix := b.ix
-	sc := getScratch32(&ix.batchPool, ix.n)
-	for i := ix.labelOff[rs]; i < ix.labelOff[rs+1]-1; i++ {
-		w := ix.labelVertex[i]
-		sc.t[w] = ix.labelDist[i]
-		sc.loaded = append(sc.loaded, w)
-	}
-	return weightedProber{ix: ix, sc: sc, rs: rs}
-}
-
-// Composite answers a multi-constraint query over weighted distances;
-// see Index.Composite for the contract.
-func (ix *WeightedIndex) Composite(req *CompositeRequest) (*CompositeResult, error) {
-	q, err := req.toRankQuery(ix.n, ix.rank)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := runquery.Execute(weightedBackend{ix}, q)
-	if err != nil {
-		return nil, err
-	}
-	return finishComposite(ix.perm, rs, req.K), nil
+	return finishComposite(st.perm, rs, req.K), nil
 }

@@ -101,8 +101,8 @@ func TestSaveLoadWithParents(t *testing.T) {
 		t.Fatal("parent pointers lost in round trip")
 	}
 	for _, p := range randPairs(80, 60, 3) {
-		want, err1 := ix.QueryPath(p[0], p[1])
-		got, err2 := loaded.QueryPath(p[0], p[1])
+		want, _, err1 := ix.Path(p[0], p[1])
+		got, _, err2 := loaded.Path(p[0], p[1])
 		if err1 != nil || err2 != nil {
 			t.Fatalf("path errors: %v %v", err1, err2)
 		}

@@ -329,16 +329,17 @@ func TestMinimalityTheorem42(t *testing.T) {
 func queryWithout(ix *Index, v, w int32) int {
 	rv, rw := ix.rank[v], ix.rank[w]
 	best := int(InfDist) + int(InfDist)
-	i, j := ix.labelOff[rv], ix.labelOff[rw]
+	l := ix.out
+	i, j := l.off[rv], l.off[rw]
 	for {
-		vs, vt := ix.labelVertex[i], ix.labelVertex[j]
+		vs, vt := l.vertex[i], l.vertex[j]
 		switch {
 		case vs == vt:
 			if int(vs) == ix.n {
 				return best
 			}
 			if vs != rw { // skip the removed entry (hub w inside L(v))
-				if d := int(ix.labelDist[i]) + int(ix.labelDist[j]); d < best {
+				if d := int(l.dist[i]) + int(l.dist[j]); d < best {
 					best = d
 				}
 			}
@@ -469,7 +470,7 @@ func TestQueryPath(t *testing.T) {
 		for i := 0; i < 15; i++ {
 			s, u := r.Int31n(n), r.Int31n(n)
 			want := bfs.Distance(g, s, u)
-			p, err := ix.QueryPath(s, u)
+			p, _, err := ix.Path(s, u)
 			if err != nil {
 				return false
 			}
@@ -498,7 +499,7 @@ func TestQueryPath(t *testing.T) {
 func TestQueryPathSelf(t *testing.T) {
 	g := gen.Path(5)
 	ix := buildOrFail(t, g, Options{StorePaths: true})
-	p, err := ix.QueryPath(2, 2)
+	p, _, err := ix.Path(2, 2)
 	if err != nil || len(p) != 1 || p[0] != 2 {
 		t.Fatalf("self path = %v, %v", p, err)
 	}
@@ -507,7 +508,7 @@ func TestQueryPathSelf(t *testing.T) {
 func TestQueryPathRequiresStorePaths(t *testing.T) {
 	g := gen.Path(5)
 	ix := buildOrFail(t, g, Options{})
-	if _, err := ix.QueryPath(0, 4); err == nil {
+	if _, _, err := ix.Path(0, 4); err == nil {
 		t.Fatal("expected error without StorePaths")
 	}
 }

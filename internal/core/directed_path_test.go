@@ -33,7 +33,7 @@ func TestDirectedQueryPathValid(t *testing.T) {
 		for i := 0; i < 15; i++ {
 			s, u := rr.Int31n(int32(n)), rr.Int31n(int32(n))
 			want := bfs.DirectedDistance(g, s, u)
-			p, err := ix.QueryPath(s, u)
+			p, _, err := ix.Path(s, u)
 			if err != nil {
 				return false
 			}
@@ -68,15 +68,15 @@ func TestDirectedQueryPathOneWay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := ix.QueryPath(0, 3)
+	p, _, err := ix.Path(0, 3)
 	if err != nil || len(p) != 4 {
 		t.Fatalf("forward path = %v, %v", p, err)
 	}
-	p, err = ix.QueryPath(3, 0)
+	p, _, err = ix.Path(3, 0)
 	if err != nil || p != nil {
 		t.Fatalf("reverse path should be nil, got %v, %v", p, err)
 	}
-	pSelf, err := ix.QueryPath(2, 2)
+	pSelf, _, err := ix.Path(2, 2)
 	if err != nil || len(pSelf) != 1 {
 		t.Fatalf("self path = %v, %v", pSelf, err)
 	}
@@ -91,7 +91,7 @@ func TestDirectedQueryPathRequiresStorePaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.QueryPath(0, 1); err == nil {
+	if _, _, err := ix.Path(0, 1); err == nil {
 		t.Fatal("expected error without StorePaths")
 	}
 	if ix.HasPaths() {

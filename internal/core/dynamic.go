@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"pll/internal/graph"
 	"pll/internal/order"
+	"pll/internal/trace"
 )
 
 // DynamicIndex is an incrementally updatable pruned-landmark-labeling
@@ -37,7 +39,7 @@ type DynamicIndex struct {
 	rootLab []uint8
 	queue   []int32
 
-	batchPool sync.Pool // recycles *rankScratch8 for DistanceFrom
+	batchPool sync.Pool // recycles *sourceScratch[uint8] for DistanceFrom
 }
 
 // BuildDynamic constructs a dynamic index. Options follow Build except
@@ -61,7 +63,8 @@ func BuildDynamic(g *graph.Graph, opt Options) (*DynamicIndex, error) {
 		return nil, fmt.Errorf("core: invalid CustomOrder: %w", err)
 	}
 
-	ix := &Index{n: n, perm: append([]int32(nil), perm...), rank: order.RankOf(perm)}
+	ix := &Index{}
+	ix.setOrder(VariantDynamic, perm)
 	b := newBuilder(h, ix, false, nil)
 	if err := b.runBitParallelPhase(0, 1); err != nil {
 		return nil, err
@@ -110,6 +113,19 @@ func (di *DynamicIndex) Query(s, t int32) int {
 		return 0
 	}
 	return di.queryRank(di.rank[s], di.rank[t])
+}
+
+// Distance is Query in the Oracle convention (int64). A non-nil
+// profile records the merge: its duration and both labels' entries.
+func (di *DynamicIndex) Distance(s, t int32, p *trace.QueryProfile) int64 {
+	if p == nil {
+		return int64(di.Query(s, t))
+	}
+	start := time.Now()
+	d := di.Query(s, t)
+	elapsed := time.Since(start)
+	p.AddMerge(int64(len(di.labV[di.rank[s]])+len(di.labV[di.rank[t]])), elapsed)
+	return int64(d)
 }
 
 func (di *DynamicIndex) queryRank(rs, rt int32) int {
@@ -291,16 +307,11 @@ func (di *DynamicIndex) ComputeStats() Stats {
 // and verified like any statically built index; further InsertEdge
 // calls on the dynamic index do not affect it.
 func (di *DynamicIndex) Freeze() *Index {
-	off, vs, ds := flattenLabels(di.n, di.labV, di.labD)
-	return &Index{
-		n:           di.n,
-		origin:      VariantDynamic,
-		perm:        append([]int32(nil), di.perm...),
-		rank:        append([]int32(nil), di.rank...),
-		labelOff:    off,
-		labelVertex: vs,
-		labelDist:   ds,
-	}
+	ix := &Index{}
+	ix.setOrder(VariantDynamic, di.perm)
+	ix.out = flatten(di.labV, di.labD, nil)
+	ix.in = ix.out
+	return ix
 }
 
 func containsSorted(s []int32, v int32) bool {

@@ -27,11 +27,11 @@ func TestQueryPathWhenHubIsEndpoint(t *testing.T) {
 	// endpoint *is* the hub.
 	g := gen.Star(10)
 	ix := buildOrFail(t, g, Options{StorePaths: true, CustomOrder: starOrder(10)})
-	p, err := ix.QueryPath(0, 7)
+	p, _, err := ix.Path(0, 7)
 	if err != nil || len(p) != 2 || p[0] != 0 || p[1] != 7 {
 		t.Fatalf("hub-endpoint path = %v, %v", p, err)
 	}
-	p, err = ix.QueryPath(3, 0)
+	p, _, err = ix.Path(3, 0)
 	if err != nil || len(p) != 2 {
 		t.Fatalf("endpoint-hub path = %v, %v", p, err)
 	}
@@ -40,7 +40,7 @@ func TestQueryPathWhenHubIsEndpoint(t *testing.T) {
 func TestQueryPathAdjacent(t *testing.T) {
 	g := gen.Path(5)
 	ix := buildOrFail(t, g, Options{StorePaths: true})
-	p, err := ix.QueryPath(2, 3)
+	p, _, err := ix.Path(2, 3)
 	if err != nil || len(p) != 2 {
 		t.Fatalf("adjacent path = %v, %v", p, err)
 	}

@@ -17,8 +17,8 @@ import (
 // one call) and served with zero per-entry decoding. The payload stores
 // the in-memory arrays themselves — offsets, hub ranks, distances,
 // bit-parallel blocks, sentinels included — each 8-byte aligned so a
-// mapped file doubles as the backing store of an *Index /
-// *DirectedIndex / *WeightedIndex.
+// mapped file doubles as the backing store of the index's label store
+// (labels.go).
 //
 // Layout (little endian; offsets absolute from the file start):
 //
@@ -31,10 +31,14 @@ import (
 //	                             alignment
 //
 // Every variant stores perm and rank (the rank array is redundant but
-// storing it keeps startup free of per-entry work), then its label
-// arrays exactly as held in memory. OpenFlat maps a file and aliases
-// the sections; LoadAny reads a version-2 stream onto the heap with
-// full per-entry validation, so both paths answer identically.
+// storing it keeps startup free of per-entry work), then each of its
+// label families exactly as held in memory — offsets, hubs, distances
+// and (undirected only) parents, under the section IDs its layout
+// names — then the bit-parallel blocks (undirected only) and the
+// optional search sections. One writer and one parser serve every
+// variant. OpenFlat maps a file and aliases the sections; LoadAny reads
+// a version-2 stream onto the heap with full per-entry validation, so
+// both paths answer identically.
 const (
 	secPerm        uint32 = 1  // int32, n        rank -> vertex
 	secRank        uint32 = 2  // int32, n        vertex -> rank
@@ -95,11 +99,42 @@ func align8(off uint64) uint64 { return (off + 7) &^ 7 }
 // Writing
 // ---------------------------------------------------------------------
 
-// flatInt is the element set of typed flat sections; byte sections are
-// handled separately (no endianness, no alignment).
+// flatInt is the element set of typed flat sections.
 type flatInt interface {
-	~int32 | ~uint32 | ~int64 | ~uint64
+	uint8 | ~int32 | ~uint32 | ~int64 | ~uint64
 }
+
+// familySections names the flat sections of one label family. A zero
+// parent ID means the variant cannot serialize parent pointers.
+type familySections struct {
+	off, vertex, dist, parent uint32
+	what                      string // the family's name in error messages
+}
+
+// layout is one variant's flat container: its label families (one, or
+// L_OUT and L_IN) and whether it may carry bit-parallel labels. The
+// section IDs are the variant's existing ones, so one writer and one
+// parser produce and accept exactly the historical bytes.
+type layout struct {
+	families    []familySections
+	bitParallel bool
+}
+
+var (
+	undirectedLayout = layout{
+		families:    []familySections{{secLabelOff, secLabelVertex, secLabelDist8, secLabelParent, "label"}},
+		bitParallel: true,
+	}
+	layouts = map[Variant]layout{
+		VariantUndirected: undirectedLayout,
+		VariantDynamic:    undirectedLayout,
+		VariantDirected: {families: []familySections{
+			{secOutOff, secOutVertex, secOutDist, 0, "L_OUT"},
+			{secInOff, secInVertex, secInDist, 0, "L_IN"},
+		}},
+		VariantWeighted: {families: []familySections{{secLabelOff, secLabelVertex, secLabelDist32, 0, "label"}}},
+	}
+)
 
 // flatWriter accumulates the section table for one flat container and
 // then streams header, table and payloads in order.
@@ -114,13 +149,6 @@ func addInts[T flatInt](fw *flatWriter, id uint32, xs []T) {
 	var zero T
 	fw.add(id, uint32(unsafe.Sizeof(zero)), uint64(len(xs)),
 		func(w io.Writer) error { return writeInts(w, xs) })
-}
-
-func (fw *flatWriter) addU8(id uint32, xs []uint8) {
-	fw.add(id, 1, uint64(len(xs)), func(w io.Writer) error {
-		_, err := w.Write(xs)
-		return err
-	})
 }
 
 func (fw *flatWriter) add(id, elem uint32, count uint64, emit func(io.Writer) error) {
@@ -176,6 +204,10 @@ func (fw *flatWriter) writeTo(w io.Writer) error {
 
 // writeInts streams xs little endian through a fixed chunk buffer.
 func writeInts[T flatInt](w io.Writer, xs []T) error {
+	if b, ok := any(xs).([]uint8); ok { // bytes need no encoding
+		_, err := w.Write(b)
+		return err
+	}
 	var buf [4096]byte
 	var zero T
 	size := int(unsafe.Sizeof(zero))
@@ -227,81 +259,37 @@ func (fw *flatWriter) addSearchSections(inv *hubsearch.Inverted) {
 // WriteFlat writes the index as a flat (version-2) container whose
 // sections OpenFlat can serve zero-copy. Loading the result yields an
 // index answering identically to this one. With FlatSearch, the
-// hub-inverted search index rides along as optional sections.
-func (ix *Index) WriteFlat(w io.Writer, opts ...FlatOption) (int64, error) {
+// hub-inverted search index rides along as optional sections. Parent
+// pointers are serialized for undirected indexes only; a directed or
+// weighted index built with StorePaths is rejected.
+func (st *store[D]) WriteFlat(w io.Writer, opts ...FlatOption) (int64, error) {
+	lay := layouts[st.variant]
+	if st.HasPaths() && lay.families[0].parent == 0 {
+		return 0, fmt.Errorf("core: %s format does not support parent pointers", st.variant)
+	}
 	o := applyFlatOptions(opts)
-	h := ContainerHeader{
-		Version:     ContainerVersionFlat,
-		Variant:     ix.Variant(),
-		BitParallel: uint32(ix.numBP),
+	h := ContainerHeader{Version: ContainerVersionFlat, Variant: st.variant, BitParallel: uint32(st.numBP)}
+	fw := &flatWriter{n: uint64(st.n)}
+	addInts(fw, secPerm, st.perm)
+	addInts(fw, secRank, st.rank)
+	for i, f := range st.families() {
+		ids := lay.families[i]
+		addInts(fw, ids.off, f.off)
+		addInts(fw, ids.vertex, f.vertex)
+		addInts(fw, ids.dist, f.dist)
+		if f.parent != nil {
+			h.Flags |= ContainerFlagPaths
+			addInts(fw, ids.parent, f.parent)
+		}
 	}
-	if ix.labelParent != nil {
-		h.Flags |= ContainerFlagPaths
-	}
-	fw := &flatWriter{n: uint64(ix.n)}
-	addInts(fw, secPerm, ix.perm)
-	addInts(fw, secRank, ix.rank)
-	addInts(fw, secLabelOff, ix.labelOff)
-	addInts(fw, secLabelVertex, ix.labelVertex)
-	fw.addU8(secLabelDist8, ix.labelDist)
-	if ix.labelParent != nil {
-		addInts(fw, secLabelParent, ix.labelParent)
-	}
-	if ix.numBP > 0 {
-		fw.addU8(secBPDist, ix.bpDist)
-		addInts(fw, secBPS1, ix.bpS1)
-		addInts(fw, secBPS0, ix.bpS0)
+	if st.numBP > 0 {
+		addInts(fw, secBPDist, st.bpDist)
+		addInts(fw, secBPS1, st.bpS1)
+		addInts(fw, secBPS0, st.bpS0)
 	}
 	if o.search {
 		h.Flags |= ContainerFlagSearch
-		fw.addSearchSections(ix.EnsureSearch())
-	}
-	return writeContainer(w, h, fw.writeTo)
-}
-
-// WriteFlat writes the directed index as a flat (version-2) container.
-// Parent pointers (StorePaths) are not serialized, matching WriteTo.
-// With FlatSearch, the inverted L_IN search index rides along.
-func (ix *DirectedIndex) WriteFlat(w io.Writer, opts ...FlatOption) (int64, error) {
-	if ix.outParent != nil {
-		return 0, fmt.Errorf("core: directed format does not support parent pointers")
-	}
-	o := applyFlatOptions(opts)
-	h := ContainerHeader{Version: ContainerVersionFlat, Variant: VariantDirected}
-	fw := &flatWriter{n: uint64(ix.n)}
-	addInts(fw, secPerm, ix.perm)
-	addInts(fw, secRank, ix.rank)
-	addInts(fw, secOutOff, ix.outOff)
-	addInts(fw, secOutVertex, ix.outVertex)
-	fw.addU8(secOutDist, ix.outDist)
-	addInts(fw, secInOff, ix.inOff)
-	addInts(fw, secInVertex, ix.inVertex)
-	fw.addU8(secInDist, ix.inDist)
-	if o.search {
-		h.Flags |= ContainerFlagSearch
-		fw.addSearchSections(ix.EnsureSearch())
-	}
-	return writeContainer(w, h, fw.writeTo)
-}
-
-// WriteFlat writes the weighted index as a flat (version-2) container.
-// Parent pointers (StorePaths) are not serialized, matching WriteTo.
-// With FlatSearch, the inverted search index rides along.
-func (ix *WeightedIndex) WriteFlat(w io.Writer, opts ...FlatOption) (int64, error) {
-	if ix.labelParent != nil {
-		return 0, fmt.Errorf("core: weighted format does not support parent pointers")
-	}
-	o := applyFlatOptions(opts)
-	h := ContainerHeader{Version: ContainerVersionFlat, Variant: VariantWeighted}
-	fw := &flatWriter{n: uint64(ix.n)}
-	addInts(fw, secPerm, ix.perm)
-	addInts(fw, secRank, ix.rank)
-	addInts(fw, secLabelOff, ix.labelOff)
-	addInts(fw, secLabelVertex, ix.labelVertex)
-	addInts(fw, secLabelDist32, ix.labelDist)
-	if o.search {
-		h.Flags |= ContainerFlagSearch
-		fw.addSearchSections(ix.EnsureSearch())
+		fw.addSearchSections(st.Inverted())
 	}
 	return writeContainer(w, h, fw.writeTo)
 }
@@ -316,15 +304,7 @@ func (di *DynamicIndex) WriteFlat(w io.Writer, opts ...FlatOption) (int64, error
 // search sections. It implements io.WriterTo. Indexes frozen from a
 // DynamicIndex keep the dynamic variant tag so the provenance survives
 // round trips.
-func (ix *Index) WriteTo(w io.Writer) (int64, error) { return ix.WriteFlat(w) }
-
-// WriteTo writes the directed index as a flat container (see
-// Index.WriteTo).
-func (ix *DirectedIndex) WriteTo(w io.Writer) (int64, error) { return ix.WriteFlat(w) }
-
-// WriteTo writes the weighted index as a flat container (see
-// Index.WriteTo).
-func (ix *WeightedIndex) WriteTo(w io.Writer) (int64, error) { return ix.WriteFlat(w) }
+func (st *store[D]) WriteTo(w io.Writer) (int64, error) { return st.WriteFlat(w) }
 
 // WriteTo freezes the dynamic index and writes the snapshot as a flat
 // container tagged VariantDynamic. Loading it yields a static Index
@@ -414,11 +394,14 @@ func parseFlat(data []byte, h ContainerHeader, alias, full bool) (any, bool, err
 	)
 	switch h.Variant {
 	case VariantUndirected, VariantDynamic:
-		oracle, err = p.parseUndirected()
+		ix := &Index{}
+		oracle, err = ix, parseStore(p, &ix.store)
 	case VariantDirected:
-		oracle, err = p.parseDirected()
+		ix := &DirectedIndex{}
+		oracle, err = ix, parseStore(p, &ix.store)
 	case VariantWeighted:
-		oracle, err = p.parseWeighted()
+		ix := &WeightedIndex{}
+		oracle, err = ix, parseStore(p, &ix.store)
 	default:
 		err = fmt.Errorf("%w: unknown variant tag %d", ErrBadIndexFile, uint8(h.Variant))
 	}
@@ -445,23 +428,6 @@ func (p *flatParser) section(id, elem uint32, what string) (flatSection, error) 
 // the parser may alias (and the platform allows), and decode a copy
 // otherwise. Bounds were established by parseFlat.
 
-// u8s returns one byte section.
-//
-// pllvet:roview — the result may alias read-only mapped pages; treat
-// it as immutable even on the copying path.
-func (p *flatParser) u8s(id uint32, what string) ([]uint8, error) {
-	s, err := p.section(id, 1, what)
-	if err != nil {
-		return nil, err
-	}
-	out := p.data[s.off : s.off+s.count : s.off+s.count]
-	if !p.alias {
-		//pllvet:ignore untrustedalloc s.count bounds-checked against len(data) by parseFlat
-		out = append(make([]uint8, 0, s.count), out...)
-	}
-	return out, nil
-}
-
 // flatInts returns one integer section, aliased in place when the
 // parser may alias and the platform allows, decoded into a copy
 // otherwise (element size and alignment inferred from T).
@@ -479,16 +445,19 @@ func flatInts[T flatInt](p *flatParser, id uint32, what string) ([]T, error) {
 	if s.count == 0 {
 		return []T{}, nil
 	}
-	if p.alias && hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%size == 0 {
+	if p.alias && (size == 1 || hostLittleEndian) && uintptr(unsafe.Pointer(&b[0]))%size == 0 {
 		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), int(s.count)), nil
 	}
 	p.zeroCopy = false
 	//pllvet:ignore untrustedalloc s.count bounds-checked against len(data) by parseFlat
 	out := make([]T, s.count)
 	for i := range out {
-		if size == 4 {
+		switch size {
+		case 1:
+			out[i] = T(b[i])
+		case 4:
 			out[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
-		} else {
+		default:
 			out[i] = T(binary.LittleEndian.Uint64(b[8*i:]))
 		}
 	}
@@ -583,152 +552,97 @@ func (p *flatParser) parseSearch(numBP int, bps1, bps0 []uint64) (*hubsearch.Inv
 	return inv, nil
 }
 
-func (p *flatParser) parseUndirected() (*Index, error) {
+// parseStore decodes a label store from the sections the container's
+// variant layout names: perm and rank, each label family (with parents
+// when the paths flag is set), the bit-parallel blocks and the optional
+// search sections. Flags or a bit-parallel width the layout cannot
+// carry are rejected.
+func parseStore[D dist](p *flatParser, st *store[D]) error {
+	lay := layouts[p.h.Variant]
+	paths := p.h.Flags&ContainerFlagPaths != 0
+	if paths && lay.families[0].parent == 0 || p.h.BitParallel != 0 && !lay.bitParallel {
+		return fmt.Errorf("%w: unexpected flags %#x / bit-parallel width %d for a flat %s container",
+			ErrBadIndexFile, p.h.Flags, p.h.BitParallel, p.h.Variant)
+	}
 	perm, rank, err := p.permRank()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ix := &Index{n: p.n, numBP: int(p.h.BitParallel), perm: perm, rank: rank}
-	if p.h.Variant == VariantDynamic {
-		ix.origin = VariantDynamic
-	}
-	if ix.labelOff, err = flatInts[int64](p, secLabelOff, "label offsets"); err != nil {
-		return nil, err
-	}
-	if ix.labelVertex, err = flatInts[int32](p, secLabelVertex, "label hubs"); err != nil {
-		return nil, err
-	}
-	if ix.labelDist, err = p.u8s(secLabelDist8, "label distances"); err != nil {
-		return nil, err
-	}
-	if len(ix.labelDist) != len(ix.labelVertex) {
-		return nil, fmt.Errorf("%w: label hub/distance sections differ in length", ErrBadIndexFile)
-	}
-	if err := p.checkLabelFamily(ix.labelOff, ix.labelVertex, "label"); err != nil {
-		return nil, err
-	}
-	if p.h.Flags&ContainerFlagPaths != 0 {
-		if ix.labelParent, err = flatInts[int32](p, secLabelParent, "parent pointers"); err != nil {
-			return nil, err
+	st.n, st.variant, st.perm, st.rank = p.n, p.h.Variant, perm, rank
+	fams := make([]*labels[D], len(lay.families))
+	for i, ids := range lay.families {
+		if fams[i], err = parseFamily[D](p, ids, paths); err != nil {
+			return err
 		}
-		if len(ix.labelParent) != len(ix.labelVertex) {
-			return nil, fmt.Errorf("%w: parent section differs in length", ErrBadIndexFile)
+	}
+	st.out, st.in = fams[0], fams[len(fams)-1]
+	if st.numBP = int(p.h.BitParallel); st.numBP > 0 {
+		if uint64(st.numBP) > 1<<16 {
+			return fmt.Errorf("%w: implausible bit-parallel width %d", ErrBadIndexFile, st.numBP)
 		}
-		if p.full {
-			for _, par := range ix.labelParent {
-				if par < -1 || int(par) >= p.n {
-					return nil, fmt.Errorf("%w: parent pointer %d out of range", ErrBadIndexFile, par)
-				}
+		want := uint64(st.numBP) * uint64(p.n)
+		if st.bpDist, err = flatInts[uint8](p, secBPDist, "bit-parallel distances"); err != nil {
+			return err
+		}
+		if st.bpS1, err = flatInts[uint64](p, secBPS1, "bit-parallel S-1 sets"); err != nil {
+			return err
+		}
+		if st.bpS0, err = flatInts[uint64](p, secBPS0, "bit-parallel S0 sets"); err != nil {
+			return err
+		}
+		if uint64(len(st.bpDist)) != want || uint64(len(st.bpS1)) != want || uint64(len(st.bpS0)) != want {
+			return fmt.Errorf("%w: bit-parallel sections sized %d/%d/%d, want %d",
+				ErrBadIndexFile, len(st.bpDist), len(st.bpS1), len(st.bpS0), want)
+		}
+	}
+	if p.h.Flags&ContainerFlagSearch != 0 {
+		inv, err := p.parseSearch(st.numBP, st.bpS1, st.bpS0)
+		if err != nil {
+			return err
+		}
+		st.search.inv = inv
+	}
+	return nil
+}
+
+// parseFamily decodes and validates one label family.
+func parseFamily[D dist](p *flatParser, ids familySections, paths bool) (*labels[D], error) {
+	var (
+		l   labels[D]
+		err error
+	)
+	if l.off, err = flatInts[int64](p, ids.off, ids.what+" offsets"); err != nil {
+		return nil, err
+	}
+	if l.vertex, err = flatInts[int32](p, ids.vertex, ids.what+" hubs"); err != nil {
+		return nil, err
+	}
+	if l.dist, err = flatInts[D](p, ids.dist, ids.what+" distances"); err != nil {
+		return nil, err
+	}
+	if len(l.dist) != len(l.vertex) {
+		return nil, fmt.Errorf("%w: %s hub/distance sections differ in length", ErrBadIndexFile, ids.what)
+	}
+	if err := p.checkLabelFamily(l.off, l.vertex, ids.what); err != nil {
+		return nil, err
+	}
+	if !paths {
+		return &l, nil
+	}
+	if l.parent, err = flatInts[int32](p, ids.parent, "parent pointers"); err != nil {
+		return nil, err
+	}
+	if len(l.parent) != len(l.vertex) {
+		return nil, fmt.Errorf("%w: parent section differs in length", ErrBadIndexFile)
+	}
+	if p.full {
+		for _, par := range l.parent {
+			if par < -1 || int(par) >= p.n {
+				return nil, fmt.Errorf("%w: parent pointer %d out of range", ErrBadIndexFile, par)
 			}
 		}
 	}
-	if ix.numBP > 0 {
-		if uint64(ix.numBP) > 1<<16 {
-			return nil, fmt.Errorf("%w: implausible bit-parallel width %d", ErrBadIndexFile, ix.numBP)
-		}
-		want := uint64(ix.numBP) * uint64(p.n)
-		if ix.bpDist, err = p.u8s(secBPDist, "bit-parallel distances"); err != nil {
-			return nil, err
-		}
-		if ix.bpS1, err = flatInts[uint64](p, secBPS1, "bit-parallel S-1 sets"); err != nil {
-			return nil, err
-		}
-		if ix.bpS0, err = flatInts[uint64](p, secBPS0, "bit-parallel S0 sets"); err != nil {
-			return nil, err
-		}
-		if uint64(len(ix.bpDist)) != want || uint64(len(ix.bpS1)) != want || uint64(len(ix.bpS0)) != want {
-			return nil, fmt.Errorf("%w: bit-parallel sections sized %d/%d/%d, want %d",
-				ErrBadIndexFile, len(ix.bpDist), len(ix.bpS1), len(ix.bpS0), want)
-		}
-	}
-	if p.h.Flags&ContainerFlagSearch != 0 {
-		inv, err := p.parseSearch(ix.numBP, ix.bpS1, ix.bpS0)
-		if err != nil {
-			return nil, err
-		}
-		ix.search.inv = inv
-	}
-	return ix, nil
-}
-
-func (p *flatParser) parseDirected() (*DirectedIndex, error) {
-	if p.h.Flags&^ContainerFlagSearch != 0 {
-		return nil, fmt.Errorf("%w: unexpected flags %#x for a flat directed container", ErrBadIndexFile, p.h.Flags)
-	}
-	perm, rank, err := p.permRank()
-	if err != nil {
-		return nil, err
-	}
-	ix := &DirectedIndex{n: p.n, perm: perm, rank: rank}
-	side := func(offID, vertID, distID uint32, what string) ([]int64, []int32, []uint8, error) {
-		off, err := flatInts[int64](p, offID, what+" offsets")
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		vs, err := flatInts[int32](p, vertID, what+" hubs")
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		ds, err := p.u8s(distID, what+" distances")
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if len(ds) != len(vs) {
-			return nil, nil, nil, fmt.Errorf("%w: %s hub/distance sections differ in length", ErrBadIndexFile, what)
-		}
-		if err := p.checkLabelFamily(off, vs, what); err != nil {
-			return nil, nil, nil, err
-		}
-		return off, vs, ds, nil
-	}
-	if ix.outOff, ix.outVertex, ix.outDist, err = side(secOutOff, secOutVertex, secOutDist, "L_OUT"); err != nil {
-		return nil, err
-	}
-	if ix.inOff, ix.inVertex, ix.inDist, err = side(secInOff, secInVertex, secInDist, "L_IN"); err != nil {
-		return nil, err
-	}
-	if p.h.Flags&ContainerFlagSearch != 0 {
-		inv, err := p.parseSearch(0, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		ix.search.inv = inv
-	}
-	return ix, nil
-}
-
-func (p *flatParser) parseWeighted() (*WeightedIndex, error) {
-	if p.h.Flags&^ContainerFlagSearch != 0 || p.h.BitParallel != 0 {
-		return nil, fmt.Errorf("%w: unexpected flags/bp for a flat weighted container", ErrBadIndexFile)
-	}
-	perm, rank, err := p.permRank()
-	if err != nil {
-		return nil, err
-	}
-	ix := &WeightedIndex{n: p.n, perm: perm, rank: rank}
-	if ix.labelOff, err = flatInts[int64](p, secLabelOff, "label offsets"); err != nil {
-		return nil, err
-	}
-	if ix.labelVertex, err = flatInts[int32](p, secLabelVertex, "label hubs"); err != nil {
-		return nil, err
-	}
-	if ix.labelDist, err = flatInts[uint32](p, secLabelDist32, "label distances"); err != nil {
-		return nil, err
-	}
-	if len(ix.labelDist) != len(ix.labelVertex) {
-		return nil, fmt.Errorf("%w: label hub/distance sections differ in length", ErrBadIndexFile)
-	}
-	if err := p.checkLabelFamily(ix.labelOff, ix.labelVertex, "label"); err != nil {
-		return nil, err
-	}
-	if p.h.Flags&ContainerFlagSearch != 0 {
-		inv, err := p.parseSearch(0, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		ix.search.inv = inv
-	}
-	return ix, nil
+	return &l, nil
 }
 
 // ---------------------------------------------------------------------
@@ -822,7 +736,7 @@ func loadFlatFromReader(r io.Reader, h ContainerHeader) (any, error) {
 // Close unmaps the image; the oracle must not be used afterwards.
 type FlatStore struct {
 	header   ContainerHeader
-	oracle   any // *Index, *DirectedIndex or *WeightedIndex
+	oracle   any // *Index, *DirectedIndex or *WeightedIndex over the mapped label store
 	size     int64
 	zeroCopy bool
 	unmap    func() error

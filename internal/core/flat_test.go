@@ -182,7 +182,7 @@ func TestFlatTinyGraphs(t *testing.T) {
 					t.Fatalf("edgeless pair distance %d", got.Query(0, 1))
 				}
 				if n >= 1 && paths {
-					if p, err := got.QueryPath(0, 0); err != nil || len(p) != 1 {
+					if p, _, err := got.Path(0, 0); err != nil || len(p) != 1 {
 						t.Fatalf("n=%d: self path %v, %v", n, p, err)
 					}
 				}

@@ -94,20 +94,20 @@ func TestParallelEquivUndirectedPaths(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 2, 9)
 	seq := buildOrFail(t, g, Options{StorePaths: true, Workers: 1})
 	par := buildOrFail(t, g, Options{StorePaths: true, Workers: 8})
-	if !reflect.DeepEqual(seq.labelParent, par.labelParent) {
+	if !reflect.DeepEqual(seq.out.parent, par.out.parent) {
 		t.Fatal("parallel parent pointers differ from sequential")
 	}
 	for _, p := range randPairs(300, 150, 31) {
-		want, err := seq.QueryPath(p[0], p[1])
+		want, _, err := seq.Path(p[0], p[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := par.QueryPath(p[0], p[1])
+		got, _, err := par.Path(p[0], p[1])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("QueryPath(%d,%d): parallel %v != sequential %v", p[0], p[1], got, want)
+			t.Fatalf("Path(%d,%d): parallel %v != sequential %v", p[0], p[1], got, want)
 		}
 	}
 }

@@ -6,10 +6,9 @@ import (
 	"pll/internal/trace"
 )
 
-// TestProfiledEquivalence checks that the profiled entry points return
-// byte-identical answers to the unprofiled ones — with and without a
-// profile — and that a profile actually accumulates merge and scan
-// counters.
+// TestProfiledEquivalence checks that the entry points return
+// byte-identical answers with and without a profile, and that a
+// profile actually accumulates merge and scan counters.
 func TestProfiledEquivalence(t *testing.T) {
 	g := randomGraph(77, 60)
 	ix := buildOrFail(t, g, Options{Seed: 77, NumBitParallel: 2})
@@ -22,29 +21,29 @@ func TestProfiledEquivalence(t *testing.T) {
 	}
 	for s := int32(0); s < n; s++ {
 		for u := int32(0); u < n; u++ {
-			want := ix.Query(s, u)
-			if got := ix.DistanceProfiled(s, u, nil); got != want {
-				t.Fatalf("DistanceProfiled(%d,%d,nil) = %d, want %d", s, u, got, want)
+			want := int64(ix.Query(s, u))
+			if got := ix.Distance(s, u, nil); got != want {
+				t.Fatalf("Distance(%d,%d,nil) = %d, want %d", s, u, got, want)
 			}
-			if got := ix.DistanceProfiled(s, u, p); got != want {
-				t.Fatalf("DistanceProfiled(%d,%d,p) = %d, want %d", s, u, got, want)
+			if got := ix.Distance(s, u, p); got != want {
+				t.Fatalf("Distance(%d,%d,p) = %d, want %d", s, u, got, want)
 			}
 		}
-		plain := ix.DistanceFrom(s, targets, nil)
-		prof := ix.DistanceFromProfiled(s, targets, nil, p)
+		plain := ix.DistanceFrom(s, targets, nil, nil)
+		prof := ix.DistanceFrom(s, targets, nil, p)
 		for i := range plain {
 			if plain[i] != prof[i] {
-				t.Fatalf("DistanceFromProfiled(%d)[%d] = %d, want %d", s, i, prof[i], plain[i])
+				t.Fatalf("DistanceFrom(%d,p)[%d] = %d, want %d", s, i, prof[i], plain[i])
 			}
 		}
-		wantKNN := ix.KNN(s, 5)
-		gotKNN := ix.KNNProfiled(s, 5, p)
+		wantKNN := ix.KNN(s, 5, nil)
+		gotKNN := ix.KNN(s, 5, p)
 		if len(wantKNN) != len(gotKNN) {
-			t.Fatalf("KNNProfiled(%d) returned %d results, want %d", s, len(gotKNN), len(wantKNN))
+			t.Fatalf("KNN(%d,p) returned %d results, want %d", s, len(gotKNN), len(wantKNN))
 		}
 		for i := range wantKNN {
 			if wantKNN[i] != gotKNN[i] {
-				t.Fatalf("KNNProfiled(%d)[%d] = %v, want %v", s, i, gotKNN[i], wantKNN[i])
+				t.Fatalf("KNN(%d,p)[%d] = %v, want %v", s, i, gotKNN[i], wantKNN[i])
 			}
 		}
 	}
@@ -57,7 +56,7 @@ func TestProfiledEquivalence(t *testing.T) {
 	}
 }
 
-// TestProfiledDynamic exercises the dynamic variant's profiled methods.
+// TestProfiledDynamic exercises the dynamic variant's profiled entry points.
 func TestProfiledDynamic(t *testing.T) {
 	g := randomGraph(5, 40)
 	di, err := BuildDynamic(g, Options{Seed: 5})
@@ -69,15 +68,15 @@ func TestProfiledDynamic(t *testing.T) {
 	targets := []int32{0, n - 1, n / 2}
 	for s := int32(0); s < n; s++ {
 		for u := int32(0); u < n; u++ {
-			if got, want := di.DistanceProfiled(s, u, p), di.Query(s, u); got != want {
-				t.Fatalf("dynamic DistanceProfiled(%d,%d) = %d, want %d", s, u, got, want)
+			if got, want := di.Distance(s, u, p), int64(di.Query(s, u)); got != want {
+				t.Fatalf("dynamic Distance(%d,%d) = %d, want %d", s, u, got, want)
 			}
 		}
-		plain := di.DistanceFrom(s, targets, nil)
-		prof := di.DistanceFromProfiled(s, targets, nil, p)
+		plain := di.DistanceFrom(s, targets, nil, nil)
+		prof := di.DistanceFrom(s, targets, nil, p)
 		for i := range plain {
 			if plain[i] != prof[i] {
-				t.Fatalf("dynamic DistanceFromProfiled(%d)[%d] = %d, want %d", s, i, prof[i], plain[i])
+				t.Fatalf("dynamic DistanceFrom(%d,p)[%d] = %d, want %d", s, i, prof[i], plain[i])
 			}
 		}
 	}

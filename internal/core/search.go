@@ -1,6 +1,6 @@
 package core
 
-// Hub-search capability: every immutable index variant can invert its
+// Hub-search capability: every immutable index can invert its
 // labels (internal/hubsearch) and answer neighborhood queries — k
 // nearest vertices, all vertices within a radius, and nearest members
 // of a registered subset — straight from the 2-hop cover, with no graph
@@ -17,8 +17,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"pll/internal/hubsearch"
+	"pll/internal/trace"
 )
 
 // Neighbor is one search answer: a vertex (original ID) and its exact
@@ -113,27 +115,26 @@ func rankMembers(n int, rank []int32, members []int32) ([]int32, error) {
 	return out, nil
 }
 
-// ---------------------------------------------------------------------
-// Undirected (and frozen-dynamic) Index
-// ---------------------------------------------------------------------
-
-// invertedEmit replays the label entries (and bit-parallel rows) of the
-// given ranks — or of every vertex when ranks is nil — into add.
-func (ix *Index) invertedEmit(ranks []int32) func(add func(run, vertex int32, dist uint32)) {
+// emit replays the target-side label entries (and bit-parallel rows)
+// of the given ranks — or of every vertex when ranks is nil — into add:
+// the input hubsearch inverts. Directed indexes invert L_IN, so search
+// ranks candidates by the forward distance d(s, v).
+func (st *store[D]) emit(ranks []int32) func(add func(run, vertex int32, dist uint32)) {
 	return func(add func(run, vertex int32, dist uint32)) {
 		one := func(r int32) {
-			for i := ix.labelOff[r]; i < ix.labelOff[r+1]-1; i++ {
-				add(ix.labelVertex[i], r, uint32(ix.labelDist[i]))
+			hubs, dists := st.in.span(r)
+			for i, h := range hubs {
+				add(h, r, uint32(dists[i]))
 			}
-			o := int(r) * ix.numBP
-			for i := 0; i < ix.numBP; i++ {
-				if d := ix.bpDist[o+i]; d != InfDist {
-					add(int32(ix.n+i), r, uint32(d))
+			o := int(r) * st.numBP
+			for i := 0; i < st.numBP; i++ {
+				if d := st.bpDist[o+i]; d != InfDist {
+					add(int32(st.n+i), r, uint32(d))
 				}
 			}
 		}
 		if ranks == nil {
-			for r := int32(0); int(r) < ix.n; r++ {
+			for r := int32(0); int(r) < st.n; r++ {
 				one(r)
 			}
 			return
@@ -144,291 +145,102 @@ func (ix *Index) invertedEmit(ranks []int32) func(add func(run, vertex int32, di
 	}
 }
 
-// EnsureSearch returns the index's inverted label index, building and
+// Inverted returns the index's inverted label index, building and
 // caching it on first call. Safe for concurrent use.
-func (ix *Index) EnsureSearch() *hubsearch.Inverted {
-	return ix.search.ensure(func() *hubsearch.Inverted {
-		return hubsearch.Build(ix.n, ix.numBP, ix.bpS1, ix.bpS0, ix.invertedEmit(nil))
+func (st *store[D]) Inverted() *hubsearch.Inverted {
+	return st.search.ensure(func() *hubsearch.Inverted {
+		return hubsearch.Build(st.n, st.numBP, st.bpS1, st.bpS0, st.emit(nil))
 	})
 }
 
-// searchSource expands s's label (and bit-parallel rows) into merge
-// runs plus the source-side masks for §5.3 corrections.
-func (ix *Index) searchSource(rs int32) (runs []hubsearch.Run, s1, s0 []uint64) {
-	lo, hi := ix.labelOff[rs], ix.labelOff[rs+1]-1
-	runs = make([]hubsearch.Run, 0, hi-lo+int64(ix.numBP))
-	for i := lo; i < hi; i++ {
-		runs = append(runs, hubsearch.Run{ID: ix.labelVertex[i], Base: int64(ix.labelDist[i])})
+// SourceRuns expands source rank rs's label (L_OUT on directed
+// indexes) and bit-parallel rows into merge runs, plus the source-side
+// masks for §5.3 corrections (nil without bit-parallel labels).
+func (st *store[D]) SourceRuns(rs int32) (runs []hubsearch.Run, s1, s0 []uint64) {
+	hubs, dists := st.out.span(rs)
+	runs = make([]hubsearch.Run, 0, len(hubs)+st.numBP)
+	for i, h := range hubs {
+		runs = append(runs, hubsearch.Run{ID: h, Base: int64(dists[i])})
 	}
-	if ix.numBP > 0 {
-		o := int(rs) * ix.numBP
-		s1 = ix.bpS1[o : o+ix.numBP]
-		s0 = ix.bpS0[o : o+ix.numBP]
-		for i := 0; i < ix.numBP; i++ {
-			if d := ix.bpDist[o+i]; d != InfDist {
-				runs = append(runs, hubsearch.Run{ID: int32(ix.n + i), Base: int64(d)})
+	if st.numBP > 0 {
+		o := int(rs) * st.numBP
+		s1 = st.bpS1[o : o+st.numBP]
+		s0 = st.bpS0[o : o+st.numBP]
+		for i := 0; i < st.numBP; i++ {
+			if d := st.bpDist[o+i]; d != InfDist {
+				runs = append(runs, hubsearch.Run{ID: int32(st.n + i), Base: int64(d)})
 			}
 		}
 	}
 	return runs, s1, s0
 }
 
+// GetScratch takes a merge workspace from the index's pool.
+func (st *store[D]) GetScratch() *hubsearch.Scratch { return st.search.getScratch(st.n) }
+
+// PutScratch returns a merge workspace to the index's pool.
+func (st *store[D]) PutScratch(sc *hubsearch.Scratch) { st.search.pool.Put(sc) }
+
 // KNN returns the k nearest vertices to s (s itself excluded), sorted
 // by (distance, vertex ID); ties at the cutoff resolve to the smallest
 // IDs. Fewer than k results mean fewer than k vertices are reachable.
-// Out-of-range vertices panic, mirroring Query. Safe for concurrent
-// use.
-func (ix *Index) KNN(s int32, k int) []Neighbor {
-	inv := ix.EnsureSearch()
-	rs := ix.rank[s]
-	runs, s1, s0 := ix.searchSource(rs)
-	sc := ix.search.getScratch(ix.n)
+// A non-nil profile records the hub scan: its duration, the runs it
+// seeded and the entries it advanced. Out-of-range vertices panic,
+// mirroring Query. Safe for concurrent use.
+func (st *store[D]) KNN(s int32, k int, p *trace.QueryProfile) []Neighbor {
+	var start time.Time
+	if p != nil {
+		start = time.Now()
+	}
+	inv := st.Inverted()
+	rs := st.rank[s]
+	runs, s1, s0 := st.SourceRuns(rs)
+	sc := st.GetScratch()
 	res := inv.KNN(runs, rs, s1, s0, k, sc)
-	ix.search.pool.Put(sc)
-	return finishNeighbors(ix.perm, res, k)
+	// Read the counters before the scratch returns to the pool: another
+	// goroutine may start a query on it immediately.
+	if p != nil {
+		p.AddScan(int64(sc.Runs), sc.Scanned, time.Since(start))
+	}
+	st.PutScratch(sc)
+	return finishNeighbors(st.perm, res, k)
 }
 
 // SearchRange returns every vertex within distance radius of s (s
 // itself excluded), sorted by (distance, vertex ID). Safe for
 // concurrent use.
-func (ix *Index) SearchRange(s int32, radius int64) []Neighbor {
-	inv := ix.EnsureSearch()
-	rs := ix.rank[s]
-	runs, s1, s0 := ix.searchSource(rs)
-	sc := ix.search.getScratch(ix.n)
+func (st *store[D]) SearchRange(s int32, radius int64) []Neighbor {
+	inv := st.Inverted()
+	rs := st.rank[s]
+	runs, s1, s0 := st.SourceRuns(rs)
+	sc := st.GetScratch()
 	res := inv.Range(runs, rs, s1, s0, radius, sc)
-	ix.search.pool.Put(sc)
-	return finishNeighbors(ix.perm, res, 0)
+	st.PutScratch(sc)
+	return finishNeighbors(st.perm, res, 0)
 }
 
-// NewVertexSet registers a subset of vertices (by ID) for NearestIn
+// NewVertexSet registers a subset of vertices (by ID) for KNNIn
 // queries, building its filtered inverted index.
-func (ix *Index) NewVertexSet(members []int32) (*VertexSet, error) {
-	ranks, err := rankMembers(ix.n, ix.rank, members)
+func (st *store[D]) NewVertexSet(members []int32) (*VertexSet, error) {
+	ranks, err := rankMembers(st.n, st.rank, members)
 	if err != nil {
 		return nil, err
 	}
-	inv := hubsearch.BuildSubset(ix.n, ix.numBP, ix.bpS1, ix.bpS0, ix.invertedEmit(ranks))
-	return &VertexSet{owner: ix, inv: inv, size: len(ranks)}, nil
+	inv := hubsearch.BuildSubset(st.n, st.numBP, st.bpS1, st.bpS0, st.emit(ranks))
+	return &VertexSet{owner: st, inv: inv, size: len(ranks)}, nil
 }
 
 // KNNIn returns the k members of set nearest to s (s itself excluded
 // if a member), with the KNN ordering contract. The set must have been
 // registered on this index.
-func (ix *Index) KNNIn(s int32, set *VertexSet, k int) ([]Neighbor, error) {
-	if set == nil || set.owner != any(ix) {
+func (st *store[D]) KNNIn(s int32, set *VertexSet, k int) ([]Neighbor, error) {
+	if set == nil || set.owner != any(st) {
 		return nil, ErrForeignSet
 	}
-	rs := ix.rank[s]
-	runs, s1, s0 := ix.searchSource(rs)
-	sc := ix.search.getScratch(ix.n)
+	rs := st.rank[s]
+	runs, s1, s0 := st.SourceRuns(rs)
+	sc := st.GetScratch()
 	res := set.inv.KNN(runs, rs, s1, s0, k, sc)
-	ix.search.pool.Put(sc)
-	return finishNeighbors(ix.perm, res, k), nil
-}
-
-// ---------------------------------------------------------------------
-// DirectedIndex: forward search (distances s -> v) by inverting L_IN
-// and merging from L_OUT(s).
-// ---------------------------------------------------------------------
-
-func (ix *DirectedIndex) invertedEmit(ranks []int32) func(add func(run, vertex int32, dist uint32)) {
-	return func(add func(run, vertex int32, dist uint32)) {
-		one := func(r int32) {
-			for i := ix.inOff[r]; i < ix.inOff[r+1]-1; i++ {
-				add(ix.inVertex[i], r, uint32(ix.inDist[i]))
-			}
-		}
-		if ranks == nil {
-			for r := int32(0); int(r) < ix.n; r++ {
-				one(r)
-			}
-			return
-		}
-		for _, r := range ranks {
-			one(r)
-		}
-	}
-}
-
-// EnsureSearch returns the inverted L_IN index behind forward search
-// queries, building and caching it on first call.
-func (ix *DirectedIndex) EnsureSearch() *hubsearch.Inverted {
-	return ix.search.ensure(func() *hubsearch.Inverted {
-		return hubsearch.Build(ix.n, 0, nil, nil, ix.invertedEmit(nil))
-	})
-}
-
-func (ix *DirectedIndex) searchSource(rs int32) []hubsearch.Run {
-	lo, hi := ix.outOff[rs], ix.outOff[rs+1]-1
-	runs := make([]hubsearch.Run, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		runs = append(runs, hubsearch.Run{ID: ix.outVertex[i], Base: int64(ix.outDist[i])})
-	}
-	return runs
-}
-
-// KNN returns the k vertices nearest to s by directed distance
-// d(s, v), with the KNN ordering contract of the undirected variant.
-func (ix *DirectedIndex) KNN(s int32, k int) []Neighbor {
-	inv := ix.EnsureSearch()
-	rs := ix.rank[s]
-	sc := ix.search.getScratch(ix.n)
-	res := inv.KNN(ix.searchSource(rs), rs, nil, nil, k, sc)
-	ix.search.pool.Put(sc)
-	return finishNeighbors(ix.perm, res, k)
-}
-
-// SearchRange returns every vertex v with d(s, v) <= radius, sorted by
-// (distance, vertex ID).
-func (ix *DirectedIndex) SearchRange(s int32, radius int64) []Neighbor {
-	inv := ix.EnsureSearch()
-	rs := ix.rank[s]
-	sc := ix.search.getScratch(ix.n)
-	res := inv.Range(ix.searchSource(rs), rs, nil, nil, radius, sc)
-	ix.search.pool.Put(sc)
-	return finishNeighbors(ix.perm, res, 0)
-}
-
-// NewVertexSet registers a subset for directed NearestIn queries.
-func (ix *DirectedIndex) NewVertexSet(members []int32) (*VertexSet, error) {
-	ranks, err := rankMembers(ix.n, ix.rank, members)
-	if err != nil {
-		return nil, err
-	}
-	inv := hubsearch.BuildSubset(ix.n, 0, nil, nil, ix.invertedEmit(ranks))
-	return &VertexSet{owner: ix, inv: inv, size: len(ranks)}, nil
-}
-
-// KNNIn returns the k members of set nearest to s by directed
-// distance.
-func (ix *DirectedIndex) KNNIn(s int32, set *VertexSet, k int) ([]Neighbor, error) {
-	if set == nil || set.owner != any(ix) {
-		return nil, ErrForeignSet
-	}
-	rs := ix.rank[s]
-	sc := ix.search.getScratch(ix.n)
-	res := set.inv.KNN(ix.searchSource(rs), rs, nil, nil, k, sc)
-	ix.search.pool.Put(sc)
-	return finishNeighbors(ix.perm, res, k), nil
-}
-
-// ---------------------------------------------------------------------
-// WeightedIndex
-// ---------------------------------------------------------------------
-
-func (ix *WeightedIndex) invertedEmit(ranks []int32) func(add func(run, vertex int32, dist uint32)) {
-	return func(add func(run, vertex int32, dist uint32)) {
-		one := func(r int32) {
-			for i := ix.labelOff[r]; i < ix.labelOff[r+1]-1; i++ {
-				add(ix.labelVertex[i], r, ix.labelDist[i])
-			}
-		}
-		if ranks == nil {
-			for r := int32(0); int(r) < ix.n; r++ {
-				one(r)
-			}
-			return
-		}
-		for _, r := range ranks {
-			one(r)
-		}
-	}
-}
-
-// EnsureSearch returns the inverted label index, building and caching
-// it on first call.
-func (ix *WeightedIndex) EnsureSearch() *hubsearch.Inverted {
-	return ix.search.ensure(func() *hubsearch.Inverted {
-		return hubsearch.Build(ix.n, 0, nil, nil, ix.invertedEmit(nil))
-	})
-}
-
-func (ix *WeightedIndex) searchSource(rs int32) []hubsearch.Run {
-	lo, hi := ix.labelOff[rs], ix.labelOff[rs+1]-1
-	runs := make([]hubsearch.Run, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		runs = append(runs, hubsearch.Run{ID: ix.labelVertex[i], Base: int64(ix.labelDist[i])})
-	}
-	return runs
-}
-
-// KNN returns the k nearest vertices to s by summed edge weight, with
-// the KNN ordering contract of the undirected variant.
-func (ix *WeightedIndex) KNN(s int32, k int) []Neighbor {
-	inv := ix.EnsureSearch()
-	rs := ix.rank[s]
-	sc := ix.search.getScratch(ix.n)
-	res := inv.KNN(ix.searchSource(rs), rs, nil, nil, k, sc)
-	ix.search.pool.Put(sc)
-	return finishNeighbors(ix.perm, res, k)
-}
-
-// SearchRange returns every vertex within weighted distance radius of
-// s, sorted by (distance, vertex ID).
-func (ix *WeightedIndex) SearchRange(s int32, radius int64) []Neighbor {
-	inv := ix.EnsureSearch()
-	rs := ix.rank[s]
-	sc := ix.search.getScratch(ix.n)
-	res := inv.Range(ix.searchSource(rs), rs, nil, nil, radius, sc)
-	ix.search.pool.Put(sc)
-	return finishNeighbors(ix.perm, res, 0)
-}
-
-// NewVertexSet registers a subset for weighted NearestIn queries.
-func (ix *WeightedIndex) NewVertexSet(members []int32) (*VertexSet, error) {
-	ranks, err := rankMembers(ix.n, ix.rank, members)
-	if err != nil {
-		return nil, err
-	}
-	inv := hubsearch.BuildSubset(ix.n, 0, nil, nil, ix.invertedEmit(ranks))
-	return &VertexSet{owner: ix, inv: inv, size: len(ranks)}, nil
-}
-
-// KNNIn returns the k members of set nearest to s by weighted
-// distance.
-func (ix *WeightedIndex) KNNIn(s int32, set *VertexSet, k int) ([]Neighbor, error) {
-	if set == nil || set.owner != any(ix) {
-		return nil, ErrForeignSet
-	}
-	rs := ix.rank[s]
-	sc := ix.search.getScratch(ix.n)
-	res := set.inv.KNN(ix.searchSource(rs), rs, nil, nil, k, sc)
-	ix.search.pool.Put(sc)
-	return finishNeighbors(ix.perm, res, k), nil
-}
-
-// ---------------------------------------------------------------------
-// Hub-occupancy statistics
-// ---------------------------------------------------------------------
-
-// applyHubStats fills the hub-occupancy Stats fields from one or more
-// label-hub arrays (sentinel entries, which store n, fall outside the
-// counted range and are skipped automatically).
-func applyHubStats(st *Stats, n int, families ...[]int32) {
-	if n == 0 {
-		return
-	}
-	counts := make([]int32, n)
-	for _, f := range families {
-		for _, h := range f {
-			if int(h) < n && h >= 0 {
-				counts[h]++
-			}
-		}
-	}
-	var total int64
-	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		st.DistinctHubs++
-		total += int64(c)
-		if int(c) > st.MaxHubLoad {
-			st.MaxHubLoad = int(c)
-		}
-	}
-	if st.DistinctHubs > 0 {
-		st.AvgHubLoad = float64(total) / float64(st.DistinctHubs)
-	}
+	st.PutScratch(sc)
+	return finishNeighbors(st.perm, res, k), nil
 }

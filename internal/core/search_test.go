@@ -9,6 +9,7 @@ import (
 	"pll/internal/gen"
 	"pll/internal/graph"
 	"pll/internal/order"
+	"pll/internal/trace"
 )
 
 // bruteNeighbors derives the expected search answers from a
@@ -53,7 +54,7 @@ func neighborsEqual(a, b []Neighbor) bool {
 
 // searchOracle is the per-variant query surface under test.
 type searchOracle interface {
-	KNN(s int32, k int) []Neighbor
+	KNN(s int32, k int, p *trace.QueryProfile) []Neighbor
 	SearchRange(s int32, radius int64) []Neighbor
 	NewVertexSet(members []int32) (*VertexSet, error)
 	KNNIn(s int32, set *VertexSet, k int) ([]Neighbor, error)
@@ -99,7 +100,7 @@ func checkSearch(t *testing.T, name string, n int, o searchOracle, truth func(s 
 			if k <= 0 {
 				continue
 			}
-			got := o.KNN(s, k)
+			got := o.KNN(s, k, nil)
 			want := bruteNeighbors(row, s, -1, k)
 			if !neighborsEqual(got, want) {
 				t.Fatalf("%s: KNN(%d, %d) = %v, want %v", name, s, k, got, want)
@@ -229,18 +230,18 @@ func TestSearchDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ix.KNN(5, 4); len(got) != 0 {
+	if got := ix.KNN(5, 4, nil); len(got) != 0 {
 		t.Fatalf("KNN from isolated vertex = %v, want empty", got)
 	}
 	if got := ix.SearchRange(5, 10); len(got) != 0 {
 		t.Fatalf("SearchRange from isolated vertex = %v, want empty", got)
 	}
-	got := ix.KNN(0, 10)
+	got := ix.KNN(0, 10, nil)
 	want := []Neighbor{{Vertex: 1, Distance: 1}, {Vertex: 2, Distance: 2}}
 	if !neighborsEqual(got, want) {
 		t.Fatalf("KNN(0, 10) = %v, want %v", got, want)
 	}
-	if got := ix.KNN(3, 10); !neighborsEqual(got, []Neighbor{{Vertex: 4, Distance: 1}}) {
+	if got := ix.KNN(3, 10, nil); !neighborsEqual(got, []Neighbor{{Vertex: 4, Distance: 1}}) {
 		t.Fatalf("KNN(3, 10) = %v", got)
 	}
 }

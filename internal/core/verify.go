@@ -37,20 +37,21 @@ func (ix *Index) Verify(g *graph.Graph, opt VerifyOptions) error {
 		}
 	}
 	// Label structure.
-	if len(ix.labelOff) != ix.n+1 {
-		return fmt.Errorf("core: verify: labelOff length %d, want %d", len(ix.labelOff), ix.n+1)
+	l := ix.out
+	if len(l.off) != ix.n+1 {
+		return fmt.Errorf("core: verify: label offsets length %d, want %d", len(l.off), ix.n+1)
 	}
 	for r := 0; r < ix.n; r++ {
-		lo, hi := ix.labelOff[r], ix.labelOff[r+1]
+		lo, hi := l.off[r], l.off[r+1]
 		if hi <= lo {
 			return fmt.Errorf("core: verify: vertex rank %d has no sentinel slot", r)
 		}
-		if ix.labelVertex[hi-1] != int32(ix.n) || ix.labelDist[hi-1] != InfDist {
+		if l.vertex[hi-1] != int32(ix.n) || l.dist[hi-1] != InfDist {
 			return fmt.Errorf("core: verify: vertex rank %d missing sentinel", r)
 		}
 		prev := int32(-1)
 		for i := lo; i < hi-1; i++ {
-			hub := ix.labelVertex[i]
+			hub := l.vertex[i]
 			if hub <= prev {
 				return fmt.Errorf("core: verify: label of rank %d not strictly sorted at entry %d", r, i-lo)
 			}
@@ -61,7 +62,7 @@ func (ix *Index) Verify(g *graph.Graph, opt VerifyOptions) error {
 			if hub > int32(r) {
 				return fmt.Errorf("core: verify: canonical property violated: hub rank %d > vertex rank %d", hub, r)
 			}
-			if ix.labelDist[i] == InfDist {
+			if l.dist[i] == InfDist {
 				return fmt.Errorf("core: verify: infinite distance stored in label of rank %d", r)
 			}
 		}

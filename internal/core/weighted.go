@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"pll/internal/graph"
 	"pll/internal/order"
@@ -20,19 +19,19 @@ const UnreachableW = uint64(math.MaxUint64)
 
 // WeightedIndex is the §6 "Weighted Graphs" variant: identical labeling
 // framework, but labels are produced by pruned Dijkstra searches and
-// store 32-bit distances. Bit-parallel labeling does not apply (§6).
+// store 32-bit distances — the 32-bit instance of the label store.
+// Bit-parallel labeling does not apply (§6).
 type WeightedIndex struct {
-	n    int
-	perm []int32
-	rank []int32
+	store[uint32]
+}
 
-	labelOff    []int64
-	labelVertex []int32 // hub ranks, ascending, sentinel n
-	labelDist   []uint32
-	labelParent []int32 // optional Dijkstra-tree parents (ranks); nil unless StorePaths
-
-	batchPool sync.Pool   // recycles *rankScratch32 for DistanceFrom
-	search    searchState // lazily built hub-inverted index (search.go)
+// Query returns the exact weighted s-t distance, or UnreachableW.
+func (ix *WeightedIndex) Query(s, t int32) uint64 {
+	d := ix.distance(s, t)
+	if d == Unreachable {
+		return UnreachableW
+	}
+	return uint64(d)
 }
 
 // WeightedOptions configures BuildWeighted.
@@ -44,7 +43,7 @@ type WeightedOptions struct {
 	Seed uint64
 	// CustomOrder, if non-nil, overrides Ordering.
 	CustomOrder []int32
-	// StorePaths records a parent pointer per label entry so QueryPath
+	// StorePaths records a parent pointer per label entry so Path
 	// can reconstruct minimum-weight paths (§6).
 	StorePaths bool
 	// Workers parallelizes the pruned Dijkstra labeling (see
@@ -83,39 +82,10 @@ func BuildWeighted(g *graph.Weighted, opt WeightedOptions) (*WeightedIndex, erro
 		return nil, err
 	}
 
-	ix := &WeightedIndex{
-		n:    n,
-		perm: append([]int32(nil), perm...),
-		rank: order.RankOf(perm),
-	}
-	labV, labD, labP := wb.labV, wb.labD, wb.labP
-	total := int64(0)
-	for v := 0; v < n; v++ {
-		total += int64(len(labV[v])) + 1
-	}
-	ix.labelOff = make([]int64, n+1)
-	ix.labelVertex = make([]int32, total)
-	ix.labelDist = make([]uint32, total)
-	if opt.StorePaths {
-		ix.labelParent = make([]int32, total)
-	}
-	w := int64(0)
-	for v := 0; v < n; v++ {
-		ix.labelOff[v] = w
-		copy(ix.labelVertex[w:], labV[v])
-		copy(ix.labelDist[w:], labD[v])
-		if opt.StorePaths {
-			copy(ix.labelParent[w:], labP[v])
-		}
-		w += int64(len(labV[v]))
-		ix.labelVertex[w] = int32(n)
-		ix.labelDist[w] = InfWeight32
-		if opt.StorePaths {
-			ix.labelParent[w] = -1
-		}
-		w++
-	}
-	ix.labelOff[n] = w
+	ix := &WeightedIndex{}
+	ix.setOrder(VariantWeighted, perm)
+	ix.out = flatten(wb.labV, wb.labD, wb.labP)
+	ix.in = ix.out
 	return ix, nil
 }
 
@@ -258,152 +228,6 @@ func (wb *wgtBuilder) prunedDijkstra(vk int32) error {
 	}
 	sc.reset(lv)
 	return nil
-}
-
-// HasPaths reports whether the index can answer QueryPath.
-func (ix *WeightedIndex) HasPaths() bool { return ix.labelParent != nil }
-
-// QueryPath returns one minimum-weight s-t path (inclusive of both
-// endpoints) and its total weight, or (nil, UnreachableW) for
-// disconnected pairs. The index must have been built with StorePaths.
-func (ix *WeightedIndex) QueryPath(s, t int32) ([]int32, uint64, error) {
-	if ix.labelParent == nil {
-		return nil, 0, fmt.Errorf("core: weighted index was built without StorePaths")
-	}
-	if s == t {
-		return []int32{s}, 0, nil
-	}
-	rs, rt := ix.rank[s], ix.rank[t]
-	best := UnreachableW
-	hub := int32(-1)
-	i, j := ix.labelOff[rs], ix.labelOff[rt]
-	for {
-		vs, vt := ix.labelVertex[i], ix.labelVertex[j]
-		if vs == vt {
-			if int(vs) == ix.n {
-				break
-			}
-			if d := uint64(ix.labelDist[i]) + uint64(ix.labelDist[j]); d < best {
-				best = d
-				hub = vs
-			}
-			i++
-			j++
-		} else if vs < vt {
-			i++
-		} else {
-			j++
-		}
-	}
-	if hub < 0 {
-		return nil, UnreachableW, nil
-	}
-	up, err := ix.chainToHub(rs, hub)
-	if err != nil {
-		return nil, 0, err
-	}
-	down, err := ix.chainToHub(rt, hub)
-	if err != nil {
-		return nil, 0, err
-	}
-	path := make([]int32, 0, len(up)+len(down)-1)
-	for _, r := range up {
-		path = append(path, ix.perm[r])
-	}
-	for k := len(down) - 2; k >= 0; k-- {
-		path = append(path, ix.perm[down[k]])
-	}
-	return path, best, nil
-}
-
-// chainToHub follows Dijkstra-tree parent pointers from rank r to hub.
-func (ix *WeightedIndex) chainToHub(r, hub int32) ([]int32, error) {
-	chain := []int32{r}
-	cur := r
-	for cur != hub {
-		lo, hi := ix.labelOff[cur], ix.labelOff[cur+1]-1
-		idx := searchLabel(ix.labelVertex[lo:hi], hub)
-		if idx < 0 {
-			return nil, fmt.Errorf("core: broken weighted parent chain at rank %d for hub %d", cur, hub)
-		}
-		p := ix.labelParent[lo+int64(idx)]
-		if p < 0 {
-			break
-		}
-		chain = append(chain, p)
-		cur = p
-	}
-	return chain, nil
-}
-
-// NumVertices returns the number of vertices the index covers.
-func (ix *WeightedIndex) NumVertices() int { return ix.n }
-
-// Query returns the exact weighted s-t distance, or UnreachableW.
-func (ix *WeightedIndex) Query(s, t int32) uint64 {
-	if s == t {
-		return 0
-	}
-	rs, rt := ix.rank[s], ix.rank[t]
-	best := UnreachableW
-	i, j := ix.labelOff[rs], ix.labelOff[rt]
-	for {
-		vs, vt := ix.labelVertex[i], ix.labelVertex[j]
-		switch {
-		case vs == vt:
-			if int(vs) == ix.n {
-				if best >= uint64(InfWeight32)*2 {
-					return UnreachableW
-				}
-				return best
-			}
-			if d := uint64(ix.labelDist[i]) + uint64(ix.labelDist[j]); d < best {
-				best = d
-			}
-			i++
-			j++
-		case vs < vt:
-			i++
-		default:
-			j++
-		}
-	}
-}
-
-// LabelSize returns the number of entries in v's label (sentinel
-// excluded).
-func (ix *WeightedIndex) LabelSize(v int32) int {
-	r := ix.rank[v]
-	return int(ix.labelOff[r+1] - ix.labelOff[r] - 1)
-}
-
-// ComputeStats scans the weighted index and returns summary statistics.
-func (ix *WeightedIndex) ComputeStats() Stats {
-	st := Stats{
-		Variant:           VariantWeighted,
-		NumVertices:       ix.n,
-		HasParentPointers: ix.labelParent != nil,
-	}
-	sizes := make([]int, ix.n)
-	for r := 0; r < ix.n; r++ {
-		sz := int(ix.labelOff[r+1] - ix.labelOff[r] - 1)
-		sizes[r] = sz
-		st.TotalLabelEntries += int64(sz)
-		if sz > st.MaxLabelSize {
-			st.MaxLabelSize = sz
-		}
-	}
-	if ix.n > 0 {
-		st.AvgLabelSize = float64(st.TotalLabelEntries) / float64(ix.n)
-	}
-	insertionSortQuantiles(sizes, &st.LabelSizeQuantiles)
-	applyHubStats(&st, ix.n, ix.labelVertex)
-	st.NormalLabelBytes = int64(len(ix.labelVertex))*4 + int64(len(ix.labelDist))*4
-	if ix.labelParent != nil {
-		st.NormalLabelBytes += int64(len(ix.labelParent)) * 4
-	}
-	st.IndexBytes = st.NormalLabelBytes + int64(len(ix.labelOff))*8 + int64(len(ix.perm))*8
-	return st
 }
 
 // wItem and wHeap form a lazy-deletion binary min-heap for the pruned

@@ -22,17 +22,17 @@ func TestWeightedQueryPathValid(t *testing.T) {
 		for i := 0; i < 15; i++ {
 			s, u := r.Int31n(n), r.Int31n(n)
 			truth := bfs.DijkstraDistance(wg, s, u)
-			p, w, err := ix.QueryPath(s, u)
+			p, w, err := ix.Path(s, u)
 			if err != nil {
 				return false
 			}
 			if truth == bfs.InfWeight {
-				if p != nil || w != UnreachableW {
+				if p != nil || w != Unreachable {
 					return false
 				}
 				continue
 			}
-			if w != truth || len(p) == 0 || p[0] != s || p[len(p)-1] != u {
+			if uint64(w) != truth || len(p) == 0 || p[0] != s || p[len(p)-1] != u {
 				return false
 			}
 			// The path must exist and its edge weights must sum to w.
@@ -44,7 +44,7 @@ func TestWeightedQueryPathValid(t *testing.T) {
 				}
 				sum += uint64(wt)
 			}
-			if sum != w {
+			if sum != uint64(w) {
 				return false
 			}
 		}
@@ -71,7 +71,7 @@ func TestWeightedQueryPathSelf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, w, err := ix.QueryPath(2, 2)
+	p, w, err := ix.Path(2, 2)
 	if err != nil || w != 0 || len(p) != 1 {
 		t.Fatalf("self path = %v, %d, %v", p, w, err)
 	}
@@ -86,7 +86,7 @@ func TestWeightedQueryPathRequiresStorePaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ix.QueryPath(0, 4); err == nil {
+	if _, _, err := ix.Path(0, 4); err == nil {
 		t.Fatal("expected error without StorePaths")
 	}
 	if ix.HasPaths() {

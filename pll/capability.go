@@ -14,9 +14,11 @@ package pll
 //		}
 //	}
 //
-// Every index variant in this package (*Index, *DirectedIndex,
-// *WeightedIndex, *DynamicIndex, *FlatIndex and *ConcurrentOracle)
-// implements Batcher; *FlatIndex implements Closer.
+// Every oracle in this package implements Batcher: the static forms
+// (*Index, *DirectedIndex, *WeightedIndex and *FlatIndex) through
+// their one shared implementation, *DynamicIndex over its growable
+// labels, and *ConcurrentOracle by forwarding to its snapshot.
+// *FlatIndex also implements Closer.
 
 // Batcher answers many distance queries that share one source faster
 // than repeated Distance calls: the source's label is expanded into a
@@ -42,28 +44,9 @@ type Closer interface {
 	Close() error
 }
 
-// DistanceFrom answers a single-source batch with the source label
-// pinned once (see Batcher). Safe for concurrent use.
-func (ix *Index) DistanceFrom(s int32, targets []int32, dst []int64) []int64 {
-	return ix.ix.DistanceFrom(s, targets, dst)
-}
-
-// DistanceFrom answers a single-source directed batch: L_OUT(s) is
-// expanded once, each target costs one scan of its L_IN label. Safe for
-// concurrent use.
-func (ix *DirectedIndex) DistanceFrom(s int32, targets []int32, dst []int64) []int64 {
-	return ix.ix.DistanceFrom(s, targets, dst)
-}
-
-// DistanceFrom answers a single-source weighted batch (summed edge
-// weights, -1 unreachable). Safe for concurrent use.
-func (ix *WeightedIndex) DistanceFrom(s int32, targets []int32, dst []int64) []int64 {
-	return ix.ix.DistanceFrom(s, targets, dst)
-}
-
 // DistanceFrom answers a single-source batch over the current labels.
 // Like every DynamicIndex read it needs external synchronization
 // against InsertEdge (or a ConcurrentOracle wrapper).
 func (d *DynamicIndex) DistanceFrom(s int32, targets []int32, dst []int64) []int64 {
-	return d.di.DistanceFrom(s, targets, dst)
+	return d.di.DistanceFrom(s, targets, dst, nil)
 }

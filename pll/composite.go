@@ -21,9 +21,11 @@ package pll
 //		})
 //	}
 //
-// *Index, *DirectedIndex, *WeightedIndex, *FlatIndex and
-// *ConcurrentOracle implement CompositeSearcher; *DynamicIndex does not
-// (a ConcurrentOracle wrapping one reports ErrNoSearch). Answers are
+// The static forms (*Index, *DirectedIndex, *WeightedIndex and
+// *FlatIndex) implement CompositeSearcher through their one shared
+// implementation, and *ConcurrentOracle forwards to its snapshot;
+// *DynamicIndex does not (a ConcurrentOracle wrapping one reports
+// ErrNoSearch). Answers are
 // deterministic — matches ordered by (score, vertex ID), unreachable-
 // scored matches last — and identical across heap-loaded, memory-mapped
 // and hot-swapped servings of the same index.
@@ -64,33 +66,6 @@ type CompositeResult = core.CompositeResult
 // Implementations are safe for concurrent use.
 type CompositeSearcher interface {
 	Composite(req *CompositeRequest) (*CompositeResult, error)
-}
-
-// Composite answers a multi-constraint query (see CompositeSearcher).
-func (ix *Index) Composite(req *CompositeRequest) (*CompositeResult, error) {
-	return ix.ix.Composite(req)
-}
-
-// Composite answers a multi-constraint query over forward directed
-// distances d(s → v) (see CompositeSearcher).
-func (ix *DirectedIndex) Composite(req *CompositeRequest) (*CompositeResult, error) {
-	return ix.ix.Composite(req)
-}
-
-// Composite answers a multi-constraint query over weighted distances
-// (see CompositeSearcher).
-func (ix *WeightedIndex) Composite(req *CompositeRequest) (*CompositeResult, error) {
-	return ix.ix.Composite(req)
-}
-
-// Composite answers a multi-constraint query straight from the mapping
-// (see CompositeSearcher). When the container was written with
-// FlatSearch, the inverted index behind the constraint scans is served
-// zero-copy.
-//
-//pllvet:ignore capassert fi.o is always one of the package's index variants, all CompositeSearcher by construction
-func (fi *FlatIndex) Composite(req *CompositeRequest) (*CompositeResult, error) {
-	return fi.o.(CompositeSearcher).Composite(req)
 }
 
 // Composite answers a multi-constraint query on the current snapshot

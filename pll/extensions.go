@@ -57,7 +57,7 @@ func BuildDynamic(g *Graph, opts ...Option) (*DynamicIndex, error) {
 
 // Distance returns the exact s-t distance under all insertions so far,
 // or Unreachable.
-func (d *DynamicIndex) Distance(s, t int32) int64 { return int64(d.di.Query(s, t)) }
+func (d *DynamicIndex) Distance(s, t int32) int64 { return d.di.Distance(s, t, nil) }
 
 // Path is unavailable on dynamic indexes (labels carry no parent
 // pointers); it always returns an error. It exists so *DynamicIndex
@@ -81,7 +81,7 @@ func (d *DynamicIndex) Stats() Stats { return d.di.ComputeStats() }
 // insertions so far. The snapshot is independent of later InsertEdge
 // calls and supports everything a statically built index does
 // (serialization, batch and search queries).
-func (d *DynamicIndex) Freeze() *Index { return &Index{ix: d.di.Freeze()} }
+func (d *DynamicIndex) Freeze() *Index { return newIndex(d.di.Freeze()) }
 
 // WriteTo freezes the index and serializes the snapshot as a container
 // tagged with the dynamic variant. Loading it yields a static *Index;

@@ -16,11 +16,13 @@ import (
 // processes serving the same file, and an index larger than the heap
 // still serves in microseconds.
 //
-// FlatIndex implements Oracle, Batcher and Closer. Queries answer
-// identically to the heap-loaded oracle of the same index. Any number
-// of goroutines may query concurrently; Close releases the mapping and
-// must only be called once no queries are in flight (queries after
-// Close fault).
+// FlatIndex shares the static query surface of the heap-loaded
+// variants — Oracle, Batcher, Searcher, CompositeSearcher,
+// ProfiledOracle and SearchProfiler — over the mapped label store, and
+// adds Closer. Queries answer identically to the heap-loaded oracle of
+// the same index. Any number of goroutines may query concurrently;
+// Close releases the mapping and must only be called once no queries
+// are in flight (queries after Close fault).
 //
 // Open validates the container's structural metadata (section table,
 // permutation, offsets, sentinels) but trusts label contents, exactly
@@ -34,8 +36,8 @@ import (
 // mechanically by `go run ./cmd/pllvet ./...` (the mmapwrite
 // analyzer).
 type FlatIndex struct {
-	store *core.FlatStore
-	o     Oracle // wrapper over the index aliasing the mapping
+	static // over the core index aliasing the mapping
+	store  *core.FlatStore
 }
 
 // Open memory-maps a container and returns its zero-copy oracle.
@@ -56,41 +58,16 @@ func Open(path string) (*FlatIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	o, err := wrapOracle(st.Oracle())
-	if err != nil {
-		st.Close() //nolint:errcheck // the wrap error is the one to report
-		return nil, err
+	c, ok := st.Oracle().(coreIndex)
+	if !ok {
+		st.Close() //nolint:errcheck // the type error is the one to report
+		return nil, fmt.Errorf("pll: unsupported index type %T", st.Oracle())
 	}
-	return &FlatIndex{store: st, o: o}, nil
+	return &FlatIndex{static: static{c}, store: st}, nil
 }
-
-// Distance returns the exact s-t distance, or Unreachable (-1).
-func (fi *FlatIndex) Distance(s, t int32) int64 { return fi.o.Distance(s, t) }
-
-// Path returns one exact shortest path, or nil for disconnected pairs.
-// The container must have been written from an index built WithPaths.
-func (fi *FlatIndex) Path(s, t int32) ([]int32, error) { return fi.o.Path(s, t) }
-
-// DistanceFrom answers a single-source batch straight from the mapping
-// (see Batcher). Safe for concurrent use.
-//
-//pllvet:ignore capassert fi.o is always one of the package's index variants, all Batcher by construction
-func (fi *FlatIndex) DistanceFrom(s int32, targets []int32, dst []int64) []int64 {
-	return fi.o.(Batcher).DistanceFrom(s, targets, dst)
-}
-
-// NumVertices returns the number of vertices the index covers.
-func (fi *FlatIndex) NumVertices() int { return fi.o.NumVertices() }
-
-// Stats summarizes the index (the scan reads the mapped pages).
-func (fi *FlatIndex) Stats() Stats { return fi.o.Stats() }
 
 // Variant reports the container's variant tag without scanning.
 func (fi *FlatIndex) Variant() Variant { return fi.store.Header().Variant }
-
-// WriteTo serializes the index as a flat container without the
-// optional search sections.
-func (fi *FlatIndex) WriteTo(w io.Writer) (int64, error) { return fi.o.WriteTo(w) }
 
 // MappedBytes returns the size of the mapped file image.
 func (fi *FlatIndex) MappedBytes() int64 { return fi.store.MappedBytes() }
@@ -121,16 +98,10 @@ func FlatSearch() FlatOption { return core.FlatSearch() }
 // persist the search inversion too.
 func WriteFlat(w io.Writer, o Oracle, opts ...FlatOption) (int64, error) {
 	switch ix := o.(type) {
-	case *Index:
-		return ix.ix.WriteFlat(w, opts...)
-	case *DirectedIndex:
-		return ix.ix.WriteFlat(w, opts...)
-	case *WeightedIndex:
-		return ix.ix.WriteFlat(w, opts...)
+	case interface{ index() coreIndex }:
+		return ix.index().WriteFlat(w, opts...)
 	case *DynamicIndex:
 		return ix.di.WriteFlat(w, opts...)
-	case *FlatIndex:
-		return WriteFlat(w, ix.o, opts...)
 	case *ConcurrentOracle:
 		var n int64
 		err := ix.View(func(inner Oracle) error {

@@ -132,16 +132,10 @@ var ErrBadIndexFile = core.ErrBadIndexFile
 // snapshot is named "dynamic", matching its container header.
 func variantOf(o Oracle) Variant {
 	switch ix := o.(type) {
-	case *Index:
-		return ix.ix.Variant()
-	case *DirectedIndex:
-		return VariantDirected
-	case *WeightedIndex:
-		return VariantWeighted
+	case interface{ index() coreIndex }:
+		return ix.index().Variant()
 	case *DynamicIndex:
 		return VariantDynamic
-	case *FlatIndex:
-		return ix.Variant()
 	}
 	return 0
 }
@@ -150,11 +144,11 @@ func variantOf(o Oracle) Variant {
 func wrapOracle(v any) (Oracle, error) {
 	switch ix := v.(type) {
 	case *core.Index:
-		return &Index{ix: ix}, nil
+		return newIndex(ix), nil
 	case *core.DirectedIndex:
-		return &DirectedIndex{ix: ix}, nil
+		return &DirectedIndex{static{ix}}, nil
 	case *core.WeightedIndex:
-		return &WeightedIndex{ix: ix}, nil
+		return &WeightedIndex{static{ix}}, nil
 	}
 	return nil, fmt.Errorf("pll: unsupported index type %T", v)
 }

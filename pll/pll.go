@@ -158,8 +158,11 @@ func WithCustomOrder(perm []int32) Option {
 
 // Index is an exact distance oracle over an undirected, unweighted graph.
 type Index struct {
+	static
 	ix *core.Index
 }
+
+func newIndex(ix *core.Index) *Index { return &Index{static{ix}, ix} }
 
 // build dispatches Build for undirected graphs.
 func (g *Graph) build(opts []Option) (Oracle, error) { return BuildIndex(g, opts...) }
@@ -175,29 +178,11 @@ func BuildIndex(g *Graph, opts ...Option) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{ix: ix}, nil
+	return newIndex(ix), nil
 }
-
-// Distance returns the exact shortest-path distance between s and t, or
-// Unreachable (-1) if they are in different components.
-func (ix *Index) Distance(s, t int32) int64 { return int64(ix.ix.Query(s, t)) }
-
-// Path returns one exact shortest path including both endpoints, or nil
-// for disconnected pairs. The index must have been built WithPaths.
-func (ix *Index) Path(s, t int32) ([]int32, error) { return ix.ix.QueryPath(s, t) }
-
-// NumVertices returns the number of vertices the index covers.
-func (ix *Index) NumVertices() int { return ix.ix.NumVertices() }
 
 // Stats describes the index (average label size, byte footprint, ...).
 type Stats = core.Stats
-
-// Stats summarizes the index.
-func (ix *Index) Stats() Stats { return ix.ix.ComputeStats() }
-
-// WriteTo serializes the index as a flat container, read back by Load
-// and Open. It implements io.WriterTo.
-func (ix *Index) WriteTo(w io.Writer) (int64, error) { return ix.ix.WriteTo(w) }
 
 // LoadIndex reads an undirected index, rejecting other variants with a
 // descriptive error. Use Load when the variant is not known up front.

@@ -15,11 +15,12 @@ package pll
 //
 // A nil profile is always valid and costs one branch, so callers probe
 // for the capability once and never fork on whether tracing is active.
+// The static forms (*Index, *DirectedIndex, *WeightedIndex and
+// *FlatIndex) implement ProfiledOracle and SearchProfiler through their
+// one shared implementation, whose plain methods are the same engines
+// with a nil profile; *DynamicIndex implements ProfiledOracle.
 
-import (
-	"pll/internal/core"
-	"pll/internal/trace"
-)
+import "pll/internal/trace"
 
 // QueryProfile is the per-request stage-timer sink; see
 // internal/trace. All methods are safe on a nil receiver.
@@ -42,108 +43,14 @@ type SearchProfiler interface {
 }
 
 // DistanceProfiled is Distance with merge profiling (see
-// ProfiledOracle).
-func (ix *Index) DistanceProfiled(s, t int32, p *QueryProfile) int64 {
-	return int64(ix.ix.DistanceProfiled(s, t, p))
-}
-
-// DistanceFromProfiled is DistanceFrom with merge profiling (see
-// ProfiledOracle).
-func (ix *Index) DistanceFromProfiled(s int32, targets []int32, dst []int64, p *QueryProfile) []int64 {
-	return ix.ix.DistanceFromProfiled(s, targets, dst, p)
-}
-
-// KNNProfiled is KNN with hub-scan profiling (see SearchProfiler).
-func (ix *Index) KNNProfiled(s int32, k int, p *QueryProfile) ([]Neighbor, error) {
-	if err := checkSource(ix, s); err != nil {
-		return nil, err
-	}
-	return ix.ix.KNNProfiled(s, k, p), nil
-}
-
-// DistanceProfiled is Distance with merge profiling (see
-// ProfiledOracle).
-func (ix *DirectedIndex) DistanceProfiled(s, t int32, p *QueryProfile) int64 {
-	return int64(ix.ix.DistanceProfiled(s, t, p))
-}
-
-// DistanceFromProfiled is DistanceFrom with merge profiling (see
-// ProfiledOracle).
-func (ix *DirectedIndex) DistanceFromProfiled(s int32, targets []int32, dst []int64, p *QueryProfile) []int64 {
-	return ix.ix.DistanceFromProfiled(s, targets, dst, p)
-}
-
-// KNNProfiled is KNN with hub-scan profiling (see SearchProfiler).
-func (ix *DirectedIndex) KNNProfiled(s int32, k int, p *QueryProfile) ([]Neighbor, error) {
-	if err := checkSource(ix, s); err != nil {
-		return nil, err
-	}
-	return ix.ix.KNNProfiled(s, k, p), nil
-}
-
-// DistanceProfiled is Distance with merge profiling (see
-// ProfiledOracle).
-func (ix *WeightedIndex) DistanceProfiled(s, t int32, p *QueryProfile) int64 {
-	d := ix.ix.DistanceProfiled(s, t, p)
-	if d == core.UnreachableW {
-		return Unreachable
-	}
-	return int64(d)
-}
-
-// DistanceFromProfiled is DistanceFrom with merge profiling (see
-// ProfiledOracle).
-func (ix *WeightedIndex) DistanceFromProfiled(s int32, targets []int32, dst []int64, p *QueryProfile) []int64 {
-	return ix.ix.DistanceFromProfiled(s, targets, dst, p)
-}
-
-// KNNProfiled is KNN with hub-scan profiling (see SearchProfiler).
-func (ix *WeightedIndex) KNNProfiled(s int32, k int, p *QueryProfile) ([]Neighbor, error) {
-	if err := checkSource(ix, s); err != nil {
-		return nil, err
-	}
-	return ix.ix.KNNProfiled(s, k, p), nil
-}
-
-// DistanceProfiled is Distance with merge profiling (see
 // ProfiledOracle). Like every DynamicIndex read it needs external
 // synchronization against InsertEdge.
 func (d *DynamicIndex) DistanceProfiled(s, t int32, p *QueryProfile) int64 {
-	return int64(d.di.DistanceProfiled(s, t, p))
+	return d.di.Distance(s, t, p)
 }
 
 // DistanceFromProfiled is DistanceFrom with merge profiling (see
 // ProfiledOracle).
 func (d *DynamicIndex) DistanceFromProfiled(s int32, targets []int32, dst []int64, p *QueryProfile) []int64 {
-	return d.di.DistanceFromProfiled(s, targets, dst, p)
-}
-
-// DistanceProfiled is Distance with merge profiling straight from the
-// mapping (see ProfiledOracle).
-//
-//pllvet:ignore capassert fi.o is always one of the package's index variants, all ProfiledOracle by construction
-func (fi *FlatIndex) DistanceProfiled(s, t int32, p *QueryProfile) int64 {
-	return fi.o.(ProfiledOracle).DistanceProfiled(s, t, p)
-}
-
-// DistanceFromProfiled is DistanceFrom with merge profiling (see
-// ProfiledOracle).
-//
-//pllvet:ignore capassert fi.o is always one of the package's index variants, all ProfiledOracle by construction
-func (fi *FlatIndex) DistanceFromProfiled(s int32, targets []int32, dst []int64, p *QueryProfile) []int64 {
-	return fi.o.(ProfiledOracle).DistanceFromProfiled(s, targets, dst, p)
-}
-
-// KNNProfiled is KNN with hub-scan profiling (see SearchProfiler). The
-// wrapped oracle may be a *DynamicIndex, which cannot search — that
-// case falls back to the Searcher assertion's contract.
-func (fi *FlatIndex) KNNProfiled(s int32, k int, p *QueryProfile) ([]Neighbor, error) {
-	if sp, ok := fi.o.(SearchProfiler); ok {
-		return sp.KNNProfiled(s, k, p)
-	}
-	sr, ok := fi.o.(Searcher)
-	if !ok {
-		return nil, ErrNoSearch
-	}
-	return sr.KNN(s, k)
+	return d.di.DistanceFrom(s, targets, dst, p)
 }

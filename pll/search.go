@@ -14,14 +14,15 @@ package pll
 //		nearest, _ := sr.KNN(src, 10)
 //	}
 //
-// *Index, *DirectedIndex, *WeightedIndex, *FlatIndex and
-// *ConcurrentOracle implement Searcher. *DynamicIndex does not (edge
-// insertions would invalidate the inversion); a ConcurrentOracle
-// wrapping one reports ErrNoSearch. The first search query on an index
-// builds and caches the inverted index — O(total label size) plus
-// per-hub sorting — unless the index was Opened from a flat container
-// written with FlatSearch, which memory-maps a persisted inversion and
-// starts cold in O(1).
+// The static forms (*Index, *DirectedIndex, *WeightedIndex and
+// *FlatIndex) implement Searcher through their one shared
+// implementation, and *ConcurrentOracle forwards to its snapshot.
+// *DynamicIndex does not (edge insertions would invalidate the
+// inversion); a ConcurrentOracle wrapping one reports ErrNoSearch.
+// The first search query on an index builds and caches the inverted
+// index — O(total label size) plus per-hub sorting — unless the index
+// was Opened from a flat container written with FlatSearch, which
+// memory-maps a persisted inversion and starts cold in O(1).
 
 import (
 	"errors"
@@ -77,179 +78,6 @@ type VertexSet struct {
 
 // Size returns the number of distinct vertices in the set.
 func (vs *VertexSet) Size() int { return vs.set.Size() }
-
-// checkSource validates the query source against an oracle.
-func checkSource(o Oracle, s int32) error { return Validate(o, s) }
-
-// ---------------------------------------------------------------------
-// Undirected Index
-// ---------------------------------------------------------------------
-
-// KNN returns the k nearest vertices to s (see Searcher).
-func (ix *Index) KNN(s int32, k int) ([]Neighbor, error) {
-	if err := checkSource(ix, s); err != nil {
-		return nil, err
-	}
-	return ix.ix.KNN(s, k), nil
-}
-
-// Range returns every vertex within distance radius of s (see
-// Searcher).
-func (ix *Index) Range(s int32, radius int64) ([]Neighbor, error) {
-	if err := checkSource(ix, s); err != nil {
-		return nil, err
-	}
-	return ix.ix.SearchRange(s, radius), nil
-}
-
-// NearestIn returns the k members of set nearest to s (see Searcher).
-func (ix *Index) NearestIn(s int32, set *VertexSet, k int) ([]Neighbor, error) {
-	if err := checkSource(ix, s); err != nil {
-		return nil, err
-	}
-	if set == nil {
-		return nil, ErrForeignSet
-	}
-	return ix.ix.KNNIn(s, set.set, k)
-}
-
-// NewVertexSet registers a vertex subset for NearestIn queries (see
-// Searcher).
-func (ix *Index) NewVertexSet(members []int32) (*VertexSet, error) {
-	set, err := ix.ix.NewVertexSet(members)
-	if err != nil {
-		return nil, err
-	}
-	return &VertexSet{set: set}, nil
-}
-
-// ---------------------------------------------------------------------
-// DirectedIndex: queries rank candidates by the directed distance
-// d(s, v) — "which vertices does s reach fastest".
-// ---------------------------------------------------------------------
-
-// KNN returns the k vertices s reaches with the smallest directed
-// distance (see Searcher).
-func (ix *DirectedIndex) KNN(s int32, k int) ([]Neighbor, error) {
-	if err := checkSource(ix, s); err != nil {
-		return nil, err
-	}
-	return ix.ix.KNN(s, k), nil
-}
-
-// Range returns every vertex v with directed d(s, v) <= radius (see
-// Searcher).
-func (ix *DirectedIndex) Range(s int32, radius int64) ([]Neighbor, error) {
-	if err := checkSource(ix, s); err != nil {
-		return nil, err
-	}
-	return ix.ix.SearchRange(s, radius), nil
-}
-
-// NearestIn returns the k members of set with the smallest directed
-// distance from s (see Searcher).
-func (ix *DirectedIndex) NearestIn(s int32, set *VertexSet, k int) ([]Neighbor, error) {
-	if err := checkSource(ix, s); err != nil {
-		return nil, err
-	}
-	if set == nil {
-		return nil, ErrForeignSet
-	}
-	return ix.ix.KNNIn(s, set.set, k)
-}
-
-// NewVertexSet registers a vertex subset for NearestIn queries (see
-// Searcher).
-func (ix *DirectedIndex) NewVertexSet(members []int32) (*VertexSet, error) {
-	set, err := ix.ix.NewVertexSet(members)
-	if err != nil {
-		return nil, err
-	}
-	return &VertexSet{set: set}, nil
-}
-
-// ---------------------------------------------------------------------
-// WeightedIndex
-// ---------------------------------------------------------------------
-
-// KNN returns the k nearest vertices to s by summed edge weight (see
-// Searcher).
-func (ix *WeightedIndex) KNN(s int32, k int) ([]Neighbor, error) {
-	if err := checkSource(ix, s); err != nil {
-		return nil, err
-	}
-	return ix.ix.KNN(s, k), nil
-}
-
-// Range returns every vertex within weighted distance radius of s
-// (see Searcher).
-func (ix *WeightedIndex) Range(s int32, radius int64) ([]Neighbor, error) {
-	if err := checkSource(ix, s); err != nil {
-		return nil, err
-	}
-	return ix.ix.SearchRange(s, radius), nil
-}
-
-// NearestIn returns the k members of set nearest to s by weighted
-// distance (see Searcher).
-func (ix *WeightedIndex) NearestIn(s int32, set *VertexSet, k int) ([]Neighbor, error) {
-	if err := checkSource(ix, s); err != nil {
-		return nil, err
-	}
-	if set == nil {
-		return nil, ErrForeignSet
-	}
-	return ix.ix.KNNIn(s, set.set, k)
-}
-
-// NewVertexSet registers a vertex subset for NearestIn queries (see
-// Searcher).
-func (ix *WeightedIndex) NewVertexSet(members []int32) (*VertexSet, error) {
-	set, err := ix.ix.NewVertexSet(members)
-	if err != nil {
-		return nil, err
-	}
-	return &VertexSet{set: set}, nil
-}
-
-// ---------------------------------------------------------------------
-// FlatIndex: the wrapped oracle is always one of the variants above,
-// so search queries run straight off the mapping — and when the
-// container was written with FlatSearch, the inverted index itself is
-// served zero-copy (no lazy build, O(1) cold start).
-// ---------------------------------------------------------------------
-
-// KNN returns the k nearest vertices to s straight from the mapping
-// (see Searcher).
-//
-//pllvet:ignore capassert fi.o is always one of the package's index variants, all Searcher by construction
-func (fi *FlatIndex) KNN(s int32, k int) ([]Neighbor, error) {
-	return fi.o.(Searcher).KNN(s, k)
-}
-
-// Range returns every vertex within distance radius of s straight
-// from the mapping (see Searcher).
-//
-//pllvet:ignore capassert fi.o is always one of the package's index variants, all Searcher by construction
-func (fi *FlatIndex) Range(s int32, radius int64) ([]Neighbor, error) {
-	return fi.o.(Searcher).Range(s, radius)
-}
-
-// NearestIn returns the k members of set nearest to s (see Searcher).
-//
-//pllvet:ignore capassert fi.o is always one of the package's index variants, all Searcher by construction
-func (fi *FlatIndex) NearestIn(s int32, set *VertexSet, k int) ([]Neighbor, error) {
-	return fi.o.(Searcher).NearestIn(s, set, k)
-}
-
-// NewVertexSet registers a vertex subset for NearestIn queries (see
-// Searcher). The set references the mapping and must not outlive
-// Close.
-//
-//pllvet:ignore capassert fi.o is always one of the package's index variants, all Searcher by construction
-func (fi *FlatIndex) NewVertexSet(members []int32) (*VertexSet, error) {
-	return fi.o.(Searcher).NewVertexSet(members)
-}
 
 // ---------------------------------------------------------------------
 // ConcurrentOracle: search queries run against a consistent snapshot

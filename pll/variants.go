@@ -43,8 +43,9 @@ func (g *WeightedGraph) build(opts []Option) (Oracle, error) { return BuildWeigh
 
 // WeightedIndex is the exact distance oracle for weighted graphs (paper
 // §6): identical labeling framework with pruned Dijkstra searches.
+// Distances are summed edge weights.
 type WeightedIndex struct {
-	ix *core.WeightedIndex
+	static
 }
 
 // BuildWeighted constructs a weighted pruned-landmark-labeling index.
@@ -66,46 +67,18 @@ func BuildWeighted(g *WeightedGraph, opts ...Option) (*WeightedIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &WeightedIndex{ix: ix}, nil
-}
-
-// Distance returns the exact minimum-weight s-t distance, or
-// Unreachable (-1) for disconnected pairs.
-func (ix *WeightedIndex) Distance(s, t int32) int64 {
-	d := ix.ix.Query(s, t)
-	if d == core.UnreachableW {
-		return Unreachable
-	}
-	return int64(d)
-}
-
-// Path returns one minimum-weight path including both endpoints, or nil
-// for disconnected pairs. Requires WithPaths; use PathWeight to also
-// get the path's total weight.
-func (ix *WeightedIndex) Path(s, t int32) ([]int32, error) {
-	p, _, err := ix.ix.QueryPath(s, t)
-	return p, err
+	return &WeightedIndex{static{ix}}, nil
 }
 
 // PathWeight returns one minimum-weight path and its total weight, or
 // (nil, Unreachable) for disconnected pairs. Requires WithPaths.
 func (ix *WeightedIndex) PathWeight(s, t int32) ([]int32, int64, error) {
-	p, w, err := ix.ix.QueryPath(s, t)
+	p, w, err := ix.c.Path(s, t)
 	if err != nil || p == nil {
 		return nil, Unreachable, err
 	}
-	return p, int64(w), nil
+	return p, w, nil
 }
-
-// NumVertices returns the number of vertices the index covers.
-func (ix *WeightedIndex) NumVertices() int { return ix.ix.NumVertices() }
-
-// Stats summarizes the index.
-func (ix *WeightedIndex) Stats() Stats { return ix.ix.ComputeStats() }
-
-// WriteTo serializes the index as a flat container, read back by Load
-// and Open. Indexes built WithPaths cannot be serialized.
-func (ix *WeightedIndex) WriteTo(w io.Writer) (int64, error) { return ix.ix.WriteTo(w) }
 
 // Digraph is an immutable directed, unweighted graph.
 type Digraph struct {
@@ -142,8 +115,10 @@ func (g *Digraph) build(opts []Option) (Oracle, error) { return BuildDirected(g,
 
 // DirectedIndex is the exact distance oracle for digraphs (paper §6):
 // two labels per vertex, built by forward and backward pruned BFSs.
+// Distance, Path and the search queries follow arc direction from s;
+// Stats reports per-vertex sizes |L_OUT| + |L_IN|.
 type DirectedIndex struct {
-	ix *core.DirectedIndex
+	static
 }
 
 // BuildDirected constructs a directed pruned-landmark-labeling index.
@@ -164,25 +139,5 @@ func BuildDirected(g *Digraph, opts ...Option) (*DirectedIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DirectedIndex{ix: ix}, nil
+	return &DirectedIndex{static{ix}}, nil
 }
-
-// Path returns one directed shortest s-to-t path, or nil if t is
-// unreachable from s. Requires WithPaths.
-func (ix *DirectedIndex) Path(s, t int32) ([]int32, error) {
-	return ix.ix.QueryPath(s, t)
-}
-
-// Distance returns the exact directed distance from s to t, or
-// Unreachable.
-func (ix *DirectedIndex) Distance(s, t int32) int64 { return int64(ix.ix.Query(s, t)) }
-
-// NumVertices returns the number of vertices the index covers.
-func (ix *DirectedIndex) NumVertices() int { return ix.ix.NumVertices() }
-
-// Stats summarizes the index; per-vertex sizes are |L_OUT| + |L_IN|.
-func (ix *DirectedIndex) Stats() Stats { return ix.ix.ComputeStats() }
-
-// WriteTo serializes the index as a flat container, read back by Load
-// and Open. Indexes built WithPaths cannot be serialized.
-func (ix *DirectedIndex) WriteTo(w io.Writer) (int64, error) { return ix.ix.WriteTo(w) }

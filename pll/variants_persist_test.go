@@ -63,6 +63,79 @@ func TestPublicWeightedPath(t *testing.T) {
 	}
 }
 
+// TestPublicWeightedPathZeroWeightEdges: over zero-weight edges a
+// Dijkstra-tree chain has more steps than its weight, so the parent
+// walk must not be bounded by the label distance the way hop-count
+// chains are. For every pair and several vertex orders (hub at either
+// end of the zero-weight chain), Path and PathWeight must agree with
+// Distance.
+func TestPublicWeightedPathZeroWeightEdges(t *testing.T) {
+	const n = 5 // vertex 4 isolated
+	edges := []WeightedEdge{{U: 0, V: 1, Weight: 0}, {U: 1, V: 2, Weight: 0}, {U: 2, V: 3, Weight: 5}}
+	g, err := NewWeightedGraph(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weight := func(a, b int32) (int64, bool) {
+		for _, e := range edges {
+			if (e.U == a && e.V == b) || (e.U == b && e.V == a) {
+				return int64(e.Weight), true
+			}
+		}
+		return 0, false
+	}
+	orders := map[string][]Option{
+		"default":     nil,
+		"hub-0-first": {WithCustomOrder([]int32{0, 1, 2, 3, 4})},
+		"hub-3-first": {WithCustomOrder([]int32{3, 2, 1, 0, 4})},
+	}
+	for name, opts := range orders {
+		ix, err := BuildWeighted(g, append(opts, WithPaths())...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, w, err := ix.PathWeight(0, 2); err != nil || w != 0 || len(p) != 3 {
+			t.Fatalf("%s: PathWeight(0,2) = %v, %d, %v; want [0 1 2] at weight 0", name, p, w, err)
+		}
+		for s := int32(0); s < n; s++ {
+			for u := int32(0); u < n; u++ {
+				want := ix.Distance(s, u)
+				p, err := ix.Path(s, u)
+				if err != nil {
+					t.Fatalf("%s: Path(%d,%d): %v", name, s, u, err)
+				}
+				pw, w, err := ix.PathWeight(s, u)
+				if err != nil {
+					t.Fatalf("%s: PathWeight(%d,%d): %v", name, s, u, err)
+				}
+				if w != want {
+					t.Fatalf("%s: PathWeight(%d,%d) weight %d, Distance %d", name, s, u, w, want)
+				}
+				if want == Unreachable {
+					if p != nil || pw != nil {
+						t.Fatalf("%s: unreachable (%d,%d) has path %v / %v", name, s, u, p, pw)
+					}
+					continue
+				}
+				if len(p) == 0 || p[0] != s || p[len(p)-1] != u || len(pw) != len(p) {
+					t.Fatalf("%s: Path(%d,%d) = %v, PathWeight path %v", name, s, u, p, pw)
+				}
+				sum := int64(0)
+				for i := 1; i < len(p); i++ {
+					ew, ok := weight(p[i-1], p[i])
+					if !ok {
+						t.Fatalf("%s: Path(%d,%d) = %v uses a non-edge", name, s, u, p)
+					}
+					sum += ew
+				}
+				if sum != want {
+					t.Fatalf("%s: Path(%d,%d) = %v weighs %d, Distance %d", name, s, u, p, sum, want)
+				}
+			}
+		}
+	}
+}
+
 func TestPublicDirectedPath(t *testing.T) {
 	g, err := NewDigraph(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	if err != nil {
