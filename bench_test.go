@@ -320,7 +320,7 @@ func benchBuildWorkersDirected(b *testing.B, workers int) {
 	buildBenchInputs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.BuildDirected(buildBenchDigraph, core.DirectedOptions{Seed: 7, Workers: workers}); err != nil {
+		if _, err := core.BuildDirected(buildBenchDigraph, core.Options{Seed: 7, Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -330,7 +330,7 @@ func benchBuildWorkersWeighted(b *testing.B, workers int) {
 	buildBenchInputs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.BuildWeighted(buildBenchWeighted, core.WeightedOptions{Seed: 7, Workers: workers}); err != nil {
+		if _, err := core.BuildWeighted(buildBenchWeighted, core.Options{Seed: 7, Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -50,11 +50,11 @@ func TestDistanceFromMatchesQuery(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dx, err := BuildDirected(randomDigraphFor(seed, 60), DirectedOptions{Seed: seed})
+		dx, err := BuildDirected(randomDigraphFor(seed, 60), Options{Seed: seed})
 		if err != nil {
 			return false
 		}
-		wx, err := BuildWeighted(randomWeightedGraph(seed, 60, 9), WeightedOptions{Seed: seed})
+		wx, err := BuildWeighted(randomWeightedGraph(seed, 60, 9), Options{Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -77,11 +77,11 @@ func starOracles(t *testing.T) map[string]batchOracle {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dx, err := BuildDirected(dg, DirectedOptions{})
+	dx, err := BuildDirected(dg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wx, err := BuildWeighted(graph.UniformWeighted(g, 3), WeightedOptions{})
+	wx, err := BuildWeighted(graph.UniformWeighted(g, 3), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,13 @@ import (
 	"pll/internal/order"
 )
 
-// Options configures Build.
+// Options configures every builder: Build, BuildDirected, BuildWeighted
+// and BuildDynamic. Fields that do not apply to a variant are ignored:
+// bit-parallel labels exist only for undirected builds (BuildDynamic
+// rejects them, and path storage, with an error).
 type Options struct {
-	// Ordering selects the vertex-ordering strategy (§4.4). Default:
+	// Ordering selects the vertex-ordering strategy (§4.4), computed on
+	// the undirected structure of directed and weighted graphs. Default:
 	// order.Degree, the paper's default.
 	Ordering order.Strategy
 	// Seed drives ordering tie-breaks and sampling; fixed seeds give
@@ -29,8 +33,8 @@ type Options struct {
 	// CustomOrder, if non-nil, overrides Ordering with an explicit
 	// permutation perm[rank] = vertex. Used by experiments and tests.
 	CustomOrder []int32
-	// CollectStats, if non-nil, receives per-BFS construction counters
-	// (the instrumentation behind Figures 3 and 4).
+	// CollectStats, if non-nil, receives per-search construction
+	// counters (the instrumentation behind Figures 3 and 4).
 	CollectStats *BuildStats
 	// Workers parallelizes construction across goroutines: the
 	// bit-parallel prelude (the §4.5 thread-level-parallelism note; the
@@ -40,22 +44,23 @@ type Options struct {
 	// deterministically (see parallel.go). The resulting index is
 	// byte-identical to a sequential build for every option combination.
 	// 0 selects GOMAXPROCS; 1 (or negative) forces the sequential code
-	// path. Builds that collect per-BFS statistics (CollectStats) always
-	// run the pruned phase sequentially, since the relaxed batch
+	// path. Builds that collect per-search statistics (CollectStats)
+	// always run the pruned phase sequentially, since the relaxed batch
 	// searches would skew the visited counters.
 	Workers int
 }
 
-// BuildStats records what each pruned BFS did during construction.
+// BuildStats records what each pruned search did during construction.
+// Directed builds record two searches per root, forward then backward.
 type BuildStats struct {
 	// LabelsPerBFS[k] is the number of label entries added by the k-th
-	// root overall (bit-parallel roots count the vertices they reached).
+	// search overall (bit-parallel roots count the vertices they reached).
 	LabelsPerBFS []int64
-	// VisitedPerBFS[k] is the number of vertices each root's search
+	// VisitedPerBFS[k] is the number of vertices the k-th search
 	// visited (labeled or pruned); bit-parallel roots count reached
 	// vertices.
 	VisitedPerBFS []int64
-	// RootRank[k] is the rank of the k-th root.
+	// RootRank[k] is the rank of the k-th search's root.
 	RootRank []int32
 	// IsBitParallel[k] marks roots processed by bit-parallel BFS.
 	IsBitParallel []bool
@@ -67,131 +72,345 @@ const bitParallelWidth = 64
 
 // Build constructs a pruned-landmark-labeling index for g.
 func Build(g *graph.Graph, opt Options) (*Index, error) {
-	n := g.NumVertices()
 	if opt.NumBitParallel < 0 {
 		return nil, fmt.Errorf("core: negative NumBitParallel %d", opt.NumBitParallel)
 	}
-	numBP := opt.NumBitParallel
+	h, perm, err := rankOrder(g, func() *graph.Graph { return g }, opt)
+	if err != nil {
+		return nil, err
+	}
+	numBP := min(opt.NumBitParallel, len(perm))
 	if opt.StorePaths {
 		numBP = 0
 	}
-	if numBP > n {
-		numBP = n
+	lab := newGrowing[uint8](len(perm), opt.StorePaths)
+	b := newBuilder(opt, nil, sweep[uint8]{h.Neighbors, lab, lab})
+	workers := EffectiveWorkers(opt.Workers)
+	if err := b.runBitParallelPhase(h, numBP, workers); err != nil {
+		return nil, err
 	}
-
-	// Rank vertices and relabel the graph so that vertex IDs *are* ranks:
-	// labels then store ranks and come out sorted for free (§4.5).
-	perm := opt.CustomOrder
-	if perm == nil {
-		perm = order.Compute(g, opt.Ordering, opt.Seed)
-	} else if len(perm) != n {
-		return nil, fmt.Errorf("core: CustomOrder length %d != n %d", len(perm), n)
+	if err := b.run(workers); err != nil {
+		return nil, err
 	}
-	h, err := g.Relabel(perm)
-	if err != nil {
-		return nil, fmt.Errorf("core: invalid CustomOrder: %w", err)
-	}
-
 	ix := &Index{}
 	ix.setOrder(VariantUndirected, perm)
-
-	b := newBuilder(h, ix, opt.StorePaths, opt.CollectStats)
-	workers := EffectiveWorkers(opt.Workers)
-	if err := b.runBitParallelPhase(numBP, workers); err != nil {
-		return nil, err
-	}
-	if workers > 1 && opt.CollectStats == nil {
-		if err := b.runPrunedPhaseParallel(workers); err != nil {
-			return nil, err
-		}
-	} else if err := b.runPrunedPhase(); err != nil {
-		return nil, err
-	}
-	ix.out = flatten(b.labV, b.labD, b.labP)
+	ix.bitParallel = b.bp
+	ix.out = flatten(lab.v, lab.d, lab.p)
 	ix.in = ix.out
 	return ix, nil
 }
 
-// builder holds the scratch state of one construction run.
-type builder struct {
-	h  *graph.Graph // rank-relabeled graph
-	ix *Index
-	n  int
+// relabeler is a graph type the ordering prelude can relabel.
+type relabeler[G any] interface {
+	NumVertices() int
+	Relabel(perm []int32) (G, error)
+}
 
-	// Per-vertex growing labels, indexed by rank.
-	labV       [][]int32
-	labD       [][]uint8
-	labP       [][]int32 // parents; nil unless storing paths
-	storePaths bool
+// rankOrder is the ordering prelude of every build: it ranks g's
+// vertices — opt.CustomOrder, or order.Compute over the undirected
+// structure shape returns — and relabels g so that vertex IDs *are*
+// ranks: labels then store ranks and come out sorted for free (§4.5).
+func rankOrder[G relabeler[G]](g G, shape func() *graph.Graph, opt Options) (h G, perm []int32, err error) {
+	perm = opt.CustomOrder
+	if perm == nil {
+		perm = order.Compute(shape(), opt.Ordering, opt.Seed)
+	} else if len(perm) != g.NumVertices() {
+		return h, nil, fmt.Errorf("core: CustomOrder length %d != n %d", len(perm), g.NumVertices())
+	}
+	if h, err = g.Relabel(perm); err != nil {
+		return h, nil, fmt.Errorf("core: invalid CustomOrder: %w", err)
+	}
+	return h, perm, nil
+}
 
-	used []bool // vertex consumed as a bit-parallel root or neighbor
+// growing is one label family under construction, indexed by rank:
+// hub ranks, distances and (when storing paths) search-tree parents.
+// Roots run in rank order, so appends keep every label sorted by hub.
+type growing[D dist] struct {
+	v [][]int32
+	d [][]D
+	p [][]int32 // nil unless storing paths
+}
 
-	// sc is the scratch of the sequential pruned searches and of the
-	// batch-merge replays; concurrent batch searches use their own
-	// prunedScratch each (parallel.go).
-	sc prunedScratch
+func newGrowing[D dist](n int, paths bool) *growing[D] {
+	g := &growing[D]{v: make([][]int32, n), d: make([][]D, n)}
+	if paths {
+		g.p = make([][]int32, n)
+	}
+	return g
+}
 
-	// Per-vertex marks scattered from a batch search's candidate list
-	// during a path-storing replay (parallel.go); nil otherwise.
-	candD      []uint8
+// add appends the entry (hub, d) to u's label, with u's search-tree
+// parent par[u] when storing paths (par is read only then).
+func (g *growing[D]) add(u, hub int32, d D, par []int32) {
+	g.v[u] = append(g.v[u], hub)
+	g.d[u] = append(g.d[u], d)
+	if g.p != nil {
+		g.p[u] = append(g.p[u], par[u])
+	}
+}
+
+// sweep is one pruned search direction: the arcs it follows, the label
+// family the root-label array T is loaded from, and the family the
+// search tests and extends. Undirected, dynamic and weighted builds run
+// one sweep whose two families are the same; directed builds run a
+// forward sweep (out-arcs, L_OUT(root) against L_IN) and then a
+// backward one (in-arcs, L_IN(root) against L_OUT).
+type sweep[D dist] struct {
+	next       func(int32) []int32
+	root, scan *growing[D]
+}
+
+// builder is one construction run. The variants differ only in data:
+// the distance width D, the sweeps, weights (which select pruned
+// Dijkstra over BFS) and the bit-parallel labels only undirected builds
+// compute.
+type builder[D dist] struct {
+	n       int
+	sweeps  []sweep[D]
+	weights func(int32) []uint32 // arc weights aligned with next; nil for BFS builds
+	paths   bool
+
+	used []bool      // vertex consumed as a bit-parallel root or neighbor
+	bp   bitParallel // filled by runBitParallelPhase
+
+	// sc is the scratch of the sequential searches and of the batch
+	// merges; concurrent batch searches use their own (parallel.go).
+	sc *scratch[D]
+
+	// Per-vertex marks scattered from a batch search's candidates during
+	// a path-storing replay (parallel.go); nil otherwise.
+	candD      []D
 	candPruned []bool
 
 	stats *BuildStats
 }
 
-// prunedScratch is the per-search scratch of one pruned BFS,
-// re-initialized incrementally (§4.5 "Initialization"): dist is the BFS
-// distance array P, rootLab is the array T of distances from the current
-// root's label, and the bp* arrays mirror the root's bit-parallel label
-// entries for the prune test.
-type prunedScratch struct {
-	dist    []uint8
-	par     []int32 // nil unless storing paths
-	rootLab []uint8
-	queue   []int32
+func newBuilder[D dist](opt Options, weights func(int32) []uint32, sweeps ...sweep[D]) *builder[D] {
+	n := len(sweeps[0].root.v)
+	return &builder[D]{
+		n: n, sweeps: sweeps, weights: weights, paths: opt.StorePaths,
+		used:  make([]bool, n),
+		stats: opt.CollectStats,
+	}
+}
+
+// scratch is the per-search state of one pruned search, re-initialized
+// incrementally (§4.5 "Initialization"): rootLab is the array T of
+// distances from the current root's label, hops the BFS distance array
+// P (dist for Dijkstra, whose tentative distances may pass 32 bits), and
+// the bp* arrays mirror the root's bit-parallel label entries.
+type scratch[D dist] struct {
+	rootLab []D
+	par     []int32  // search-tree parents, used only when storing paths
+	seen    []int32  // the BFS queue, or every vertex Dijkstra reached
+	hops    []uint8  // BFS builds
+	dist    []uint64 // Dijkstra builds
+	heap    wHeap
 	bpDv    []uint8
 	bpS1v   []uint64
 	bpS0v   []uint64
 }
 
-// newPrunedScratch allocates an all-InfDist scratch for a graph of n
-// vertices and numBP bit-parallel roots.
-func newPrunedScratch(n, numBP int, storePaths bool) *prunedScratch {
-	sc := &prunedScratch{
-		dist:    make([]uint8, n),
-		rootLab: make([]uint8, n+1), // +1: sentinel rank may be probed
-		queue:   make([]int32, 0, 1024),
+func (b *builder[D]) newScratch() *scratch[D] {
+	n, numBP := b.n, b.bp.numBP
+	sc := &scratch[D]{
+		rootLab: filled(make([]D, n+1), infOf[D]()), // +1: sentinel rank may be probed
+		par:     make([]int32, n),
+		seen:    make([]int32, 0, 1024),
 		bpDv:    make([]uint8, numBP),
 		bpS1v:   make([]uint64, numBP),
 		bpS0v:   make([]uint64, numBP),
 	}
-	if storePaths {
-		sc.par = make([]int32, n)
-	}
-	for i := range sc.dist {
-		sc.dist[i] = InfDist
-	}
-	for i := range sc.rootLab {
-		sc.rootLab[i] = InfDist
+	if b.weights != nil {
+		sc.dist = filled(make([]uint64, n), infWeight)
+	} else {
+		sc.hops = filled(make([]uint8, n), InfDist)
 	}
 	return sc
 }
 
-func newBuilder(h *graph.Graph, ix *Index, storePaths bool, stats *BuildStats) *builder {
-	n := h.NumVertices()
-	b := &builder{
-		h: h, ix: ix, n: n,
-		labV:       make([][]int32, n),
-		labD:       make([][]uint8, n),
-		storePaths: storePaths,
-		used:       make([]bool, n),
-		sc:         *newPrunedScratch(n, 0, storePaths),
-		stats:      stats,
+func filled[T any](s []T, v T) []T {
+	for i := range s {
+		s[i] = v
 	}
-	if storePaths {
-		b.labP = make([][]int32, n)
+	return s
+}
+
+// load fills T with rank vk's current label from fam (§4.5 "Querying")
+// and returns the hubs to clear afterwards.
+func (sc *scratch[D]) load(fam *growing[D], vk int32) []int32 {
+	lv, ld := fam.v[vk], fam.d[vk]
+	for i, w := range lv {
+		sc.rootLab[w] = ld[i]
 	}
-	return b
+	return lv
+}
+
+// reset restores the scratch to all-unreached by touching only the
+// entries the last search wrote; lv are the hubs T was loaded from.
+func (sc *scratch[D]) reset(lv []int32) {
+	if sc.hops != nil {
+		for _, v := range sc.seen {
+			sc.hops[v] = InfDist
+		}
+	} else {
+		for _, v := range sc.seen {
+			sc.dist[v] = infWeight
+		}
+	}
+	for _, w := range lv {
+		sc.rootLab[w] = infOf[D]()
+	}
+	sc.seen = sc.seen[:0]
+	sc.heap = sc.heap[:0]
+}
+
+// mirrorBP loads the root's bit-parallel label entries into sc.
+func (b *builder[D]) mirrorBP(sc *scratch[D], vk int32) {
+	bp := &b.bp
+	ov := int(vk) * bp.numBP
+	for i := 0; i < bp.numBP; i++ {
+		sc.bpDv[i] = bp.bpDist[ov+i]
+		sc.bpS1v[i] = bp.bpS1[ov+i]
+		sc.bpS0v[i] = bp.bpS0[ov+i]
+	}
+}
+
+// pruned reports whether u, at distance d from the current root, is
+// already covered by existing labels (line 7 of Algorithm 1). The
+// root's side of the test lives in sc (T array and BP mirrors), so
+// concurrent batch searches can each bring their own.
+func (b *builder[D]) pruned(sc *scratch[D], scan *growing[D], u int32, d uint64) bool {
+	bp := &b.bp
+	// Bit-parallel labels first (undirected builds only): distance
+	// through BP root i and its neighbor set, adjusted by the set
+	// intersections (§5.3). The per-vertex interleaved layout makes this
+	// loop one contiguous scan.
+	ou := int(u) * bp.numBP
+	for i := 0; i < bp.numBP; i++ {
+		dv := sc.bpDv[i]
+		if dv == InfDist {
+			continue
+		}
+		du := bp.bpDist[ou+i]
+		if du == InfDist {
+			continue
+		}
+		td := int(dv) + int(du)
+		if td-2 <= int(d) {
+			if sc.bpS1v[i]&bp.bpS1[ou+i] != 0 {
+				td -= 2
+			} else if sc.bpS1v[i]&bp.bpS0[ou+i] != 0 || sc.bpS0v[i]&bp.bpS1[ou+i] != 0 {
+				td -= 1
+			}
+			if td <= int(d) {
+				return true
+			}
+		}
+	}
+	return sc.covers(scan, u, d)
+}
+
+// covers is the prune test's normal-label half: it scans only u's label
+// in the sweep's scan family against the root-label array T. Dijkstra
+// searches call it directly (weighted builds have no bit-parallel
+// labels), where it inlines into the settle loop.
+func (sc *scratch[D]) covers(scan *growing[D], u int32, d uint64) bool {
+	// Locals, and the distances resliced to the hubs' length, keep the
+	// loop free of reloads and of a second bounds check.
+	t, lv := sc.rootLab, scan.v[u]
+	ld := scan.d[u][:len(lv)]
+	for i, w := range lv {
+		if tw := t[w]; tw != infOf[D]() && uint64(tw)+uint64(ld[i]) <= d {
+			return true
+		}
+	}
+	return false
+}
+
+// run performs the pruned searches of §4.2 from every vertex not
+// consumed by the bit-parallel phase, in rank order: batch-parallel
+// when workers > 1 (parallel.go), sequentially otherwise and whenever
+// stats are collected.
+func (b *builder[D]) run(workers int) error {
+	b.sc = b.newScratch()
+	if workers > 1 && b.stats == nil {
+		return b.runBatches(workers)
+	}
+	for vk := int32(0); int(vk) < b.n; vk++ {
+		if !b.used[vk] {
+			if err := b.searchRoot(vk); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// searchRoot runs root vk's sweeps sequentially.
+func (b *builder[D]) searchRoot(vk int32) error {
+	for i := range b.sweeps {
+		sw := &b.sweeps[i]
+		var added, visited int64
+		var err error
+		if b.weights != nil {
+			added, visited, err = b.dijkstra(vk, sw)
+		} else {
+			added, visited, err = b.bfs(vk, sw)
+		}
+		if err != nil {
+			return err
+		}
+		if b.stats != nil {
+			b.stats.LabelsPerBFS = append(b.stats.LabelsPerBFS, added)
+			b.stats.VisitedPerBFS = append(b.stats.VisitedPerBFS, visited)
+			b.stats.RootRank = append(b.stats.RootRank, vk)
+			b.stats.IsBitParallel = append(b.stats.IsBitParallel, false)
+		}
+	}
+	return nil
+}
+
+// bfs is Algorithm 1 with the engineering of §4.5: a pruned BFS from vk
+// along sw, with all scratch arrays reset by revisiting exactly the
+// entries that were touched.
+func (b *builder[D]) bfs(vk int32, sw *sweep[D]) (added, visited int64, err error) {
+	sc := b.sc
+	lv := sc.load(sw.root, vk)
+	b.mirrorBP(sc, vk)
+	que := append(sc.seen[:0], vk)
+	sc.hops[vk] = 0
+	sc.par[vk] = -1
+search:
+	for qh := 0; qh < len(que); qh++ {
+		u := que[qh]
+		d := sc.hops[u]
+		if b.pruned(sc, sw.scan, u, uint64(d)) {
+			continue
+		}
+		// Label u with (vk, d) and expand.
+		sw.scan.add(u, vk, D(d), sc.par)
+		added++
+		nd := int(d) + 1
+		for _, w := range sw.next(u) {
+			if sc.hops[w] == InfDist {
+				if nd > MaxDist {
+					err = ErrDiameterTooLarge
+					break search
+				}
+				sc.hops[w] = uint8(nd)
+				if b.paths {
+					sc.par[w] = u
+				}
+				que = append(que, w)
+			}
+		}
+	}
+	sc.seen = que
+	visited = int64(len(que))
+	sc.reset(lv)
+	return added, visited, err
 }
 
 // bpRoot is one selected bit-parallel root with its neighbor set.
@@ -203,7 +422,7 @@ type bpRoot struct {
 // selectBPRoots greedily picks up to t roots and neighbor sets (§5.4),
 // marking them used. Selection is sequential and deterministic; the
 // BFSs themselves are independent of one another.
-func (b *builder) selectBPRoots(t int) []bpRoot {
+func (b *builder[D]) selectBPRoots(h *graph.Graph, t int) []bpRoot {
 	roots := make([]bpRoot, 0, t)
 	r := int32(0)
 	for i := 0; i < t; i++ {
@@ -215,7 +434,7 @@ func (b *builder) selectBPRoots(t int) []bpRoot {
 		}
 		b.used[r] = true
 		var sr []int32
-		for _, u := range b.h.Neighbors(r) {
+		for _, u := range h.Neighbors(r) {
 			if len(sr) == bitParallelWidth {
 				break
 			}
@@ -229,22 +448,19 @@ func (b *builder) selectBPRoots(t int) []bpRoot {
 	return roots
 }
 
-// runBitParallelPhase performs up to t bit-parallel BFSs (§5.4). With
-// workers > 1 the BFSs run concurrently — the paper's "thread-level
-// parallelism" note (§4.5) applies cleanly here because bit-parallel
-// searches never consult each other's labels.
-func (b *builder) runBitParallelPhase(t, workers int) error {
+// runBitParallelPhase performs up to t bit-parallel BFSs (§5.4) over the
+// rank-relabeled graph h. With workers > 1 the BFSs run concurrently —
+// the paper's "thread-level parallelism" note (§4.5) applies cleanly
+// here because bit-parallel searches never consult each other's labels.
+func (b *builder[D]) runBitParallelPhase(h *graph.Graph, t, workers int) error {
 	n := b.n
-	ix := b.ix
-	roots := b.selectBPRoots(t)
+	bp := &b.bp
+	roots := b.selectBPRoots(h, t)
 	performed := len(roots)
-	ix.bpDist = make([]uint8, performed*n)
-	ix.bpS1 = make([]uint64, performed*n)
-	ix.bpS0 = make([]uint64, performed*n)
-	ix.numBP = performed
-	b.sc.bpDv = make([]uint8, performed)
-	b.sc.bpS1v = make([]uint64, performed)
-	b.sc.bpS0v = make([]uint64, performed)
+	bp.bpDist = make([]uint8, performed*n)
+	bp.bpS1 = make([]uint64, performed*n)
+	bp.bpS0 = make([]uint64, performed*n)
+	bp.numBP = performed
 
 	// Each BFS runs over contiguous per-root scratch, then scatters into
 	// the per-vertex-interleaved index arrays (layout v*numBP+i), which
@@ -257,15 +473,15 @@ func (b *builder) runBitParallelPhase(t, workers int) error {
 	}
 	runOne := func(i int, sc *bpScratch) error {
 		var err error
-		sc.que, err = bitParallelBFS(b.h, roots[i].r, roots[i].sr, sc.dist, sc.s1, sc.s0, sc.que)
+		sc.que, err = bitParallelBFS(h, roots[i].r, roots[i].sr, sc.dist, sc.s1, sc.s0, sc.que)
 		if err != nil {
 			return err
 		}
 		for v := 0; v < n; v++ {
 			o := v*performed + i
-			ix.bpDist[o] = sc.dist[v]
-			ix.bpS1[o] = sc.s1[v]
-			ix.bpS0[o] = sc.s0[v]
+			bp.bpDist[o] = sc.dist[v]
+			bp.bpS1[o] = sc.s1[v]
+			bp.bpS0[o] = sc.s0[v]
 		}
 		return nil
 	}
@@ -319,7 +535,7 @@ func (b *builder) runBitParallelPhase(t, workers int) error {
 		for i := range roots {
 			reached := int64(0)
 			for v := 0; v < n; v++ {
-				if ix.bpDist[v*performed+i] != InfDist {
+				if bp.bpDist[v*performed+i] != InfDist {
 					reached++
 				}
 			}
@@ -401,141 +617,4 @@ func bitParallelBFS(h *graph.Graph, r int32, sr []int32, dist []uint8, s1, s0 []
 		s0[v] &^= s1[v]
 	}
 	return que[:0], nil
-}
-
-// runPrunedPhase performs the pruned BFSs of §4.2 from every vertex not
-// consumed by the bit-parallel phase, in rank order.
-func (b *builder) runPrunedPhase() error {
-	for vk := int32(0); int(vk) < b.n; vk++ {
-		if b.used[vk] {
-			continue
-		}
-		added, visited, err := b.prunedBFS(vk)
-		if err != nil {
-			return err
-		}
-		if b.stats != nil {
-			b.stats.LabelsPerBFS = append(b.stats.LabelsPerBFS, added)
-			b.stats.VisitedPerBFS = append(b.stats.VisitedPerBFS, visited)
-			b.stats.RootRank = append(b.stats.RootRank, vk)
-			b.stats.IsBitParallel = append(b.stats.IsBitParallel, false)
-		}
-	}
-	return nil
-}
-
-// prunedBFS is Algorithm 1 with the engineering of §4.5: the prune test
-// scans only L(u) against the root-label array T (rootLab), consults
-// bit-parallel labels first, and all scratch arrays are reset by
-// revisiting exactly the entries that were touched.
-func (b *builder) prunedBFS(vk int32) (added, visited int64, err error) {
-	sc := &b.sc
-	// Load T with the root's current label (§4.5 "Querying").
-	lv, ld := b.labV[vk], b.labD[vk]
-	for i, w := range lv {
-		sc.rootLab[w] = ld[i]
-	}
-	b.mirrorBP(sc, vk)
-
-	que := sc.queue[:0]
-	que = append(que, vk)
-	sc.dist[vk] = 0
-	if b.storePaths {
-		sc.par[vk] = -1
-	}
-	for qh := 0; qh < len(que); qh++ {
-		u := que[qh]
-		d := sc.dist[u]
-		if !b.pruned(sc, u, d) {
-			// Label u with (vk, d) and expand.
-			b.labV[u] = append(b.labV[u], vk)
-			b.labD[u] = append(b.labD[u], d)
-			if b.storePaths {
-				b.labP[u] = append(b.labP[u], sc.par[u])
-			}
-			added++
-			nd := int(d) + 1
-			for _, w := range b.h.Neighbors(u) {
-				if sc.dist[w] == InfDist {
-					if nd > MaxDist {
-						sc.reset(que, lv)
-						return 0, 0, ErrDiameterTooLarge
-					}
-					sc.dist[w] = uint8(nd)
-					if b.storePaths {
-						sc.par[w] = u
-					}
-					que = append(que, w)
-				}
-			}
-		}
-	}
-	visited = int64(len(que))
-	sc.reset(que, lv)
-	sc.queue = que[:0]
-	return added, visited, nil
-}
-
-// mirrorBP loads the root's bit-parallel label entries into the scratch.
-func (b *builder) mirrorBP(sc *prunedScratch, vk int32) {
-	ix := b.ix
-	ov := int(vk) * ix.numBP
-	for i := 0; i < ix.numBP; i++ {
-		sc.bpDv[i] = ix.bpDist[ov+i]
-		sc.bpS1v[i] = ix.bpS1[ov+i]
-		sc.bpS0v[i] = ix.bpS0[ov+i]
-	}
-}
-
-// pruned reports whether the vertex u at BFS distance d from the current
-// root is already covered by existing labels (line 7 of Algorithm 1).
-// The root's side of the test lives in sc (T array and BP mirrors), so
-// concurrent batch searches can each bring their own.
-func (b *builder) pruned(sc *prunedScratch, u int32, d uint8) bool {
-	ix := b.ix
-	// Bit-parallel labels first: distance through BP root i and its
-	// neighbor set, adjusted by the set intersections (§5.3). The
-	// per-vertex interleaved layout makes this loop one contiguous scan.
-	ou := int(u) * ix.numBP
-	for i := 0; i < ix.numBP; i++ {
-		dv := sc.bpDv[i]
-		if dv == InfDist {
-			continue
-		}
-		du := ix.bpDist[ou+i]
-		if du == InfDist {
-			continue
-		}
-		td := int(dv) + int(du)
-		if td-2 <= int(d) {
-			if sc.bpS1v[i]&ix.bpS1[ou+i] != 0 {
-				td -= 2
-			} else if sc.bpS1v[i]&ix.bpS0[ou+i] != 0 || sc.bpS0v[i]&ix.bpS1[ou+i] != 0 {
-				td -= 1
-			}
-			if td <= int(d) {
-				return true
-			}
-		}
-	}
-	// Normal labels: scan L(u) against the root-label array T.
-	lv, ld := b.labV[u], b.labD[u]
-	for i, w := range lv {
-		tw := sc.rootLab[w]
-		if tw != InfDist && int(tw)+int(ld[i]) <= int(d) {
-			return true
-		}
-	}
-	return false
-}
-
-// reset restores dist and rootLab to all-InfDist by touching only the
-// entries the search wrote (§4.5 "Initialization").
-func (sc *prunedScratch) reset(visited []int32, rootLabelVertices []int32) {
-	for _, v := range visited {
-		sc.dist[v] = InfDist
-	}
-	for _, w := range rootLabelVertices {
-		sc.rootLab[w] = InfDist
-	}
 }

@@ -1,0 +1,96 @@
+package core
+
+// Builder outputs pinned across commits. The container digests in
+// pll/golden_test.go cannot see directed or weighted parent pointers
+// (containers do not hold them), nor the per-search counters of
+// BuildStats that feed Figures 3 and 4. This test hashes what each
+// builder leaves in memory: every column (off, vertex, dist, parent) of
+// every label family of directed and weighted path-storing builds and
+// of a dynamic index frozen after a fixed run of insertions, plus all
+// four BuildStats vectors of an undirected bit-parallel build (stats
+// force a sequential build). The label builds run sequentially and
+// batch-parallel under a forced schedule; both must produce the
+// recorded digest.
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"testing"
+
+	"pll/internal/gen"
+	"pll/internal/rng"
+)
+
+// hashColumns writes each column prefixed with its byte size, so a nil
+// parent column cannot pass for a shifted neighbor. Writes to a hash
+// never fail.
+func hashColumns(h hash.Hash, cols ...any) {
+	for _, c := range cols {
+		binary.Write(h, binary.LittleEndian, int64(binary.Size(c)))
+		binary.Write(h, binary.LittleEndian, c)
+	}
+}
+
+func familyDigest[D dist](fams ...*labels[D]) string {
+	h := sha256.New()
+	for _, f := range fams {
+		hashColumns(h, f.off, f.vertex, f.dist, f.parent)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+var builderDigests = map[string]string{
+	"directed-paths": "19ea555e15028575b12d7984b1cd3b539af547cfe68a7ffd717ca9355e8436bf",
+	"weighted-paths": "837ab23062432f71d0a1ff747d625a1630abf8133cef4ad7b126f197288e8f55",
+	"dynamic-frozen": "a7d225fd099e41b3dc4f80bed73d53250b211af096965ec9ce39f3d495bbebbe",
+	"stats-bp4":      "2a262d0a10e6e2883c7e00774a2876fadc711e986ab009ab4b81c5bac90504ca",
+}
+
+func TestBuilderOutputsGolden(t *testing.T) {
+	forceBatchSchedule(t, 4, 2, 64)
+	check := func(key, got string) {
+		t.Helper()
+		if want := builderDigests[key]; got != want {
+			t.Errorf("%s: digest %s, want %s", key, got, want)
+		}
+	}
+	dg := gen.RandomDigraph(120, 420, 5)
+	wg := gen.RandomWeights(gen.BarabasiAlbert(120, 3, 6), 0, 6, 7) // zero-weight edges included
+	ug := randomGraph(8, 140)
+	for _, workers := range []int{1, 4} {
+		dix, err := BuildDirected(dg, Options{Seed: 3, StorePaths: true, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("directed-paths", familyDigest(dix.out, dix.in))
+
+		wix, err := BuildWeighted(wg, Options{Seed: 3, StorePaths: true, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("weighted-paths", familyDigest(wix.out))
+
+		di, err := BuildDynamic(ug, Options{Seed: 3, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(11)
+		n := int32(ug.NumVertices())
+		for i := 0; i < 25; i++ {
+			if _, err := di.InsertEdge(r.Int31n(n), r.Int31n(n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("dynamic-frozen", familyDigest(di.Freeze().out))
+	}
+
+	var bs BuildStats
+	if _, err := Build(gen.BarabasiAlbert(300, 3, 17), Options{NumBitParallel: 4, Seed: 3, CollectStats: &bs}); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	hashColumns(h, bs.LabelsPerBFS, bs.VisitedPerBFS, bs.RootRank, bs.IsBitParallel)
+	check("stats-bp4", hex.EncodeToString(h.Sum(nil)))
+}

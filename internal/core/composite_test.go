@@ -247,7 +247,7 @@ func TestCompositeDisconnected(t *testing.T) {
 func TestCompositeDirected(t *testing.T) {
 	n := 45
 	dg := gen.RandomDigraph(n, 130, 13)
-	ix, err := BuildDirected(dg, DirectedOptions{Ordering: order.Degree, Seed: 13})
+	ix, err := BuildDirected(dg, Options{Ordering: order.Degree, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestCompositeWeighted(t *testing.T) {
 	n := 40
 	gg := gen.ErdosRenyi(n, 90, 17)
 	wg := gen.RandomWeights(gg, 1, 9, 18)
-	ix, err := BuildWeighted(wg, WeightedOptions{Ordering: order.Degree, Seed: 17})
+	ix, err := BuildWeighted(wg, Options{Ordering: order.Degree, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,20 +297,20 @@ func TestCompositeRequestErrors(t *testing.T) {
 		return &CompositeClause{Near: &NearClause{Source: s, MaxDist: d}}
 	}
 	bad := []*CompositeRequest{
-		{},                              // no where
-		{Where: &CompositeClause{}},     // empty clause
-		{Where: near(0, 1), K: -1},      // negative k
-		{Where: near(0, -1)},            // negative cutoff
-		{Where: near(12, 1)},            // source out of range
-		{Where: &CompositeClause{In: []int32{}}},                   // empty in
-		{Where: &CompositeClause{In: []int32{-3}}},                 // member out of range
-		{Where: &CompositeClause{Not: near(0, 1)}},                 // top-level not
-		{Where: &CompositeClause{Or: []*CompositeClause{{Not: near(0, 1)}, near(1, 1)}}},  // not under or
-		{Where: &CompositeClause{And: []*CompositeClause{{Not: near(0, 1)}}}},             // no positive child
-		{Where: &CompositeClause{Near: &NearClause{Source: 0}, In: []int32{1}}},           // two fields
-		{Where: near(0, 1), Rank: &CompositeRank{By: "median"}},                           // unknown agg
-		{Where: near(0, 1), Rank: &CompositeRank{Terms: []CompositeTerm{{Source: 44}}}},   // term out of range
-		{Where: near(0, 1), Rank: &CompositeRank{Terms: []CompositeTerm{{Source: 1, Weight: -2}}}}, // negative weight
+		{},                                       // no where
+		{Where: &CompositeClause{}},              // empty clause
+		{Where: near(0, 1), K: -1},               // negative k
+		{Where: near(0, -1)},                     // negative cutoff
+		{Where: near(12, 1)},                     // source out of range
+		{Where: &CompositeClause{In: []int32{}}}, // empty in
+		{Where: &CompositeClause{In: []int32{-3}}},                                                  // member out of range
+		{Where: &CompositeClause{Not: near(0, 1)}},                                                  // top-level not
+		{Where: &CompositeClause{Or: []*CompositeClause{{Not: near(0, 1)}, near(1, 1)}}},            // not under or
+		{Where: &CompositeClause{And: []*CompositeClause{{Not: near(0, 1)}}}},                       // no positive child
+		{Where: &CompositeClause{Near: &NearClause{Source: 0}, In: []int32{1}}},                     // two fields
+		{Where: near(0, 1), Rank: &CompositeRank{By: "median"}},                                     // unknown agg
+		{Where: near(0, 1), Rank: &CompositeRank{Terms: []CompositeTerm{{Source: 44}}}},             // term out of range
+		{Where: near(0, 1), Rank: &CompositeRank{Terms: []CompositeTerm{{Source: 1, Weight: -2}}}},  // negative weight
 		{Where: near(0, 1), Rank: &CompositeRank{Terms: []CompositeTerm{{Source: 1}, {Source: 1}}}}, // dup term
 	}
 	for i, req := range bad {

@@ -187,7 +187,7 @@ func TestLoadRejectsImplausibleSizes(t *testing.T) {
 
 func TestWeightedSaveLoadRoundTrip(t *testing.T) {
 	wg := randomWeightedGraph(3, 80, 15)
-	ix, err := BuildWeighted(wg, WeightedOptions{Seed: 3})
+	ix, err := BuildWeighted(wg, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestWeightedSaveLoadRoundTrip(t *testing.T) {
 
 func TestWeightedSaveLoadFile(t *testing.T) {
 	wg := randomWeightedGraph(5, 40, 9)
-	ix, err := BuildWeighted(wg, WeightedOptions{})
+	ix, err := BuildWeighted(wg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func rejectsCorruption(t *testing.T, full []byte, step int) {
 
 func TestWeightedLoadRejectsCorruption(t *testing.T) {
 	wg := randomWeightedGraph(7, 40, 9)
-	ix, err := BuildWeighted(wg, WeightedOptions{})
+	ix, err := BuildWeighted(wg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestWeightedLoadRejectsCorruption(t *testing.T) {
 
 func TestDirectedSaveLoadRoundTrip(t *testing.T) {
 	g := gen.RandomDigraph(70, 300, 3)
-	ix, err := BuildDirected(g, DirectedOptions{Seed: 3})
+	ix, err := BuildDirected(g, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestDirectedSaveLoadRoundTrip(t *testing.T) {
 
 func TestDirectedSaveLoadFile(t *testing.T) {
 	g := gen.RandomDigraph(30, 100, 5)
-	ix, err := BuildDirected(g, DirectedOptions{})
+	ix, err := BuildDirected(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestDirectedSaveLoadFile(t *testing.T) {
 
 func TestDirectedLoadRejectsCorruption(t *testing.T) {
 	g := gen.RandomDigraph(40, 150, 7)
-	ix, err := BuildDirected(g, DirectedOptions{})
+	ix, err := BuildDirected(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +271,11 @@ func TestDirectedLoadRejectsCorruption(t *testing.T) {
 func TestFormatsRejectCrossLoading(t *testing.T) {
 	// A container whose variant tag names another variant than its
 	// sections hold must be rejected, never misparsed.
-	wix, err := BuildWeighted(randomWeightedGraph(9, 30, 5), WeightedOptions{})
+	wix, err := BuildWeighted(randomWeightedGraph(9, 30, 5), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dix, err := BuildDirected(gen.RandomDigraph(30, 100, 5), DirectedOptions{})
+	dix, err := BuildDirected(gen.RandomDigraph(30, 100, 5), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

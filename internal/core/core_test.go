@@ -55,6 +55,16 @@ func assertMatchesBFS(t *testing.T, g *graph.Graph, ix *Index, numPairs int, see
 	}
 }
 
+// randPairs samples k vertex pairs uniformly with a deterministic seed.
+func randPairs(n int, k int, seed uint64) [][2]int32 {
+	r := rng.New(seed)
+	pairs := make([][2]int32, k)
+	for i := range pairs {
+		pairs[i] = [2]int32{r.Int31n(int32(n)), r.Int31n(int32(n))}
+	}
+	return pairs
+}
+
 func randomGraph(seed uint64, maxN int) *graph.Graph {
 	r := rng.New(seed)
 	n := r.Intn(maxN) + 2

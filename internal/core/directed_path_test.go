@@ -25,7 +25,7 @@ func TestDirectedQueryPathValid(t *testing.T) {
 		r := rng.New(seed)
 		n := r.Intn(35) + 3
 		g := gen.RandomDigraph(n, int64(r.Intn(4*n)+n), seed)
-		ix, err := BuildDirected(g, DirectedOptions{Seed: seed, StorePaths: true})
+		ix, err := BuildDirected(g, Options{Seed: seed, StorePaths: true})
 		if err != nil {
 			return false
 		}
@@ -64,7 +64,7 @@ func TestDirectedQueryPathOneWay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := BuildDirected(g, DirectedOptions{StorePaths: true})
+	ix, err := BuildDirected(g, Options{StorePaths: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestDirectedQueryPathOneWay(t *testing.T) {
 
 func TestDirectedQueryPathRequiresStorePaths(t *testing.T) {
 	g := gen.RandomDigraph(5, 10, 1)
-	ix, err := BuildDirected(g, DirectedOptions{})
+	ix, err := BuildDirected(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestDirectedQueryPathRequiresStorePaths(t *testing.T) {
 
 func TestDirectedSaveRejectsParents(t *testing.T) {
 	g := gen.RandomDigraph(5, 10, 1)
-	ix, err := BuildDirected(g, DirectedOptions{StorePaths: true})
+	ix, err := BuildDirected(g, Options{StorePaths: true})
 	if err != nil {
 		t.Fatal(err)
 	}

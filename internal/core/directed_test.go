@@ -16,7 +16,7 @@ func TestDirectedCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := BuildDirected(g, DirectedOptions{})
+	ix, err := BuildDirected(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestDirectedOneWay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := BuildDirected(g, DirectedOptions{})
+	ix, err := BuildDirected(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestDirectedMatchesBFSRandom(t *testing.T) {
 		r := rng.New(seed)
 		n := r.Intn(40) + 3
 		g := gen.RandomDigraph(n, int64(r.Intn(4*n)+1), seed)
-		ix, err := BuildDirected(g, DirectedOptions{Seed: seed})
+		ix, err := BuildDirected(g, Options{Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -89,7 +89,7 @@ func TestDirectedSymmetricGraphMatchesUndirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dix, err := BuildDirected(dg, DirectedOptions{Seed: 4})
+	dix, err := BuildDirected(dg, Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestDirectedSymmetricGraphMatchesUndirected(t *testing.T) {
 
 func TestDirectedStats(t *testing.T) {
 	g := gen.RandomDigraph(60, 200, 3)
-	ix, err := BuildDirected(g, DirectedOptions{Seed: 3})
+	ix, err := BuildDirected(g, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestDirectedStats(t *testing.T) {
 
 func TestDirectedCustomOrderValidation(t *testing.T) {
 	g := gen.RandomDigraph(5, 8, 1)
-	if _, err := BuildDirected(g, DirectedOptions{CustomOrder: []int32{0, 1}}); err == nil {
+	if _, err := BuildDirected(g, Options{CustomOrder: []int32{0, 1}}); err == nil {
 		t.Fatal("expected error for short order")
 	}
 }
@@ -127,7 +127,7 @@ func BenchmarkDirectedConstruction(b *testing.B) {
 	g := gen.RandomDigraph(1000, 5000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildDirected(g, DirectedOptions{}); err != nil {
+		if _, err := BuildDirected(g, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -135,7 +135,7 @@ func BenchmarkDirectedConstruction(b *testing.B) {
 
 func BenchmarkDirectedQuery(b *testing.B) {
 	g := gen.RandomDigraph(5000, 30000, 1)
-	ix, err := BuildDirected(g, DirectedOptions{})
+	ix, err := BuildDirected(g, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -51,42 +51,26 @@ func BuildDynamic(g *graph.Graph, opt Options) (*DynamicIndex, error) {
 	if opt.StorePaths {
 		return nil, fmt.Errorf("core: DynamicIndex does not support path storage")
 	}
-	n := g.NumVertices()
-	perm := opt.CustomOrder
-	if perm == nil {
-		perm = order.Compute(g, opt.Ordering, opt.Seed)
-	} else if len(perm) != n {
-		return nil, fmt.Errorf("core: CustomOrder length %d != n %d", len(perm), n)
-	}
-	h, err := g.Relabel(perm)
+	h, perm, err := rankOrder(g, func() *graph.Graph { return g }, opt)
 	if err != nil {
-		return nil, fmt.Errorf("core: invalid CustomOrder: %w", err)
-	}
-
-	ix := &Index{}
-	ix.setOrder(VariantDynamic, perm)
-	b := newBuilder(h, ix, false, nil)
-	if err := b.runBitParallelPhase(0, 1); err != nil {
 		return nil, err
 	}
-	// The initial build is the batch-parallel pruned labeling of
-	// parallel.go (byte-identical to sequential); incremental updates
-	// stay sequential — resumed BFSs patch labels in place.
-	if workers := EffectiveWorkers(opt.Workers); workers > 1 {
-		if err := b.runPrunedPhaseParallel(workers); err != nil {
-			return nil, err
-		}
-	} else if err := b.runPrunedPhase(); err != nil {
+	// The initial build is the shared pruned labeling (batch-parallel,
+	// byte-identical to sequential); incremental updates stay sequential
+	// — resumed BFSs patch labels in place.
+	n := len(perm)
+	lab := newGrowing[uint8](n, false)
+	if err := newBuilder(opt, nil, sweep[uint8]{h.Neighbors, lab, lab}).run(EffectiveWorkers(opt.Workers)); err != nil {
 		return nil, err
 	}
 
 	di := &DynamicIndex{
 		n:       n,
-		perm:    ix.perm,
-		rank:    ix.rank,
+		perm:    append([]int32(nil), perm...),
+		rank:    order.RankOf(perm),
 		adj:     make([][]int32, n),
-		labV:    b.labV,
-		labD:    b.labD,
+		labV:    lab.v,
+		labD:    lab.d,
 		dist:    make([]uint8, n),
 		rootLab: make([]uint8, n+1),
 		queue:   make([]int32, 0, 1024),

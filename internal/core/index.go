@@ -8,7 +8,9 @@
 // some hub on a shortest s-t path appears in both L(s) and L(t). A query
 // is a merge join of two sorted label arrays plus a constant-time check
 // against each bit-parallel root set (§5.3). Every static variant keeps
-// its labels in the one generic label store of labels.go.
+// its labels in the one generic label store of labels.go, and every
+// variant's labels come from the one pruned-labeling builder of
+// build.go and parallel.go.
 package core
 
 import (

@@ -8,39 +8,42 @@ import (
 
 // Parallel pruned labeling.
 //
-// The pruned phase looks inherently sequential: the BFS from the k-th
-// root prunes against the labels added by roots 1..k-1. This file runs
-// it in rank-ordered batches instead. All searches of a batch run
+// The pruned phase looks inherently sequential: the search from the
+// k-th root prunes against the labels added by roots 1..k-1. This file
+// runs it in rank-ordered batches instead. All searches of a batch run
 // concurrently against the *frozen* label set of every earlier batch
 // (reads only — nobody writes labels while a batch is in flight), each
-// producing a candidate list; then a sequential merge walks the batch in
-// rank order and replays exactly the pruning decisions the sequential
-// algorithm would have made, so the final labels are byte-identical to a
-// sequential build.
+// producing a candidate list per sweep; then a sequential merge walks
+// the batch in rank order, sweep by sweep, and replays exactly the
+// pruning decisions the sequential algorithm would have made, so the
+// final labels are byte-identical to a sequential build.
 //
 // Why the merge can be exact and still cheap:
 //
-//  1. A pruned search that prunes against *fewer* labels visits a
-//     superset of vertices, and every vertex it labels is at its exact
-//     distance from the root (the standard PLL invariant: a vertex
-//     reachable only through pruned predecessors is already covered, so
-//     over-estimated visits always fail the prune test and are never
-//     labeled). Hence each batch search's candidate list is a superset
-//     of the sequential label set, with identical distances.
+//  1. A pruned search that prunes against *fewer* labels visits (BFS)
+//     or settles (Dijkstra) a superset of vertices, and every vertex it
+//     labels is at its exact distance from the root (the standard PLL
+//     invariant: a vertex reachable only through pruned predecessors is
+//     already covered, so over-estimated visits always fail the prune
+//     test and are never labeled). Hence each batch search's candidate
+//     list is a superset of the sequential label set, with identical
+//     distances.
 //  2. The only labels a batch search could not see are those added by
-//     earlier roots of the *same* batch — and those hubs all have rank
-//     >= the batch's first rank. Labels are stored sorted by hub rank
-//     and appended in rank order, so the invisible entries are exactly
-//     the tails of L(u) and of the root's own label T with hub >=
-//     batchStart. The merge therefore re-tests each candidate (u, d)
-//     against just those tails: a hub pair can newly cover (root, u)
-//     only if the hub itself belongs to this batch.
+//     earlier roots (or earlier sweeps of the same root) of the *same*
+//     batch — and those hubs all have rank >= the batch's first rank.
+//     Labels are stored sorted by hub rank and appended in rank order,
+//     so the invisible entries are exactly the tails of L(u) and of the
+//     root's own label T with hub >= batchStart. The merge therefore
+//     re-tests each candidate (u, d) against just those tails: a hub
+//     pair can newly cover (root, u) only if the hub itself belongs to
+//     this batch. The bit-parallel labels are complete before the
+//     pruned phase starts, so they never need a re-test.
 //
 // Together: sequential label set = candidates that survive the tail
 // test, in the same order, with the same distances. For path-storing
-// builds the BFS-tree parents must also match the sequential visit
-// order, so the merge instead replays the full BFS queue discipline but
-// with O(tail) prune tests (see replayPrunedBFS).
+// builds the search-tree parents must also match the sequential visit
+// order, so the merge instead replays the full BFS queue (or Dijkstra
+// heap) discipline but with O(tail) prune tests (see replayBFS).
 //
 // Batches are sized by a ramp (see prunedBatchSize): the first,
 // highest-ranked roots label huge swaths of the graph, so batching them
@@ -96,66 +99,57 @@ func prunedBatchSize(done, workers int) int {
 	return b
 }
 
-// labelCand is one vertex visited by a relaxed batch search: a proposed
-// label entry (v, d) with its BFS-tree parent (meaningful only when
-// storing paths), or — kept only for path replays — a vertex the search
-// visited but pruned against the frozen labels.
-type labelCand struct {
+// cand is one vertex a relaxed batch search visited: a proposed label
+// entry (v, d), or — kept only for path replays, which recompute the
+// parents themselves — a vertex the search pruned against the frozen
+// labels.
+type cand[D dist] struct {
 	v      int32
-	par    int32
-	d      uint8
+	d      D
 	pruned bool
 }
 
-// runPrunedPhaseParallel is runPrunedPhase with the batch-parallel
-// scheme above. It requires workers > 1 and no stats collection.
-func (b *builder) runPrunedPhaseParallel(workers int) error {
+// runBatches is run with the batch-parallel scheme above. It requires
+// workers > 1 and no stats collection.
+func (b *builder[D]) runBatches(workers int) error {
 	roots := make([]int32, 0, b.n)
 	for v := int32(0); int(v) < b.n; v++ {
 		if !b.used[v] {
 			roots = append(roots, v)
 		}
 	}
-	if b.storePaths {
-		b.candD = make([]uint8, b.n)
+	if b.paths {
+		b.candD = filled(make([]D, b.n), infOf[D]())
 		b.candPruned = make([]bool, b.n)
-		for i := range b.candD {
-			b.candD[i] = InfDist
-		}
 	}
 
-	scratches := make([]*prunedScratch, workers)
-	cands := make([][]labelCand, maxPrunedBatch)
-	needSeq := make([]bool, maxPrunedBatch)
+	// One candidate list per (root, sweep) of a batch.
+	ns := len(b.sweeps)
+	scratches := make([]*scratch[D], workers)
+	cands := make([][]cand[D], maxPrunedBatch*ns)
+	needSeq := make([]bool, maxPrunedBatch*ns)
 
 	done := 0
 	for done < len(roots) {
-		size := prunedBatchSize(done, workers)
-		if size > len(roots)-done {
-			size = len(roots) - done
-		}
+		size := min(prunedBatchSize(done, workers), len(roots)-done)
 		batch := roots[done : done+size]
 		done += size
 		if size == 1 {
-			if _, _, err := b.prunedBFS(batch[0]); err != nil {
+			if err := b.searchRoot(batch[0]); err != nil {
 				return err
 			}
 			continue
 		}
 
 		// Concurrent relaxed searches over the frozen labels.
-		spawn := workers
-		if spawn > size {
-			spawn = size
-		}
 		var wg sync.WaitGroup
 		next := int32(-1)
-		for w := 0; w < spawn; w++ {
+		for w := 0; w < min(workers, size); w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
 				if scratches[w] == nil {
-					scratches[w] = newPrunedScratch(b.n, b.ix.numBP, b.storePaths)
+					scratches[w] = b.newScratch()
 				}
 				sc := scratches[w]
 				for {
@@ -163,192 +157,199 @@ func (b *builder) runPrunedPhaseParallel(workers int) error {
 					if i >= size {
 						return
 					}
-					cands[i], needSeq[i] = b.relaxedPrunedBFS(batch[i], sc, cands[i][:0])
+					for s := range b.sweeps {
+						j := i*ns + s
+						if b.weights != nil {
+							cands[j], needSeq[j] = b.relaxedDijkstra(batch[i], &b.sweeps[s], sc, cands[j][:0])
+						} else {
+							cands[j], needSeq[j] = b.relaxedBFS(batch[i], &b.sweeps[s], sc, cands[j][:0])
+						}
+					}
 				}
 			}(w)
 		}
 		wg.Wait()
 
-		// Deterministic merge in rank order.
+		// Deterministic merge in rank order, each root's sweeps in turn.
 		batchStart := batch[0]
 		for i, vk := range batch {
-			switch {
-			case needSeq[i]:
-				// The relaxed search overran — or brushed against — the
-				// 8-bit distance budget. Re-run this root with the real
-				// algorithm: if the sequential build would have failed
-				// here, this fails identically, and if not (it prunes
-				// harder), the labels come out right.
-				if _, _, err := b.prunedBFS(vk); err != nil {
+			for s := range b.sweeps {
+				if err := b.merge(vk, batchStart, &b.sweeps[s], cands[i*ns+s], needSeq[i*ns+s]); err != nil {
 					return err
 				}
-			case b.storePaths:
-				if err := b.replayPrunedBFS(vk, batchStart, cands[i]); err != nil {
-					return err
-				}
-			default:
-				b.mergeCands(vk, batchStart, cands[i])
 			}
 		}
 	}
 	return nil
 }
 
-// relaxedPrunedBFS runs root vk's pruned BFS against the frozen label
-// set, appending every labeled vertex (and, when storing paths, every
-// pruned visit) to cands. It only reads shared builder state — labels,
-// bit-parallel arrays, the graph — and writes nothing but sc and cands.
-// needSeq asks the caller to discard the candidates and fall back to a
-// sequential search for this root. It is set when the search exceeded
-// MaxDist — and, for distance-only builds, when any candidate sits
-// exactly at MaxDist: the sequential search's overflow check fires when
-// an *expanded* vertex at MaxDist meets a then-unvisited neighbor,
+// merge finalizes one sweep of batch root vk. needSeq means the relaxed
+// search overran — or, for BFS, brushed against — the distance budget
+// (see relaxedBFS): the sweep re-runs with the real sequential search,
+// which fails exactly where a sequential build would, and otherwise (it
+// prunes harder) produces the right labels. Path-storing builds replay
+// the search; distance-only builds filter the candidates.
+func (b *builder[D]) merge(vk, batchStart int32, sw *sweep[D], cands []cand[D], needSeq bool) error {
+	var err error
+	switch {
+	case needSeq && b.weights != nil:
+		_, _, err = b.dijkstra(vk, sw)
+	case needSeq:
+		_, _, err = b.bfs(vk, sw)
+	case b.paths:
+		b.mark(cands, true)
+		if b.weights != nil {
+			err = b.replayDijkstra(vk, batchStart, sw)
+		} else {
+			err = b.replayBFS(vk, batchStart, sw)
+		}
+		b.mark(cands, false)
+	default:
+		b.filter(vk, batchStart, sw, cands)
+	}
+	return err
+}
+
+// tailCovers reports whether an entry of u's scan-side label with hub >=
+// batchStart — one the relaxed search could not see — covers distance d
+// together with T.
+func (sc *scratch[D]) tailCovers(scan *growing[D], u, batchStart int32, d uint64) bool {
+	inf := infOf[D]()
+	uv, ud := scan.v[u], scan.d[u]
+	for i := len(uv) - 1; i >= 0 && uv[i] >= batchStart; i-- {
+		if tw := sc.rootLab[uv[i]]; tw != inf && uint64(tw)+uint64(ud[i]) <= d {
+			return true
+		}
+	}
+	return false
+}
+
+// filter finalizes a distance-only sweep of batch root vk: each
+// candidate (u, d) is re-tested against the label tails with hub >=
+// batchStart and survivors are appended, reproducing the sequential
+// pruning decisions exactly.
+func (b *builder[D]) filter(vk, batchStart int32, sw *sweep[D], cands []cand[D]) {
+	// T is the root's label as of now, i.e. including entries added by
+	// earlier roots of this batch — exactly what the sequential search
+	// from vk would have loaded.
+	lv := b.sc.load(sw.root, vk)
+	for _, c := range cands {
+		if !b.sc.tailCovers(sw.scan, c.v, batchStart, uint64(c.d)) {
+			sw.scan.add(c.v, vk, c.d, nil) // distance-only: no parents
+		}
+	}
+	b.sc.reset(lv)
+}
+
+// mark scatters (on) or clears (off) a batch search's candidates over
+// the per-vertex replay marks.
+func (b *builder[D]) mark(cands []cand[D], on bool) {
+	for _, c := range cands {
+		switch {
+		case c.pruned:
+			b.candPruned[c.v] = on
+		case on:
+			b.candD[c.v] = c.d
+		default:
+			b.candD[c.v] = infOf[D]()
+		}
+	}
+}
+
+// replayPruned is a replay's reconstruction of the sequential prune
+// decision for u reached at distance d: pruned if the batch search
+// pruned u against the frozen labels, or first reached it later than
+// the batch search did (which per the invariant means the pair is
+// already covered); otherwise u is a candidate at its exact distance,
+// pruned iff a same-batch label tail covers it.
+func (b *builder[D]) replayPruned(sw *sweep[D], u, batchStart int32, d uint64) bool {
+	c := b.candD[u]
+	if b.candPruned[u] || c == infOf[D]() || uint64(c) != d {
+		return true
+	}
+	return b.sc.tailCovers(sw.scan, u, batchStart, d)
+}
+
+// relaxedBFS runs root vk's pruned BFS along sw against the frozen
+// label set, appending every labeled vertex (and, when storing paths,
+// every pruned visit) to cands. It only reads shared builder state —
+// labels, bit-parallel arrays, the graph — and writes nothing but sc
+// and cands. needSeq asks the caller to discard the candidates and fall
+// back to a sequential search for this sweep. It is set when the search
+// exceeded MaxDist — and, for distance-only builds, when any candidate
+// sits exactly at MaxDist: the sequential search's overflow check fires
+// when an *expanded* vertex at MaxDist meets a then-unvisited neighbor,
 // which depends on sequential visit state the candidate filter does not
 // replay. Expanded vertices carry exact distances, so every vertex that
 // could trigger a sequential overflow is a candidate at MaxDist here —
 // the flag conservatively covers all such roots, keeping even the
 // failure behavior identical to a sequential build. (Path-storing
 // builds replay the full queue discipline and need no such guard.)
-func (b *builder) relaxedPrunedBFS(vk int32, sc *prunedScratch, cands []labelCand) (_ []labelCand, needSeq bool) {
-	lv, ld := b.labV[vk], b.labD[vk]
-	for i, w := range lv {
-		sc.rootLab[w] = ld[i]
-	}
+func (b *builder[D]) relaxedBFS(vk int32, sw *sweep[D], sc *scratch[D], cands []cand[D]) (_ []cand[D], needSeq bool) {
+	lv := sc.load(sw.root, vk)
 	b.mirrorBP(sc, vk)
-
-	que := sc.queue[:0]
-	que = append(que, vk)
-	sc.dist[vk] = 0
-	if b.storePaths {
-		sc.par[vk] = -1
-	}
+	que := append(sc.seen[:0], vk)
+	sc.hops[vk] = 0
+	sc.par[vk] = -1
 search:
 	for qh := 0; qh < len(que); qh++ {
 		u := que[qh]
-		d := sc.dist[u]
-		if b.pruned(sc, u, d) {
-			if b.storePaths {
-				cands = append(cands, labelCand{v: u, d: d, pruned: true})
+		d := sc.hops[u]
+		if b.pruned(sc, sw.scan, u, uint64(d)) {
+			if b.paths {
+				cands = append(cands, cand[D]{v: u, pruned: true})
 			}
 			continue
 		}
-		c := labelCand{v: u, d: d}
-		if b.storePaths {
-			c.par = sc.par[u]
-		}
-		cands = append(cands, c)
-		if !b.storePaths && int(d) == MaxDist {
+		cands = append(cands, cand[D]{v: u, d: D(d)})
+		if !b.paths && int(d) == MaxDist {
 			needSeq = true
-			break search
+			break
 		}
 		nd := int(d) + 1
-		for _, w := range b.h.Neighbors(u) {
-			if sc.dist[w] == InfDist {
+		for _, w := range sw.next(u) {
+			if sc.hops[w] == InfDist {
 				if nd > MaxDist {
 					needSeq = true
 					break search
 				}
-				sc.dist[w] = uint8(nd)
-				if b.storePaths {
+				sc.hops[w] = uint8(nd)
+				if b.paths {
 					sc.par[w] = u
 				}
 				que = append(que, w)
 			}
 		}
 	}
-	sc.reset(que, lv)
-	sc.queue = que[:0]
+	sc.seen = que
+	sc.reset(lv)
 	return cands, needSeq
 }
 
-// mergeCands finalizes root vk's batch search: each candidate (u, d) is
-// re-tested against the label-tail entries with hub >= batchStart — the
-// only entries the relaxed search could not see — and survivors are
-// appended, reproducing the sequential pruning decisions exactly.
-func (b *builder) mergeCands(vk, batchStart int32, cands []labelCand) {
-	// T is the root's label as of now, i.e. including entries added by
-	// earlier roots of this batch — exactly what the sequential BFS from
-	// vk would have loaded.
-	lv, ld := b.labV[vk], b.labD[vk]
-	rl := b.sc.rootLab
-	for i, w := range lv {
-		rl[w] = ld[i]
-	}
-	for _, c := range cands {
-		u, d := c.v, c.d
-		uv, ud := b.labV[u], b.labD[u]
-		covered := false
-		for i := len(uv) - 1; i >= 0 && uv[i] >= batchStart; i-- {
-			if tw := rl[uv[i]]; tw != InfDist && int(tw)+int(ud[i]) <= int(d) {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			b.labV[u] = append(b.labV[u], vk)
-			b.labD[u] = append(b.labD[u], d)
-		}
-	}
-	for _, w := range lv {
-		rl[w] = InfDist
-	}
-}
-
-// replayPrunedBFS is the path-storing merge: parent pointers must match
-// the sequential BFS-tree exactly, and the tree depends on the queue
-// order, so the merge re-runs the full BFS queue discipline. The prune
-// tests stay cheap: the batch search already decided every vertex
-// against the frozen labels, so the replay only needs the candidate
-// marks plus a label-tail scan for hubs >= batchStart.
-func (b *builder) replayPrunedBFS(vk, batchStart int32, cands []labelCand) error {
-	for _, c := range cands {
-		if c.pruned {
-			b.candPruned[c.v] = true
-		} else {
-			b.candD[c.v] = c.d
-		}
-	}
-
-	sc := &b.sc
-	lv, ld := b.labV[vk], b.labD[vk]
-	for i, w := range lv {
-		sc.rootLab[w] = ld[i]
-	}
-	que := sc.queue[:0]
-	que = append(que, vk)
-	sc.dist[vk] = 0
+// replayBFS is the path-storing merge: parent pointers must match the
+// sequential BFS tree exactly, and the tree depends on the queue order,
+// so the merge re-runs the full BFS queue discipline. The prune tests
+// stay cheap: the batch search already decided every vertex against the
+// frozen labels, so the replay only needs the candidate marks plus a
+// label-tail scan (replayPruned).
+func (b *builder[D]) replayBFS(vk, batchStart int32, sw *sweep[D]) error {
+	sc := b.sc
+	lv := sc.load(sw.root, vk)
+	que := append(sc.seen[:0], vk)
+	sc.hops[vk] = 0
 	sc.par[vk] = -1
 	var err error
 replay:
 	for qh := 0; qh < len(que); qh++ {
 		u := que[qh]
-		d := sc.dist[u]
-		// Sequential prune decision, reconstructed:
-		//  - pruned against frozen labels in the batch search, or first
-		//    reached later than the batch search did (which per the
-		//    invariant means the pair is already covered): pruned;
-		//  - otherwise a candidate at its exact distance: pruned iff a
-		//    same-batch label tail covers it.
-		covered := true
-		if !b.candPruned[u] && b.candD[u] == d {
-			covered = false
-			uv, ud := b.labV[u], b.labD[u]
-			for i := len(uv) - 1; i >= 0 && uv[i] >= batchStart; i-- {
-				if tw := sc.rootLab[uv[i]]; tw != InfDist && int(tw)+int(ud[i]) <= int(d) {
-					covered = true
-					break
-				}
-			}
-		}
-		if covered {
+		d := sc.hops[u]
+		if b.replayPruned(sw, u, batchStart, uint64(d)) {
 			continue
 		}
-		b.labV[u] = append(b.labV[u], vk)
-		b.labD[u] = append(b.labD[u], d)
-		b.labP[u] = append(b.labP[u], sc.par[u])
+		sw.scan.add(u, vk, D(d), sc.par)
 		nd := int(d) + 1
-		for _, w := range b.h.Neighbors(u) {
-			if sc.dist[w] == InfDist {
+		for _, w := range sw.next(u) {
+			if sc.hops[w] == InfDist {
 				if nd > MaxDist {
 					// The replay reproduces the sequential execution
 					// exactly, so this error fires precisely where a
@@ -359,20 +360,13 @@ replay:
 					err = ErrDiameterTooLarge
 					break replay
 				}
-				sc.dist[w] = uint8(nd)
+				sc.hops[w] = uint8(nd)
 				sc.par[w] = u
 				que = append(que, w)
 			}
 		}
 	}
-	sc.reset(que, lv)
-	sc.queue = que[:0]
-	for _, c := range cands {
-		if c.pruned {
-			b.candPruned[c.v] = false
-		} else {
-			b.candD[c.v] = InfDist
-		}
-	}
+	sc.seen = que
+	sc.reset(lv)
 	return err
 }

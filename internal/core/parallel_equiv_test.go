@@ -127,7 +127,7 @@ func TestParallelEquivDirected(t *testing.T) {
 		g := randomDigraphFor(seed, 130)
 		for _, ord := range []order.Strategy{order.Degree, order.Random} {
 			for _, paths := range []bool{false, true} {
-				opt := DirectedOptions{Ordering: ord, Seed: 5, StorePaths: paths, Workers: 1}
+				opt := Options{Ordering: ord, Seed: 5, StorePaths: paths, Workers: 1}
 				seq, err := BuildDirected(g, opt)
 				if err != nil {
 					t.Fatal(err)
@@ -180,7 +180,7 @@ func TestParallelEquivWeighted(t *testing.T) {
 		g := randomWeightedFor(seed, 130, minW, 9)
 		for _, ord := range []order.Strategy{order.Degree, order.Random} {
 			for _, paths := range []bool{false, true} {
-				opt := WeightedOptions{Ordering: ord, Seed: 5, StorePaths: paths, Workers: 1}
+				opt := Options{Ordering: ord, Seed: 5, StorePaths: paths, Workers: 1}
 				seq, err := BuildWeighted(g, opt)
 				if err != nil {
 					t.Fatal(err)
@@ -287,11 +287,11 @@ func TestParallelEquivLarger(t *testing.T) {
 	}
 
 	dg := gen.RandomDigraph(1200, 4800, 5)
-	dseq, err := BuildDirected(dg, DirectedOptions{Seed: 7, Workers: 1})
+	dseq, err := BuildDirected(dg, Options{Seed: 7, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dpar, err := BuildDirected(dg, DirectedOptions{Seed: 7, Workers: 8})
+	dpar, err := BuildDirected(dg, Options{Seed: 7, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,11 +300,11 @@ func TestParallelEquivLarger(t *testing.T) {
 	}
 
 	wg := gen.RandomWeights(gen.BarabasiAlbert(1200, 3, 9), 1, 12, 4)
-	wseq, err := BuildWeighted(wg, WeightedOptions{Seed: 7, Workers: 1})
+	wseq, err := BuildWeighted(wg, Options{Seed: 7, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wpar, err := BuildWeighted(wg, WeightedOptions{Seed: 7, Workers: 8})
+	wpar, err := BuildWeighted(wg, Options{Seed: 7, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,10 +353,42 @@ func TestParallelDiameterOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, seqErr := BuildDirected(dg, DirectedOptions{Workers: 1})
-	_, parErr := BuildDirected(dg, DirectedOptions{Workers: 4})
+	_, seqErr := BuildDirected(dg, Options{Workers: 1})
+	_, parErr := BuildDirected(dg, Options{Workers: 4})
 	if (seqErr == nil) != (parErr == nil) {
 		t.Fatalf("directed chain: sequential err=%v, parallel err=%v", seqErr, parErr)
+	}
+	// Weighted 32-bit budget: the path 2-3-4 with two edges of weight w
+	// behind two isolated vertices, so the root at rank 2 runs in a real
+	// batch. 2w = 2^32-2 fits the label budget; 2w = 2^32 does not, and
+	// both builds must fail, with and without paths.
+	for _, w := range []uint32{1<<31 - 1, 1 << 31} {
+		wg, err := graph.NewWeighted(5, []graph.WeightedEdge{{U: 2, V: 3, Weight: w}, {U: 3, V: 4, Weight: w}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fits := w < 1<<31
+		for _, paths := range []bool{false, true} {
+			opt := Options{CustomOrder: []int32{0, 1, 2, 3, 4}, StorePaths: paths, Workers: 1}
+			seq, seqErr := BuildWeighted(wg, opt)
+			opt.Workers = 4
+			par, parErr := BuildWeighted(wg, opt)
+			if (seqErr == nil) != fits || (parErr == nil) != fits {
+				t.Fatalf("weighted w=%d paths=%v: sequential err=%v, parallel err=%v", w, paths, seqErr, parErr)
+			}
+			if !fits {
+				continue
+			}
+			if !reflect.DeepEqual(seq, par) {
+				t.Fatalf("weighted w=%d paths=%v: parallel index differs", w, paths)
+			}
+			if !paths && !bytes.Equal(containerBytes(t, seq), containerBytes(t, par)) {
+				t.Fatalf("weighted w=%d: parallel container differs", w)
+			}
+			if got := seq.Query(2, 4); got != 1<<32-2 {
+				t.Fatalf("weighted w=%d paths=%v: d(2,4) = %d, want %d", w, paths, got, uint64(1<<32-2))
+			}
+		}
 	}
 }
 
@@ -372,11 +404,11 @@ func TestRaceParallelConstructionAllVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	dg := gen.RandomDigraph(800, 3200, 22)
-	if _, err := BuildDirected(dg, DirectedOptions{Seed: 1, Workers: 8}); err != nil {
+	if _, err := BuildDirected(dg, Options{Seed: 1, Workers: 8}); err != nil {
 		t.Fatal(err)
 	}
 	wg := gen.RandomWeights(gen.BarabasiAlbert(800, 3, 23), 1, 9, 24)
-	if _, err := BuildWeighted(wg, WeightedOptions{Seed: 1, Workers: 8}); err != nil {
+	if _, err := BuildWeighted(wg, Options{Seed: 1, Workers: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := BuildDynamic(gen.BarabasiAlbert(800, 3, 25), Options{Seed: 1, Workers: 8}); err != nil {

@@ -181,7 +181,7 @@ func TestSearchUndirectedPaths(t *testing.T) {
 func TestSearchDirected(t *testing.T) {
 	n := 70
 	dg := gen.RandomDigraph(n, 200, 13)
-	ix, err := BuildDirected(dg, DirectedOptions{Ordering: order.Degree, Seed: 13})
+	ix, err := BuildDirected(dg, Options{Ordering: order.Degree, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestSearchWeighted(t *testing.T) {
 	n := 60
 	gg := gen.ErdosRenyi(n, 140, 17)
 	wg := gen.RandomWeights(gg, 1, 9, 18)
-	ix, err := BuildWeighted(wg, WeightedOptions{Ordering: order.Degree, Seed: 17})
+	ix, err := BuildWeighted(wg, Options{Ordering: order.Degree, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,6 @@ import (
 	"math"
 
 	"pll/internal/graph"
-	"pll/internal/order"
-	"pll/internal/rng"
 )
 
 // InfWeight32 is the in-label encoding of "unreachable" for weighted
@@ -34,200 +32,154 @@ func (ix *WeightedIndex) Query(s, t int32) uint64 {
 	return uint64(d)
 }
 
-// WeightedOptions configures BuildWeighted.
-type WeightedOptions struct {
-	// Ordering selects the vertex order; Degree (on the unweighted
-	// structure) is the default, as in the unweighted case.
-	Ordering order.Strategy
-	// Seed drives ordering tie-breaks.
-	Seed uint64
-	// CustomOrder, if non-nil, overrides Ordering.
-	CustomOrder []int32
-	// StorePaths records a parent pointer per label entry so Path
-	// can reconstruct minimum-weight paths (§6).
-	StorePaths bool
-	// Workers parallelizes the pruned Dijkstra labeling (see
-	// Options.Workers); the index is byte-identical regardless of the
-	// worker count. 0 selects GOMAXPROCS.
-	Workers int
-}
-
 // infWeight is the scratch encoding of "not reached" during pruned
 // Dijkstra searches (label entries themselves stay within 32 bits).
 const infWeight = uint64(math.MaxUint64)
 
 // BuildWeighted constructs a pruned-landmark-labeling index for a
 // weighted undirected graph by pruned Dijkstra searches. Distances along
-// any shortest path must fit in 32 bits.
-func BuildWeighted(g *graph.Weighted, opt WeightedOptions) (*WeightedIndex, error) {
-	n := g.NumVertices()
-	perm := opt.CustomOrder
-	if perm == nil {
-		perm = order.Compute(g.Unweighted(), opt.Ordering, opt.Seed)
-	} else if len(perm) != n {
-		return nil, fmt.Errorf("core: CustomOrder length %d != n %d", len(perm), n)
-	}
-	h, err := g.Relabel(perm)
-	if err != nil {
-		return nil, fmt.Errorf("core: invalid CustomOrder: %w", err)
-	}
-
-	wb := newWgtBuilder(h, opt.StorePaths)
-	if workers := EffectiveWorkers(opt.Workers); workers > 1 {
-		err = wb.runParallel(workers)
-	} else {
-		err = wb.runSequential()
-	}
+// any shortest path must fit in 32 bits. NumBitParallel is ignored:
+// bit-parallel labeling does not apply (§6).
+func BuildWeighted(g *graph.Weighted, opt Options) (*WeightedIndex, error) {
+	h, perm, err := rankOrder(g, g.Unweighted, opt)
 	if err != nil {
 		return nil, err
 	}
-
+	lab := newGrowing[uint32](len(perm), opt.StorePaths)
+	if err := newBuilder(opt, h.Weights, sweep[uint32]{h.Neighbors, lab, lab}).run(EffectiveWorkers(opt.Workers)); err != nil {
+		return nil, err
+	}
 	ix := &WeightedIndex{}
 	ix.setOrder(VariantWeighted, perm)
-	ix.out = flatten(wb.labV, wb.labD, wb.labP)
+	ix.out = flatten(lab.v, lab.d, lab.p)
 	ix.in = ix.out
 	return ix, nil
 }
 
-// wgtBuilder holds the growing labels and the sequential-search scratch
-// of one weighted construction run.
-type wgtBuilder struct {
-	h *graph.Weighted // rank-relabeled graph
-	n int
+// overBudget reports whether a settled distance cannot be stored in a
+// D-wide label entry (whose all-ones value means unreachable).
+func overBudget[D dist](d uint64) bool { return d > uint64(infOf[D]())-1 }
 
-	labV [][]int32
-	labD [][]uint32
-	labP [][]int32 // parents; nil unless storing paths
-
-	storePaths bool
-	sc         wgtScratch
-
-	// Per-vertex marks for path-storing batch replays (parallel_weighted.go).
-	candD      []uint32
-	candPruned []bool
+func errWeightBudget(d uint64) error {
+	return fmt.Errorf("core: weighted distance %d exceeds 32-bit label budget", d)
 }
 
-// wgtScratch is the per-search scratch of one pruned Dijkstra.
-type wgtScratch struct {
-	dist    []uint64
-	par     []int32 // nil unless storing paths
-	rootLab []uint64
-	visited []int32
-	heap    wHeap
-}
-
-func newWgtScratch(n int, storePaths bool) *wgtScratch {
-	sc := &wgtScratch{
-		dist:    make([]uint64, n),
-		rootLab: make([]uint64, n+1),
-		visited: make([]int32, 0, 1024),
-	}
-	if storePaths {
-		sc.par = make([]int32, n)
-	}
-	for i := range sc.dist {
-		sc.dist[i] = infWeight
-	}
-	for i := range sc.rootLab {
-		sc.rootLab[i] = infWeight
-	}
-	return sc
-}
-
-func (sc *wgtScratch) reset(rootLabelVertices []int32) {
-	for _, v := range sc.visited {
-		sc.dist[v] = infWeight
-	}
-	for _, w := range rootLabelVertices {
-		sc.rootLab[w] = infWeight
-	}
-	sc.visited = sc.visited[:0]
-	sc.heap = sc.heap[:0]
-}
-
-func newWgtBuilder(h *graph.Weighted, storePaths bool) *wgtBuilder {
-	n := h.NumVertices()
-	wb := &wgtBuilder{
-		h: h, n: n,
-		labV:       make([][]int32, n),
-		labD:       make([][]uint32, n),
-		storePaths: storePaths,
-		sc:         *newWgtScratch(n, storePaths),
-	}
-	if storePaths {
-		wb.labP = make([][]int32, n)
-	}
-	return wb
-}
-
-func (wb *wgtBuilder) runSequential() error {
-	for vk := int32(0); int(vk) < wb.n; vk++ {
-		if err := wb.prunedDijkstra(vk); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// prunedDijkstra runs one pruned Dijkstra from vk, appending labels.
-func (wb *wgtBuilder) prunedDijkstra(vk int32) error {
-	sc := &wb.sc
-	lv, ld := wb.labV[vk], wb.labD[vk]
-	for i, w := range lv {
-		sc.rootLab[w] = uint64(ld[i])
-	}
-	sc.visited = sc.visited[:0]
-	sc.heap = sc.heap[:0]
+// startDijkstra seeds a search from vk.
+func (sc *scratch[D]) startDijkstra(vk int32) {
 	sc.dist[vk] = 0
-	if sc.par != nil {
-		sc.par[vk] = -1
-	}
-	sc.visited = append(sc.visited, vk)
-	sc.heap.push(wItem{0, vk})
+	sc.par[vk] = -1
+	sc.seen = append(sc.seen[:0], vk)
+	sc.heap = append(sc.heap[:0], wItem{0, vk})
+}
+
+// settle pops the next vertex whose heap entry is current (the heap
+// uses lazy deletion), reporting false once the heap is empty.
+func (sc *scratch[D]) settle() (int32, uint64, bool) {
 	for len(sc.heap) > 0 {
 		it := sc.heap.pop()
-		u, d := it.v, it.dist
-		if d != sc.dist[u] {
-			continue // stale entry
-		}
-		// Prune test: scan L(u) against the root-label array.
-		pruned := false
-		uv, ud := wb.labV[u], wb.labD[u]
-		for i, w := range uv {
-			if tw := sc.rootLab[w]; tw != infWeight && tw+uint64(ud[i]) <= d {
-				pruned = true
-				break
-			}
-		}
-		if pruned {
-			continue
-		}
-		if d > uint64(InfWeight32)-1 {
-			sc.reset(lv)
-			return fmt.Errorf("core: weighted distance %d exceeds 32-bit label budget", d)
-		}
-		wb.labV[u] = append(wb.labV[u], vk)
-		wb.labD[u] = append(wb.labD[u], uint32(d))
-		if wb.labP != nil {
-			wb.labP[u] = append(wb.labP[u], sc.par[u])
-		}
-		ws := wb.h.Weights(u)
-		for i, w := range wb.h.Neighbors(u) {
-			nd := d + uint64(ws[i])
-			if nd < sc.dist[w] {
-				if sc.dist[w] == infWeight {
-					sc.visited = append(sc.visited, w)
-				}
-				sc.dist[w] = nd
-				if sc.par != nil {
-					sc.par[w] = u
-				}
-				sc.heap.push(wItem{nd, w})
-			}
+		if it.dist == sc.dist[it.v] {
+			return it.v, it.dist, true
 		}
 	}
+	return 0, 0, false
+}
+
+// relax scans the arcs of the settled vertex u at distance d.
+func (b *builder[D]) relax(sc *scratch[D], sw *sweep[D], u int32, d uint64) {
+	arcs := sw.next(u)
+	ws, dist := b.weights(u)[:len(arcs)], sc.dist
+	for i, w := range arcs {
+		nd := d + uint64(ws[i])
+		if dw := dist[w]; nd < dw {
+			if dw == infWeight {
+				sc.seen = append(sc.seen, w)
+			}
+			dist[w] = nd
+			if b.paths {
+				sc.par[w] = u
+			}
+			sc.heap.push(wItem{nd, w})
+		}
+	}
+}
+
+// dijkstra runs one pruned Dijkstra from vk along sw, appending labels.
+func (b *builder[D]) dijkstra(vk int32, sw *sweep[D]) (added, visited int64, err error) {
+	sc := b.sc
+	lv := sc.load(sw.root, vk)
+	sc.startDijkstra(vk)
+	for u, d, ok := sc.settle(); ok; u, d, ok = sc.settle() {
+		if sc.covers(sw.scan, u, d) {
+			continue
+		}
+		if overBudget[D](d) {
+			err = errWeightBudget(d)
+			break
+		}
+		sw.scan.add(u, vk, D(d), sc.par)
+		added++
+		b.relax(sc, sw, u, d)
+	}
+	visited = int64(len(sc.seen))
 	sc.reset(lv)
-	return nil
+	return added, visited, err
+}
+
+// relaxedDijkstra is the batch search of parallel.go for weighted
+// builds: root vk's pruned Dijkstra against the frozen labels, writing
+// nothing but sc and cands. needSeq reports a settled distance beyond
+// the 32-bit label budget. Unlike BFS, no at-the-budget-edge guard is
+// needed: the sequential budget check fires on the settled (exact)
+// distance of a non-pruned pop, and any vertex the sequential search
+// settles non-pruned beyond the budget is settled at the same exact
+// distance here (the frozen labels prune less), so this search always
+// overflows whenever the sequential one would.
+func (b *builder[D]) relaxedDijkstra(vk int32, sw *sweep[D], sc *scratch[D], cands []cand[D]) (_ []cand[D], needSeq bool) {
+	lv := sc.load(sw.root, vk)
+	sc.startDijkstra(vk)
+	for u, d, ok := sc.settle(); ok; u, d, ok = sc.settle() {
+		if sc.covers(sw.scan, u, d) {
+			if b.paths {
+				cands = append(cands, cand[D]{v: u, pruned: true})
+			}
+			continue
+		}
+		if overBudget[D](d) {
+			needSeq = true
+			break
+		}
+		cands = append(cands, cand[D]{v: u, d: D(d)})
+		b.relax(sc, sw, u, d)
+	}
+	sc.reset(lv)
+	return cands, needSeq
+}
+
+// replayDijkstra is the path-storing merge for weighted builds: it
+// reproduces the exact sequential heap discipline (Dijkstra-tree parents
+// depend on pop and relaxation order) with candidate-mark prune
+// decisions plus a label-tail scan.
+func (b *builder[D]) replayDijkstra(vk, batchStart int32, sw *sweep[D]) error {
+	sc := b.sc
+	lv := sc.load(sw.root, vk)
+	sc.startDijkstra(vk)
+	var err error
+	for u, d, ok := sc.settle(); ok; u, d, ok = sc.settle() {
+		if b.replayPruned(sw, u, batchStart, d) {
+			continue
+		}
+		if overBudget[D](d) {
+			// Unreachable: the relaxed search settles every vertex at a
+			// distance <= the replay's, so it would have overflowed
+			// first and taken the fallback path.
+			err = errWeightBudget(d)
+			break
+		}
+		sw.scan.add(u, vk, D(d), sc.par)
+		b.relax(sc, sw, u, d)
+	}
+	sc.reset(lv)
+	return err
 }
 
 // wItem and wHeap form a lazy-deletion binary min-heap for the pruned
@@ -275,15 +227,4 @@ func (h *wHeap) pop() wItem {
 		i = small
 	}
 	return top
-}
-
-// randPairs is a shared test/experiment helper that samples k vertex
-// pairs uniformly with a deterministic seed.
-func randPairs(n int, k int, seed uint64) [][2]int32 {
-	r := rng.New(seed)
-	pairs := make([][2]int32, k)
-	for i := range pairs {
-		pairs[i] = [2]int32{r.Int31n(int32(n)), r.Int31n(int32(n))}
-	}
-	return pairs
 }

@@ -13,7 +13,7 @@ import (
 func TestWeightedQueryPathValid(t *testing.T) {
 	check := func(seed uint64) bool {
 		wg := randomWeightedGraph(seed, 40, 12)
-		ix, err := BuildWeighted(wg, WeightedOptions{Seed: seed, StorePaths: true})
+		ix, err := BuildWeighted(wg, Options{Seed: seed, StorePaths: true})
 		if err != nil {
 			return false
 		}
@@ -67,7 +67,7 @@ func edgeWeight(g *graph.Weighted, a, b int32) (uint32, bool) {
 
 func TestWeightedQueryPathSelf(t *testing.T) {
 	wg := graph.UniformWeighted(gen.Path(5), 3)
-	ix, err := BuildWeighted(wg, WeightedOptions{StorePaths: true})
+	ix, err := BuildWeighted(wg, Options{StorePaths: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestWeightedQueryPathSelf(t *testing.T) {
 
 func TestWeightedQueryPathRequiresStorePaths(t *testing.T) {
 	wg := graph.UniformWeighted(gen.Path(5), 1)
-	ix, err := BuildWeighted(wg, WeightedOptions{})
+	ix, err := BuildWeighted(wg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestWeightedQueryPathRequiresStorePaths(t *testing.T) {
 
 func TestWeightedSaveRejectsParents(t *testing.T) {
 	wg := graph.UniformWeighted(gen.Path(5), 1)
-	ix, err := BuildWeighted(wg, WeightedOptions{StorePaths: true})
+	ix, err := BuildWeighted(wg, Options{StorePaths: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func randomWeightedGraph(seed uint64, maxN int, maxW uint32) *graph.Weighted {
 func TestWeightedMatchesDijkstra(t *testing.T) {
 	check := func(seed uint64) bool {
 		wg := randomWeightedGraph(seed, 50, 20)
-		ix, err := BuildWeighted(wg, WeightedOptions{Seed: seed})
+		ix, err := BuildWeighted(wg, Options{Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -47,7 +47,7 @@ func TestWeightedMatchesDijkstra(t *testing.T) {
 func TestWeightedUniformMatchesUnweighted(t *testing.T) {
 	g := gen.BarabasiAlbert(120, 3, 7)
 	wg := graph.UniformWeighted(g, 1)
-	wix, err := BuildWeighted(wg, WeightedOptions{Seed: 3})
+	wix, err := BuildWeighted(wg, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestWeightedScaledWeightsScaleDistances(t *testing.T) {
 	g := gen.BarabasiAlbert(80, 2, 5)
 	w1 := graph.UniformWeighted(g, 1)
 	w7 := graph.UniformWeighted(g, 7)
-	ix1, err := BuildWeighted(w1, WeightedOptions{Seed: 1})
+	ix1, err := BuildWeighted(w1, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix7, err := BuildWeighted(w7, WeightedOptions{Seed: 1})
+	ix7, err := BuildWeighted(w7, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestWeightedSelfAndDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := BuildWeighted(wg, WeightedOptions{})
+	ix, err := BuildWeighted(wg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestWeightedZeroWeightEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := BuildWeighted(wg, WeightedOptions{})
+	ix, err := BuildWeighted(wg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestWeightedZeroWeightEdges(t *testing.T) {
 
 func TestWeightedLabelStats(t *testing.T) {
 	wg := randomWeightedGraph(5, 60, 10)
-	ix, err := BuildWeighted(wg, WeightedOptions{Seed: 5})
+	ix, err := BuildWeighted(wg, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +153,10 @@ func TestWeightedLabelStats(t *testing.T) {
 
 func TestWeightedCustomOrderValidation(t *testing.T) {
 	wg := graph.UniformWeighted(gen.Path(4), 1)
-	if _, err := BuildWeighted(wg, WeightedOptions{CustomOrder: []int32{0}}); err == nil {
+	if _, err := BuildWeighted(wg, Options{CustomOrder: []int32{0}}); err == nil {
 		t.Fatal("expected error for short order")
 	}
-	if _, err := BuildWeighted(wg, WeightedOptions{CustomOrder: []int32{0, 0, 1, 2}}); err == nil {
+	if _, err := BuildWeighted(wg, Options{CustomOrder: []int32{0, 0, 1, 2}}); err == nil {
 		t.Fatal("expected error for duplicate order")
 	}
 }
@@ -164,7 +164,7 @@ func TestWeightedCustomOrderValidation(t *testing.T) {
 func TestWeightedOrderingStrategies(t *testing.T) {
 	wg := randomWeightedGraph(11, 50, 8)
 	for _, s := range []order.Strategy{order.Degree, order.Random, order.Closeness} {
-		ix, err := BuildWeighted(wg, WeightedOptions{Ordering: s, Seed: 2})
+		ix, err := BuildWeighted(wg, Options{Ordering: s, Seed: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -189,7 +189,7 @@ func BenchmarkWeightedConstruction(b *testing.B) {
 	wg := gen.RandomWeights(gen.BarabasiAlbert(1000, 4, 1), 1, 100, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildWeighted(wg, WeightedOptions{}); err != nil {
+		if _, err := BuildWeighted(wg, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -197,7 +197,7 @@ func BenchmarkWeightedConstruction(b *testing.B) {
 
 func BenchmarkWeightedQuery(b *testing.B) {
 	wg := gen.RandomWeights(gen.BarabasiAlbert(5000, 4, 1), 1, 100, 2)
-	ix, err := BuildWeighted(wg, WeightedOptions{})
+	ix, err := BuildWeighted(wg, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -35,7 +35,9 @@ func goldenEdges() []pll.Edge {
 	return edges
 }
 
-func goldenOracles(t *testing.T) map[string]pll.Oracle {
+// goldenGraphs builds goldenEdges as an undirected graph, a digraph
+// and a weighted graph.
+func goldenGraphs(t *testing.T) (*pll.Graph, *pll.Digraph, *pll.WeightedGraph) {
 	t.Helper()
 	const n = 20
 	edges := goldenEdges()
@@ -55,6 +57,12 @@ func goldenOracles(t *testing.T) map[string]pll.Oracle {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g, dg, wg
+}
+
+func goldenOracles(t *testing.T) map[string]pll.Oracle {
+	t.Helper()
+	g, dg, wg := goldenGraphs(t)
 	must := func(o pll.Oracle, err error) pll.Oracle {
 		t.Helper()
 		if err != nil {
@@ -108,6 +116,47 @@ func TestContainerBytesGolden(t *testing.T) {
 			if want := goldenDigests[key]; got != want {
 				t.Errorf("%s: container digest %s, want %s (%d bytes)", key, got, want, buf.Len())
 			}
+		}
+	}
+}
+
+// TestBuildIgnoresInapplicableOptions pins Build's option contract:
+// options that do not apply to a variant are ignored, so directed and
+// weighted builds WithBitParallel write the same container as builds
+// without it, and BuildDynamic drops WithBitParallel and WithPaths.
+func TestBuildIgnoresInapplicableOptions(t *testing.T) {
+	g, dg, wg := goldenGraphs(t)
+	container := func(o pll.Oracle, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := pll.WriteFlat(&buf, o); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	dynamic := func(opts ...pll.Option) (pll.Oracle, error) {
+		d, err := pll.BuildDynamic(g, opts...)
+		if err != nil {
+			return nil, err
+		}
+		return d.Freeze(), nil
+	}
+	for _, c := range []struct {
+		name  string
+		build func(...pll.Option) (pll.Oracle, error)
+		extra []pll.Option
+	}{
+		{"directed", func(o ...pll.Option) (pll.Oracle, error) { return pll.Build(dg, o...) }, []pll.Option{pll.WithBitParallel(4)}},
+		{"weighted", func(o ...pll.Option) (pll.Oracle, error) { return pll.Build(wg, o...) }, []pll.Option{pll.WithBitParallel(4)}},
+		{"dynamic", dynamic, []pll.Option{pll.WithBitParallel(4), pll.WithPaths()}},
+	} {
+		want := container(c.build(pll.WithSeed(3)))
+		got := container(c.build(append([]pll.Option{pll.WithSeed(3)}, c.extra...)...))
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: container differs when inapplicable options are set (%d vs %d bytes)", c.name, len(got), len(want))
 		}
 	}
 }

@@ -91,8 +91,7 @@ type BuildableGraph interface {
 // Build constructs the pruned-landmark-labeling oracle matching the
 // graph kind: an *Index for a *Graph, a *DirectedIndex for a *Digraph,
 // a *WeightedIndex for a *WeightedGraph. Options that do not apply to a
-// variant (e.g. WithBitParallel on weighted graphs) are rejected by the
-// underlying builder. Use the typed builders (BuildIndex, BuildDirected,
+// variant (e.g. WithBitParallel on weighted graphs) are ignored. Use the typed builders (BuildIndex, BuildDirected,
 // BuildWeighted, BuildDynamic) when the concrete type is needed.
 func Build(g BuildableGraph, opts ...Option) (Oracle, error) {
 	return g.build(opts)

@@ -51,19 +51,14 @@ type WeightedIndex struct {
 // BuildWeighted constructs a weighted pruned-landmark-labeling index.
 // It is the typed form of Build(g) for a *WeightedGraph. Ordering,
 // seed, custom-order, WithPaths and WithWorkers options apply;
-// bit-parallel labeling does not exist for the weighted variant (§6).
+// WithBitParallel is ignored, since bit-parallel labeling does not
+// exist for the weighted variant (§6).
 func BuildWeighted(g *WeightedGraph, opts ...Option) (*WeightedIndex, error) {
 	var o core.Options
 	for _, f := range opts {
 		f(&o)
 	}
-	ix, err := core.BuildWeighted(g.g, core.WeightedOptions{
-		Ordering:    o.Ordering,
-		Seed:        o.Seed,
-		CustomOrder: o.CustomOrder,
-		StorePaths:  o.StorePaths,
-		Workers:     o.Workers,
-	})
+	ix, err := core.BuildWeighted(g.g, o)
 	if err != nil {
 		return nil, err
 	}
@@ -123,19 +118,14 @@ type DirectedIndex struct {
 
 // BuildDirected constructs a directed pruned-landmark-labeling index.
 // It is the typed form of Build(g) for a *Digraph. Ordering, seed,
-// custom-order, WithPaths and WithWorkers options apply.
+// custom-order, WithPaths and WithWorkers options apply;
+// WithBitParallel is ignored.
 func BuildDirected(g *Digraph, opts ...Option) (*DirectedIndex, error) {
 	var o core.Options
 	for _, f := range opts {
 		f(&o)
 	}
-	ix, err := core.BuildDirected(g.g, core.DirectedOptions{
-		Ordering:    o.Ordering,
-		Seed:        o.Seed,
-		CustomOrder: o.CustomOrder,
-		StorePaths:  o.StorePaths,
-		Workers:     o.Workers,
-	})
+	ix, err := core.BuildDirected(g.g, o)
 	if err != nil {
 		return nil, err
 	}
