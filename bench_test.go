@@ -549,9 +549,11 @@ func BenchmarkAblation_TreeWidth_TD_Grid(b *testing.B) {
 // top-k selection. The inverted path scans only entries whose merge
 // key can still reach the k-th candidate; both sweeps touch all n
 // labels. Largest bench graph (BA n=20000, bp=16), 64 rotating
-// sources. Bit-parallel runs pay a 2-hop ordering slack for their
-// §5.3 mask corrections — a bp=0 index answers the same query ~30x
-// faster still (see EXPERIMENTS.md).
+// sources. Bit-parallel roots take part with exact merge keys: a
+// root's run is keyed one under the raw sum, and the §5.3 −2
+// candidates come from S^{-1} postings, so the merge finalizes with no
+// slack. BenchmarkKNN_InvertedNoBP answers the same queries on a bp=0
+// index of the same graph (see EXPERIMENTS.md).
 
 var (
 	knnBenchOnce    sync.Once
@@ -595,6 +597,26 @@ func BenchmarkKNN_Inverted(b *testing.B) {
 	ix, sources := knnBenchSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if _, err := ix.KNN(sources[i%len(sources)], 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkKNN_InvertedNoBP(b *testing.B) {
+	_, sources := knnBenchSetup(b)
+	pg, err := pll.NewGraph(buildBenchGraph.NumVertices(), buildBenchGraph.Edges())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := pll.BuildIndex(pg, pll.WithSeed(7), pll.WithBitParallel(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := ix.KNN(0, 1); err != nil { // warm the lazy inversion
+		b.Fatal(err)
+	}
+	for i := 0; b.Loop(); i++ {
 		if _, err := ix.KNN(sources[i%len(sources)], 10); err != nil {
 			b.Fatal(err)
 		}

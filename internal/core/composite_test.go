@@ -7,6 +7,7 @@ import (
 
 	"pll/internal/bfs"
 	"pll/internal/gen"
+	"pll/internal/graph"
 	"pll/internal/order"
 )
 
@@ -206,13 +207,24 @@ func bfsRows(n int, row func(s int32) []int64) [][]int64 {
 }
 
 func TestCompositeUndirected(t *testing.T) {
-	for _, bp := range []int{0, 4, 8} {
-		g := gen.ErdosRenyi(50, 100, 5)
-		ix, err := Build(g, Options{Ordering: order.Degree, Seed: 5, NumBitParallel: bp})
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		bp   int
+	}{
+		{"bp0", gen.ErdosRenyi(50, 100, 5), 0},
+		{"bp4", gen.ErdosRenyi(50, 100, 5), 4},
+		{"bp8", gen.ErdosRenyi(50, 100, 5), 8},
+		// One root of this hub graph selects 64 neighbours, so streams
+		// and range scans read every mask bit, 32–63 included.
+		{"hub-bp16", gen.BarabasiAlbert(1000, 5, 7), 16},
+	} {
+		g, n := tc.g, tc.g.NumVertices()
+		ix, err := Build(g, Options{Ordering: order.Degree, Seed: 5, NumBitParallel: tc.bp})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := bfsRows(50, func(s int32) []int64 {
+		rows := bfsRows(n, func(s int32) []int64 {
 			row := bfs.AllDistances(g, s)
 			out := make([]int64, len(row))
 			for i, d := range row {
@@ -220,7 +232,7 @@ func TestCompositeUndirected(t *testing.T) {
 			}
 			return out
 		})
-		checkComposite(t, map[int]string{0: "bp0", 4: "bp4", 8: "bp8"}[bp], 50, ix, rows, 8)
+		checkComposite(t, tc.name, n, ix, rows, 8)
 	}
 }
 

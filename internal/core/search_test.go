@@ -9,6 +9,7 @@ import (
 	"pll/internal/gen"
 	"pll/internal/graph"
 	"pll/internal/order"
+	"pll/internal/rng"
 	"pll/internal/trace"
 )
 
@@ -135,22 +136,24 @@ func checkSearch(t *testing.T, name string, n int, o searchOracle, truth func(s 
 func TestSearchUndirected(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		n    int
-		m    int64
+		g    *graph.Graph
 		bp   int
 	}{
-		{"sparse-bp0", 60, 90, 0},
-		{"sparse-bp4", 60, 90, 4},
-		{"dense-bp8", 80, 400, 8},
-		{"tiny-bp2", 9, 10, 2},
+		{"sparse-bp0", gen.ErdosRenyi(60, 90, 7), 0},
+		{"sparse-bp4", gen.ErdosRenyi(60, 90, 7), 4},
+		{"dense-bp8", gen.ErdosRenyi(80, 400, 7), 8},
+		{"tiny-bp2", gen.ErdosRenyi(9, 10, 7), 2},
+		// One root of this hub graph selects 64 neighbours, so searches
+		// read every mask bit, 32–63 included.
+		{"hub-bp16", gen.BarabasiAlbert(1000, 5, 7), 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g := gen.ErdosRenyi(tc.n, tc.m, 7)
+			g := tc.g
 			ix, err := Build(g, Options{Ordering: order.Degree, Seed: 7, NumBitParallel: tc.bp})
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkSearch(t, tc.name, tc.n, ix, func(s int32) []int64 {
+			checkSearch(t, tc.name, g.NumVertices(), ix, func(s int32) []int64 {
 				row := bfs.AllDistances(g, s)
 				out := make([]int64, len(row))
 				for i, d := range row {
@@ -159,6 +162,37 @@ func TestSearchUndirected(t *testing.T) {
 				return out
 			})
 		})
+	}
+}
+
+// TestSearchScanBudget gates hub-search work on a count that repeats
+// exactly: the entries KNN (k=10) and Range (radius 2) advance over
+// for 64 sources of a hub graph at bp=16. The merge these keys replaced
+// waited a fixed slack of 2 on every bit-parallel key and scanned
+// 270,632 and 385,645 entries here; either sum past a quarter of that
+// fails.
+func TestSearchScanBudget(t *testing.T) {
+	g := gen.BarabasiAlbert(2000, 5, 20130622)
+	ix, err := Build(g, Options{NumBitParallel: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv := ix.Inverted()
+	r := rng.New(7)
+	var knn, within int64
+	for i := 0; i < 64; i++ {
+		rs := ix.rank[r.Int31n(2000)]
+		runs, s1, s0 := ix.SourceRuns(rs)
+		sc := ix.GetScratch()
+		inv.KNN(runs, rs, s1, s0, 10, sc)
+		knn += sc.Scanned
+		inv.Range(runs, rs, s1, s0, 2, sc)
+		within += sc.Scanned
+		ix.PutScratch(sc)
+	}
+	t.Logf("entries scanned over 64 sources: KNN(k=10) %d, Range(radius=2) %d", knn, within)
+	if knn > 270632/4 || within > 385645/4 {
+		t.Fatalf("scanned KNN %d / Range %d entries, budget %d / %d", knn, within, 270632/4, 385645/4)
 	}
 }
 

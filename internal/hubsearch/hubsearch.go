@@ -17,14 +17,18 @@
 // pair (s,v) some shortest-path hub lies in both labels, so the merge
 // over {(h, d(s,h)+d(h,v)) : h in L(s), v in inv(h)} attains the exact
 // distance for every reachable v. Bit-parallel roots (§5.4 of the
-// paper) take part as additional runs — their -1/-2 mask corrections
-// break the heap's global ordering by at most two, which the query
-// engines absorb with a fixed slack (see query.go).
+// paper) take part as additional runs. Their §5.3 mask corrections
+// lower a raw key by one or two; the engines keep every merge key a
+// lower bound on what its cursor yields by keying a root's run one
+// under the raw sum and reading the exact −2 candidates from S^{-1}
+// postings derived from the masks (postings.go), so the merge finalizes
+// with no slack (see query.go).
 package hubsearch
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Inverted is the hub-inverted form of one label family in CSR layout:
@@ -59,6 +63,11 @@ type Inverted struct {
 	// have empty runs. Full inversions leave it nil and index Off by
 	// run ID directly — the layout persisted in flat containers.
 	RunIndex map[int32]int32
+
+	// post holds the S^{-1} postings of the bit-parallel runs, derived
+	// under postOnce by the first query that seeds one (postings.go).
+	postOnce sync.Once
+	post     *postings
 }
 
 // NumRuns returns the number of runs: normal hubs plus bit-parallel
@@ -72,6 +81,20 @@ func (inv *Inverted) NumRuns() int {
 
 // Entries returns the total number of inverted entries.
 func (inv *Inverted) Entries() int64 { return int64(len(inv.Vertex)) }
+
+// span returns the entry range [lo, hi) of run id, which must be a hub
+// rank or N+i for a bit-parallel root i. On a compact inversion, runs
+// absent from RunIndex are empty.
+func (inv *Inverted) span(id int32) (lo, hi int64) {
+	slot := id
+	if inv.RunIndex != nil {
+		var ok bool
+		if slot, ok = inv.RunIndex[id]; !ok {
+			return 0, 0
+		}
+	}
+	return inv.Off[slot], inv.Off[slot+1]
+}
 
 // Build constructs the inverted index for one label family. emit must
 // call add once per label entry (run = hub rank for normal entries,

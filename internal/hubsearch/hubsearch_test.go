@@ -117,3 +117,31 @@ func TestValidateRejects(t *testing.T) {
 		t.Fatal("vertex/dist length mismatch accepted")
 	}
 }
+
+// TestBitPostings pins the S^{-1} postings of a hand-made bit-parallel
+// run: per neighbour bit, the run-relative positions of the entries
+// whose mask has the bit, in run order. An out-of-range vertex (a
+// corrupt mapped section) is skipped, not indexed.
+func TestBitPostings(t *testing.T) {
+	// Four vertices, one root (run 4) at distances 1, 1, 2, 2.
+	bps1 := []uint64{0b01, 0b10, 0b11, 0}
+	build := func() *Inverted {
+		return Build(4, 1, bps1, make([]uint64, 4), func(add func(run, vertex int32, dist uint32)) {
+			for v, d := range []uint32{1, 1, 2, 2} {
+				add(4, int32(v), d)
+			}
+		})
+	}
+	lists := func(inv *Inverted) [][]int32 {
+		p := inv.bitPostings()
+		return [][]int32{p.pos[p.off[0]:p.off[1]], p.pos[p.off[1]:p.off[2]], p.pos[p.off[2]:p.off[64]]}
+	}
+	if got, want := lists(build()), [][]int32{{0, 2}, {1, 2}, {}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("postings of bits 0, 1, 2-63 = %v, want %v", got, want)
+	}
+	inv := build()
+	inv.Vertex[inv.Off[4]] = 99
+	if got, want := lists(inv), [][]int32{{2}, {1, 2}, {}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("postings with an out-of-range vertex = %v, want %v", got, want)
+	}
+}

@@ -1,15 +1,24 @@
 package hubsearch
 
-// Query engines over an Inverted index. Both KNN and Range merge the
-// inverted runs of the source's hubs in increasing raw key order, where
-// the raw key of an entry (v, d) in run h is base(h) + d — for normal
-// hubs exactly the two-hop distance bound d(s,h)+d(h,v), for a
-// bit-parallel root the uncorrected sum, which the §5.3 mask
-// corrections may lower by one or two. The engines therefore treat raw
-// keys as exact when no bit-parallel runs exist (slack 0) and as
-// 2-overestimates otherwise (slack 2): a candidate's tentative distance
-// is final once the smallest raw key still in the merge cannot produce
-// anything smaller.
+import (
+	"math"
+	"math/bits"
+)
+
+// Query engines over an Inverted index. KNN, Range and Stream merge
+// cursors over the inverted runs of the source's hubs in increasing key
+// order. No cursor yields a distance below its key, and every vertex's
+// exact distance is yielded at a key no larger than it, so a candidate
+// is final once its tentative distance is at most the smallest key
+// still in the merge. The cursors of one source are:
+//   - per normal hub h, its run, keyed and yielding d(s,h)+d(h,v), the
+//     two-hop bound;
+//   - per bit-parallel root r, its plain run, keyed d(s,r)+d(r,v)-1 when
+//     the source has any mask bit for r and d(s,r)+d(r,v) otherwise. It
+//     yields the §5.3 −1 correction where that holds, else the raw sum;
+//   - per bit of the source's S^{-1} mask for r, a posting cursor keyed
+//     d(s,r)-2+d(r,v) over the run entries whose S^{-1} mask shares the
+//     bit (postings.go). It yields its key: the −2 correction, exactly.
 //
 // All inputs and outputs are in rank space. The source vertex itself is
 // never reported.
@@ -48,10 +57,11 @@ type Scratch struct {
 	pend pendHeap
 	topk topkHeap
 
-	// Scanned and Runs count label entries advanced and runs seeded by
-	// the last query on this scratch, for per-query profiling. They are
-	// zeroed when a query starts — not in reset — so callers can read
-	// them after a deferred reset has returned the scratch.
+	// Scanned and Runs count the entries any cursor advanced over and
+	// the cursors seeded (runs and posting lists) by the last query on
+	// this scratch, for per-query profiling. They are zeroed when a
+	// query starts — not in reset — so callers can read them after a
+	// deferred reset has returned the scratch.
 	Scanned int64
 	Runs    int
 }
@@ -78,13 +88,17 @@ func (sc *Scratch) reset() {
 	sc.topk = sc.topk[:0]
 }
 
-// cursor walks one inverted run; key is Base + Dist[pos].
+// cursor walks one merge input: an inverted run, or one S^{-1} posting
+// list of a bit-parallel run. key is base + Dist of the entry under it.
 type cursor struct {
 	key  int64
-	pos  int64
+	pos  int64 // next entry of a run; next posting of a posting list
 	end  int64
 	base int64
-	bp   int32 // bit-parallel root index, -1 for normal runs
+	// bp is the bit-parallel root of a posting list, or of a plain run
+	// keyed one under the raw sum; -1 otherwise.
+	bp   int32
+	post bool // a posting list, not a run
 }
 
 // cursorHeap is a hand-rolled min-heap over run cursors by key.
@@ -223,61 +237,73 @@ func (h *topkHeap) offer(d int64, k int) {
 	}
 }
 
-// slack is how far a raw merge key may overestimate the corrected
-// distance: 2 when bit-parallel runs can apply mask corrections.
-func (inv *Inverted) slack() int64 {
-	if inv.NumBP > 0 {
-		return 2
-	}
-	return 0
-}
-
-// seed pushes every non-empty source run onto the cursor heap. On a
-// compact (subset) inversion, source hubs absent from the subset's
-// labels simply have no run.
-func (inv *Inverted) seed(sc *Scratch, src []Run) {
+// seed pushes the source's cursors onto the cursor heap: one per
+// non-empty run, plus one per non-empty S^{-1} posting list of the
+// source's bit-parallel roots. On a compact (subset) inversion, source
+// hubs absent from the subset's labels simply have no run.
+func (inv *Inverted) seed(sc *Scratch, src []Run, srcS1, srcS0 []uint64) {
 	for _, r := range src {
-		slot := r.ID
-		if inv.RunIndex != nil {
-			var ok bool
-			if slot, ok = inv.RunIndex[r.ID]; !ok {
-				continue
-			}
-		}
-		lo, hi := inv.Off[slot], inv.Off[slot+1]
+		lo, hi := inv.span(r.ID)
 		if lo == hi {
 			continue
 		}
-		bp := int32(-1)
-		if int(r.ID) >= inv.N {
-			bp = r.ID - int32(inv.N)
+		i := int(r.ID) - inv.N
+		if i < 0 || srcS1[i]|srcS0[i] == 0 {
+			sc.runs.push(cursor{key: r.Base + int64(inv.Dist[lo]), pos: lo, end: hi, base: r.Base, bp: -1})
+			continue
 		}
-		sc.runs.push(cursor{
-			key:  r.Base + int64(inv.Dist[lo]),
-			pos:  lo,
-			end:  hi,
-			base: r.Base,
-			bp:   bp,
-		})
-		sc.Runs++
+		// A bit-parallel root the source has mask bits for: its run is
+		// keyed one under the raw sum, and each S^{-1} bit walks its −2
+		// candidates as a posting list.
+		base := r.Base - 1
+		sc.runs.push(cursor{key: base + int64(inv.Dist[lo]), pos: lo, end: hi, base: base, bp: int32(i)})
+		post, base := inv.bitPostings(), r.Base-2
+		for m := srcS1[i]; m != 0; m &= m - 1 {
+			list := i*64 + bits.TrailingZeros64(m)
+			if a, b := post.off[list], post.off[list+1]; a < b {
+				key := base + int64(inv.Dist[lo+int64(post.pos[a])])
+				sc.runs.push(cursor{key: key, pos: a, end: b, base: base, bp: int32(i), post: true})
+			}
+		}
 	}
+	sc.Runs = len(sc.runs)
 }
 
-// corrected applies the §5.3 mask correction of bit-parallel root bp to
-// the raw key of candidate v; srcS1/srcS0 are the source's masks.
-func (inv *Inverted) corrected(key int64, bp, v int32, srcS1, srcS0 []uint64) int64 {
-	if bp < 0 {
-		return key
+// entry returns the Vertex/Dist index under cursor c.
+func (inv *Inverted) entry(c *cursor) int64 {
+	if !c.post {
+		return c.pos
 	}
-	o := int(v)*inv.NumBP + int(bp)
-	s1v, s0v := inv.BPS1[o], inv.BPS0[o]
-	if srcS1[bp]&s1v != 0 {
-		return key - 2
+	return inv.post.lo[c.bp] + int64(inv.post.pos[c.pos])
+}
+
+// yield returns the distance cursor c yields for v, the vertex under
+// it: its key, except on a plain bit-parallel run where the source's
+// and v's masks do not meet as S^{-1}/S^{0}, which yields the raw sum
+// key+1. srcS1/srcS0 are the source's masks.
+func (inv *Inverted) yield(c *cursor, v int32, srcS1, srcS0 []uint64) int64 {
+	if c.bp < 0 || c.post {
+		return c.key
 	}
-	if srcS1[bp]&s0v != 0 || srcS0[bp]&s1v != 0 {
-		return key - 1
+	o := int(v)*inv.NumBP + int(c.bp)
+	if srcS1[c.bp]&inv.BPS0[o] != 0 || srcS0[c.bp]&inv.BPS1[o] != 0 {
+		return c.key
 	}
-	return key
+	return c.key + 1
+}
+
+// advance steps the smallest cursor past its entry and restores the
+// heap order, dropping the cursor once it is exhausted.
+func (inv *Inverted) advance(sc *Scratch) {
+	c := &sc.runs[0]
+	c.pos++
+	sc.Scanned++
+	if c.pos == c.end {
+		sc.runs.pop()
+		return
+	}
+	c.key = c.base + int64(inv.Dist[inv.entry(c)])
+	sc.runs.siftDown()
 }
 
 // KNN returns every candidate whose exact distance from the source is
@@ -292,15 +318,21 @@ func (inv *Inverted) KNN(src []Run, srcRank int32, srcS1, srcS0 []uint64, k int,
 	}
 	sc.Scanned, sc.Runs = 0, 0
 	defer sc.reset()
-	inv.seed(sc, src)
-	slack := inv.slack()
+	inv.seed(sc, src, srcS1, srcS0)
 	var out []Result
 
-	for len(sc.runs) > 0 {
-		r := sc.runs[0].key
-		// Finalize pending candidates nothing in the merge can improve:
-		// every future corrected distance is at least r - slack.
-		for len(sc.pend) > 0 && sc.pend[0].dist+slack <= r {
+	for {
+		// Every future yield is at least r, the smallest key: finalize
+		// the pending candidates nothing can improve, in distance order,
+		// up to the k-th result and its ties.
+		r := int64(math.MaxInt64)
+		if len(sc.runs) > 0 {
+			r = sc.runs[0].key
+		}
+		for len(sc.pend) > 0 && sc.pend[0].dist <= r {
+			if len(out) >= k && sc.pend[0].dist > out[k-1].Dist {
+				break
+			}
 			e := sc.pend.pop()
 			if sc.state[e.rank] != statePending || sc.best[e.rank] != e.dist {
 				continue // stale: superseded or already finalized
@@ -308,23 +340,23 @@ func (inv *Inverted) KNN(src []Run, srcRank int32, srcS1, srcS0 []uint64, k int,
 			sc.state[e.rank] = stateFinalized
 			out = append(out, Result{Rank: e.rank, Dist: e.dist})
 		}
-		if len(out) >= k && r-slack > out[k-1].Dist {
+		if len(sc.runs) == 0 || len(out) >= k && r > out[k-1].Dist {
 			return out // every candidate at or under the cutoff is final
 		}
-		// Run-level pruning: once k candidates are known, a run whose
-		// current key cannot beat the k-th first-sighting bound is dead —
-		// keys only grow within a run.
-		if len(sc.topk) >= k && r-slack > sc.topk[0] {
-			sc.runs.pop()
+		// Once k candidates are known, no cursor whose key is past the
+		// k-th first-sighting bound can contribute, and r is the
+		// smallest key: drop them all and drain.
+		if len(sc.topk) >= k && r > sc.topk[0] {
+			sc.runs = sc.runs[:0]
 			continue
 		}
-		v := inv.Vertex[sc.runs[0].pos]
-		bp := sc.runs[0].bp
+		c := &sc.runs[0]
+		v := inv.Vertex[inv.entry(c)]
 		// The in-range guard keeps a corrupt persisted section (mmap
 		// Open trusts entry contents, like the label arrays) degrading
 		// to wrong answers instead of an index-out-of-range panic.
 		if uint32(v) < uint32(inv.N) && v != srcRank && sc.state[v] != stateFinalized {
-			d := inv.corrected(r, bp, v, srcS1, srcS0)
+			d := inv.yield(c, v, srcS1, srcS0)
 			switch {
 			case sc.state[v] == stateNew:
 				sc.state[v] = statePending
@@ -337,66 +369,27 @@ func (inv *Inverted) KNN(src []Run, srcRank int32, srcS1, srcS0 []uint64, k int,
 				sc.pend.push(pendEntry{dist: d, rank: v})
 			}
 		}
-		// Advance the run in place and restore the heap order.
-		c := &sc.runs[0]
-		c.pos++
-		sc.Scanned++
-		if c.pos == c.end {
-			sc.runs.pop()
-		} else {
-			c.key = c.base + int64(inv.Dist[c.pos])
-			sc.runs.siftDown()
-		}
+		inv.advance(sc)
 	}
-	// Merge exhausted: drain the pending heap in distance order.
-	for len(sc.pend) > 0 {
-		e := sc.pend.pop()
-		if sc.state[e.rank] != statePending || sc.best[e.rank] != e.dist {
-			continue
-		}
-		sc.state[e.rank] = stateFinalized
-		out = append(out, Result{Rank: e.rank, Dist: e.dist})
-		if len(out) >= k {
-			cut := out[k-1].Dist
-			// Keep draining only while ties at the cutoff remain.
-			for len(sc.pend) > 0 && sc.pend[0].dist <= cut {
-				e := sc.pend.pop()
-				if sc.state[e.rank] != statePending || sc.best[e.rank] != e.dist {
-					continue
-				}
-				sc.state[e.rank] = stateFinalized
-				out = append(out, Result{Rank: e.rank, Dist: e.dist})
-			}
-			break
-		}
-	}
-	return out
 }
 
 // Range returns every vertex within distance radius of the source
 // (source excluded), in no particular order; the caller sorts. The
-// merge visits only entries whose raw key can still land within the
-// radius, cutting each dist-sorted run at its first out-of-range
-// entry.
+// merge stops at the first key beyond the radius, so each cursor is cut
+// at its first out-of-range entry.
 func (inv *Inverted) Range(src []Run, srcRank int32, srcS1, srcS0 []uint64, radius int64, sc *Scratch) []Result {
 	if radius < 0 {
 		return nil
 	}
 	sc.Scanned, sc.Runs = 0, 0
 	defer sc.reset()
-	inv.seed(sc, src)
-	slack := inv.slack()
+	inv.seed(sc, src, srcS1, srcS0)
 
-	for len(sc.runs) > 0 {
-		if sc.runs[0].key-slack > radius {
-			break // smallest raw key already out of reach
-		}
-		v := inv.Vertex[sc.runs[0].pos]
-		bp := sc.runs[0].bp
+	for len(sc.runs) > 0 && sc.runs[0].key <= radius {
+		c := &sc.runs[0]
+		v := inv.Vertex[inv.entry(c)]
 		if uint32(v) < uint32(inv.N) && v != srcRank { // in-range guard: see KNN
-
-			d := inv.corrected(sc.runs[0].key, bp, v, srcS1, srcS0)
-			if d <= radius {
+			if d := inv.yield(c, v, srcS1, srcS0); d <= radius {
 				if sc.state[v] == stateNew {
 					sc.state[v] = statePending
 					sc.touched = append(sc.touched, v)
@@ -406,15 +399,7 @@ func (inv *Inverted) Range(src []Run, srcRank int32, srcS1, srcS0 []uint64, radi
 				}
 			}
 		}
-		c := &sc.runs[0]
-		c.pos++
-		sc.Scanned++
-		if c.pos == c.end {
-			sc.runs.pop()
-		} else {
-			c.key = c.base + int64(inv.Dist[c.pos])
-			sc.runs.siftDown()
-		}
+		inv.advance(sc)
 	}
 	out := make([]Result, 0, len(sc.touched))
 	for _, v := range sc.touched {

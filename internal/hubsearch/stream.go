@@ -1,11 +1,11 @@
 package hubsearch
 
-// Stream is the pull-based form of the run merge behind KNN and Range:
-// it yields each reachable candidate exactly once, in nondecreasing
-// (corrected) distance order, stopping at a caller-supplied cutoff that
-// is pushed into the run scans — a run is abandoned the moment its raw
-// key can no longer correct to within the cutoff, and the whole merge
-// stops when the smallest raw key is out of reach.
+// Stream is the pull-based form of the cursor merge behind KNN and
+// Range: it yields each reachable candidate exactly once, in
+// nondecreasing (corrected) distance order, stopping at a
+// caller-supplied cutoff that is pushed into the scans — the whole
+// merge stops at the first key beyond the cutoff, since keys
+// lower-bound every distance still to come.
 //
 // The streaming query engine (internal/runquery) drives one Stream per
 // leaf constraint so that composed queries — AND/OR trees over several
@@ -19,15 +19,14 @@ package hubsearch
 // equal distance arrive in unspecified order — callers apply their own
 // tie-break.
 
-// Stream iterates the merge incrementally; see the package comment on
-// ordering and the slack rule for bit-parallel corrections.
+// Stream iterates the merge incrementally; see query.go on keys and
+// ordering.
 type Stream struct {
 	inv          *Inverted
 	sc           *Scratch
 	srcRank      int32
 	srcS1, srcS0 []uint64
 	cutoff       int64
-	slack        int64
 }
 
 // NewStream starts a cutoff-bounded merge over the source's runs. src,
@@ -42,11 +41,10 @@ func (inv *Inverted) NewStream(src []Run, srcRank int32, srcS1, srcS0 []uint64, 
 		srcS1:   srcS1,
 		srcS0:   srcS0,
 		cutoff:  cutoff,
-		slack:   inv.slack(),
 	}
 	sc.Scanned, sc.Runs = 0, 0
 	if cutoff >= 0 {
-		inv.seed(sc, src)
+		inv.seed(sc, src, srcS1, srcS0)
 	}
 	return st
 }
@@ -58,9 +56,9 @@ func (st *Stream) Next() (Result, bool) {
 	sc, inv := st.sc, st.inv
 	for {
 		// Finalize the nearest pending candidate once nothing left in
-		// the merge can improve it: every future corrected distance is
-		// at least the current minimum raw key minus the slack.
-		if len(sc.pend) > 0 && (len(sc.runs) == 0 || sc.pend[0].dist+st.slack <= sc.runs[0].key) {
+		// the merge can improve it: every future yield is at least the
+		// smallest key.
+		if len(sc.pend) > 0 && (len(sc.runs) == 0 || sc.pend[0].dist <= sc.runs[0].key) {
 			e := sc.pend.pop()
 			if sc.state[e.rank] != statePending || sc.best[e.rank] != e.dist {
 				continue // stale: superseded or already finalized
@@ -71,21 +69,19 @@ func (st *Stream) Next() (Result, bool) {
 		if len(sc.runs) == 0 {
 			return Result{}, false
 		}
-		r := sc.runs[0].key
-		if r-st.slack > st.cutoff {
-			// Cutoff pushdown: the smallest raw key still in the merge
-			// cannot correct to within the cutoff, and keys only grow —
-			// drop every run and drain the pending heap above.
+		if sc.runs[0].key > st.cutoff {
+			// Cutoff pushdown: nothing still in the merge can land
+			// within the cutoff — drop every cursor and drain the
+			// pending heap above.
 			sc.runs = sc.runs[:0]
 			continue
 		}
-		v := inv.Vertex[sc.runs[0].pos]
-		bp := sc.runs[0].bp
+		c := &sc.runs[0]
+		v := inv.Vertex[inv.entry(c)]
 		// The in-range guard keeps corrupt persisted sections degrading
 		// to wrong answers instead of a panic, mirroring KNN.
 		if uint32(v) < uint32(inv.N) && v != st.srcRank && sc.state[v] != stateFinalized {
-			d := inv.corrected(r, bp, v, st.srcS1, st.srcS0)
-			if d <= st.cutoff {
+			if d := inv.yield(c, v, st.srcS1, st.srcS0); d <= st.cutoff {
 				switch {
 				case sc.state[v] == stateNew:
 					sc.state[v] = statePending
@@ -98,16 +94,7 @@ func (st *Stream) Next() (Result, bool) {
 				}
 			}
 		}
-		// Advance the run in place and restore the heap order.
-		c := &sc.runs[0]
-		c.pos++
-		sc.Scanned++
-		if c.pos == c.end {
-			sc.runs.pop()
-		} else {
-			c.key = c.base + int64(inv.Dist[c.pos])
-			sc.runs.siftDown()
-		}
+		inv.advance(sc)
 	}
 }
 

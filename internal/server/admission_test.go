@@ -14,13 +14,12 @@ import (
 	"pll/pll"
 )
 
-// do issues a request with an optional client ID and returns the
+// send issues a request with an optional client ID and returns the
 // response (body drained and closed).
-func do(t *testing.T, method, url, clientID string, body io.Reader) *http.Response {
-	t.Helper()
+func send(method, url, clientID string, body io.Reader) (*http.Response, error) {
 	req, err := http.NewRequest(method, url, body)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	if clientID != "" {
 		req.Header.Set("X-Client-Id", clientID)
@@ -30,11 +29,36 @@ func do(t *testing.T, method, url, clientID string, body io.Reader) *http.Respon
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck
 	resp.Body.Close()
+	return resp, nil
+}
+
+// do is send for the test goroutine: a transport error fails the test.
+func do(t *testing.T, method, url, clientID string, body io.Reader) *http.Response {
+	t.Helper()
+	resp, err := send(method, url, clientID, body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return resp
+}
+
+// waitAdmitted polls until want requests hold admission slots. The
+// in-flight count rises before a request takes its slot, so waiting on
+// it would let a probe race the slot holder for the slot.
+func waitAdmitted(t *testing.T, s *Server, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if len(s.stack.admit.sem) == want {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("admitted requests = %d, want %d", len(s.stack.admit.sem), want)
 }
 
 // TestRateLimitPerClient verifies the token bucket: with burst 1 and a
@@ -117,15 +141,26 @@ func TestConcurrencyShed(t *testing.T) {
 	s, ts := newTestServer(t, ix, Config{MaxInflight: 1})
 
 	pr, pw := io.Pipe()
-	done := make(chan int, 1)
+	// Cleanups run last in, first out: the stalled upload ends before
+	// the server closes, even when an assertion below fails.
+	t.Cleanup(func() { pw.Close() })
+	type outcome struct {
+		status int
+		err    error
+	}
+	done := make(chan outcome, 1)
 	go func() {
-		resp := do(t, http.MethodPost, ts.URL+"/batch", "", pr)
-		done <- resp.StatusCode
+		resp, err := send(http.MethodPost, ts.URL+"/batch", "", pr)
+		if err != nil {
+			done <- outcome{err: err}
+			return
+		}
+		done <- outcome{status: resp.StatusCode}
 	}()
 	if _, err := io.WriteString(pw, `{"source":0,"targets":[1`); err != nil {
 		t.Fatal(err)
 	}
-	waitInflight(t, s, 1)
+	waitAdmitted(t, s, 1)
 
 	resp := do(t, http.MethodGet, ts.URL+"/distance?s=0&t=3", "", nil)
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -142,8 +177,8 @@ func TestConcurrencyShed(t *testing.T) {
 		t.Fatal(err)
 	}
 	pw.Close() //nolint:errcheck
-	if status := <-done; status != http.StatusOK {
-		t.Fatalf("slot-holding /batch: status %d, want 200", status)
+	if res := <-done; res.err != nil || res.status != http.StatusOK {
+		t.Fatalf("slot-holding /batch: status %d (err %v), want 200", res.status, res.err)
 	}
 	if resp := do(t, http.MethodGet, ts.URL+"/distance?s=0&t=3", "", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("after the slot freed: status %d, want 200", resp.StatusCode)

@@ -4,10 +4,11 @@ package pll_test
 // contract under test: any input either loads successfully or fails
 // with an error wrapping ErrBadIndexFile — never a panic, never an
 // unbounded allocation (see allocChunk in internal/core/flat.go), and
-// a loaded index answers Distance, Stats and Path without hanging. The
-// seed corpus holds a round-tripped index of every variant, with and
-// without the persisted search sections, so mutations explore each
-// branch of the section parser.
+// a loaded index answers Distance, Stats, Path and, when it can
+// search, KNN and Range without hanging. The seed corpus holds a
+// round-tripped index of every variant, with and without the persisted
+// search sections, so mutations explore each branch of the section
+// parser.
 //
 // CI runs a short coverage-guided session (-fuzz=FuzzLoad -fuzztime=60s,
 // see .github/workflows/ci.yml); plain `go test` replays the corpus.
@@ -130,6 +131,13 @@ func FuzzLoad(f *testing.F) {
 				// Parent pointers pass range checks only; Path must
 				// still terminate (an error is fine) on any of them.
 				_, _ = o.Path(0, int32(n-1))
+			}
+			if sr, ok := o.(pll.Searcher); ok {
+				// The search engines read the persisted inverted
+				// sections and bit-parallel masks, and derive postings
+				// from them: wrong answers are acceptable, panics not.
+				_, _ = sr.KNN(0, 3)
+				_, _ = sr.Range(int32(n-1), 2)
 			}
 			var buf bytes.Buffer
 			if _, err := o.WriteTo(&buf); err != nil {

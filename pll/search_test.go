@@ -298,19 +298,29 @@ func TestSearchPersistedSections(t *testing.T) {
 	}
 }
 
-// TestSearchConcurrent hammers one index from many goroutines,
-// including the very first query (the lazy inversion build) — run
-// under -race in CI.
+// TestSearchConcurrent hammers fresh indexes from goroutines released
+// together by a start barrier, so the very first queries race the lazy
+// inversion build and the S^{-1} posting derivation — run under -race
+// in CI. The reference answer comes from a separately built index,
+// which leaves the indexes under test untouched until the barrier.
 func TestSearchConcurrent(t *testing.T) {
 	gg := gen.ErdosRenyi(80, 240, 21)
 	pg, err := pll.NewGraph(80, gg.Edges())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := pll.BuildIndex(pg, pll.WithBitParallel(8))
+	build := func() *pll.Index {
+		ix, err := pll.BuildIndex(pg, pll.WithBitParallel(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	ref, err := build().KNN(0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix := build()
 	path := filepath.Join(t.TempDir(), "c.pllbox")
 	if err := pll.WriteFlatFile(path, ix); err != nil {
 		t.Fatal(err)
@@ -326,15 +336,13 @@ func TestSearchConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := sr.KNN(0, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
+		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
+				<-start
 				for i := 0; i < 50; i++ {
 					s := int32((g*50 + i) % 80)
 					if _, err := sr.KNN(s, 5); err != nil {
@@ -357,6 +365,7 @@ func TestSearchConcurrent(t *testing.T) {
 				}
 			}(g)
 		}
+		close(start)
 		wg.Wait()
 	}
 }
