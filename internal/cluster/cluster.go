@@ -50,6 +50,7 @@ import (
 
 	"pll/internal/server"
 	"pll/internal/trace"
+	"pll/internal/wire"
 )
 
 // Config tunes a Coordinator.
@@ -99,6 +100,7 @@ const (
 // with New, mount Handler, and Close when done.
 type Coordinator struct {
 	cfg      Config
+	limits   wire.Limits // cfg.MaxBatch and cfg.MaxBody after defaults
 	backends []*backend
 	stack    *server.Stack
 	mux      *http.ServeMux
@@ -143,6 +145,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:        cfg,
+		limits:     wire.Limits{MaxBatch: cfg.MaxBatch, MaxBody: cfg.MaxBody},
 		mux:        http.NewServeMux(),
 		start:      time.Now(),
 		stopHealth: make(chan struct{}),

@@ -164,24 +164,51 @@ var conformanceRequests = []struct {
 	{"distance-same", http.MethodGet, "/distance?s=7&t=7", ""},
 	{"distance-missing-t", http.MethodGet, "/distance?s=1", ""},
 	{"distance-bad-vertex", http.MethodGet, "/distance?s=1&t=99999", ""},
+	{"distance-bad-s", http.MethodGet, "/distance?s=a&t=1", ""},
 	{"path", http.MethodGet, "/path?s=1&t=17", ""},
 	{"batch-pairs", http.MethodPost, "/batch", `{"pairs":[[0,1],[2,3],[1,7],[4,9],[5,5],[40,2],[3,3]]}`},
 	{"batch-source", http.MethodPost, "/batch", `{"source":0,"targets":[1,2,3,4,5,6,7,40,41]}`},
 	{"batch-empty", http.MethodPost, "/batch", `{}`},
 	{"batch-both", http.MethodPost, "/batch", `{"pairs":[[0,1]],"source":2,"targets":[3]}`},
 	{"batch-bad-json", http.MethodPost, "/batch", `{not json`},
+	// encoding/json names the Go request type in these messages; both
+	// tiers decode into the same wire type, so the names agree.
+	{"batch-not-object", http.MethodPost, "/batch", `[1,2]`},
+	{"batch-bad-field", http.MethodPost, "/batch", `{"pairs":"x"}`},
+	{"batch-bad-target", http.MethodPost, "/batch", `{"source":0,"targets":[1,9999]}`},
+	// Three backends split five pairs into three chunks; the bad vertex
+	// sits in the last one.
+	{"batch-bad-last-chunk", http.MethodPost, "/batch", `{"pairs":[[0,1],[2,3],[4,5],[6,7],[8,9999]]}`},
 	{"knn", http.MethodGet, "/knn?s=0&k=7", ""},
 	{"knn-all", http.MethodGet, "/knn?s=3&k=100", ""},
 	{"knn-bad-k", http.MethodGet, "/knn?s=0&k=0", ""},
+	{"knn-missing-s", http.MethodGet, "/knn?k=3", ""},
+	{"knn-bad-s", http.MethodGet, "/knn?s=x&k=3", ""},
+	{"knn-bad-vertex", http.MethodGet, "/knn?s=9999&k=3", ""},
+	{"knn-k-overflow", http.MethodGet, "/knn?s=0&k=99999999999", ""},
 	{"range", http.MethodGet, "/range?s=0&r=3", ""},
 	{"range-limit", http.MethodGet, "/range?s=0&r=4&limit=3", ""},
 	{"range-negative", http.MethodGet, "/range?s=0&r=-1", ""},
+	{"range-bad-r", http.MethodGet, "/range?s=0&r=x", ""},
+	{"range-missing-r", http.MethodGet, "/range?s=0", ""},
+	{"range-bad-limit", http.MethodGet, "/range?s=0&r=3&limit=x", ""},
+	{"range-zero-limit", http.MethodGet, "/range?s=0&r=3&limit=0", ""},
+	{"range-bad-vertex", http.MethodGet, "/range?s=9999&r=3", ""},
 	{"nearest", http.MethodPost, "/nearest", `{"source":0,"set":[1,5,9,13,21],"k":2}`},
 	{"nearest-empty-set", http.MethodPost, "/nearest", `{"source":0,"set":[],"k":2}`},
+	{"nearest-bad-json", http.MethodPost, "/nearest", `{bad`},
+	{"nearest-not-object", http.MethodPost, "/nearest", `[1]`},
+	{"nearest-zero-k", http.MethodPost, "/nearest", `{"source":0,"set":[1,5],"k":0}`},
+	{"nearest-bad-member", http.MethodPost, "/nearest", `{"source":0,"set":[1,9999],"k":1}`},
+	{"nearest-bad-source", http.MethodPost, "/nearest", `{"source":9999,"set":[1,5],"k":1}`},
 	{"query-near", http.MethodPost, "/query", `{"where":{"near":{"source":0,"max_dist":4}},"k":5}`},
 	{"query-and", http.MethodPost, "/query", `{"where":{"and":[{"near":{"source":0,"max_dist":4}},{"near":{"source":7,"max_dist":5}}]}}`},
 	{"query-ranked", http.MethodPost, "/query", `{"where":{"near":{"source":5,"max_dist":4}},"rank":{"by":"max","terms":[{"source":5,"weight":2},{"source":13}]},"k":5}`},
 	{"query-invalid", http.MethodPost, "/query", `{}`},
+	{"query-negative-k", http.MethodPost, "/query", `{"where":{"near":{"source":0,"max_dist":4}},"k":-1}`},
+	{"query-rank-avg", http.MethodPost, "/query", `{"where":{"near":{"source":0,"max_dist":4}},"rank":{"by":"avg","terms":[{"source":0}]}}`},
+	{"query-bad-vertex", http.MethodPost, "/query", `{"where":{"near":{"source":9999,"max_dist":4}}}`},
+	{"query-untrimmed", http.MethodPost, "/query", `{"where":{"near":{"source":0,"max_dist":3}},"k":0}`},
 }
 
 // TestCoordinatorByteIdentical is the core contract: with a whole

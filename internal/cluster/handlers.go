@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"pll/internal/wire"
 )
 
 // poolIdentity is the majority identity among healthy backends (the
@@ -64,7 +66,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp["checksum"] = id.Checksum
 		resp["generation"] = gen
 	}
-	writeJSON(w, code, resp)
+	wire.WriteJSON(w, code, resp)
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -80,7 +82,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			"p99_ms":   float64(b.lat.p99()) / float64(time.Millisecond),
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"coordinator": map[string]any{
 			"uptime_seconds":      time.Since(c.start).Seconds(),
 			"backends":            len(c.backends),
@@ -167,10 +169,5 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "pll_backends_usable %d\n", len(c.usable()))
 	fmt.Fprintf(w, "# HELP pll_uptime_seconds Seconds since the coordinator was constructed.\n")
 	fmt.Fprintf(w, "# TYPE pll_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "pll_uptime_seconds %s\n", fmtFloat(time.Since(c.start).Seconds()))
-}
-
-// fmtFloat renders a float the way Prometheus clients expect.
-func fmtFloat(v float64) string {
-	return fmt.Sprintf("%g", v)
+	fmt.Fprintf(w, "pll_uptime_seconds %s\n", wire.FmtFloat(time.Since(c.start).Seconds()))
 }

@@ -17,16 +17,9 @@ import (
 	"net/http"
 	"sync"
 	"time"
-)
 
-// healthPayload is the wire shape of a replica's GET /healthz response.
-type healthPayload struct {
-	Status     string `json:"status"`
-	Variant    string `json:"variant"`
-	Generation uint64 `json:"generation"`
-	Vertices   int    `json:"vertices"`
-	Checksum   string `json:"checksum"`
-}
+	"pll/internal/wire"
+)
 
 func (c *Coordinator) healthLoop() {
 	defer close(c.healthDone)
@@ -108,7 +101,7 @@ func (c *Coordinator) probe(b *backend) {
 		return
 	}
 	defer resp.Body.Close()
-	var hp healthPayload
+	var hp wire.Health
 	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&hp) != nil {
 		b.healthy.Store(false)
 		return

@@ -13,14 +13,6 @@ import (
 	"pll/pll"
 )
 
-// neighborsOrEmpty keeps "neighbors" a JSON array even with no hits.
-func neighborsOrEmpty(ns []pll.Neighbor) []pll.Neighbor {
-	if ns == nil {
-		return []pll.Neighbor{}
-	}
-	return ns
-}
-
 // mergeNeighbors unions the shard answers, keeping the minimum
 // distance per vertex, sorts by (distance, vertex) and trims to k.
 // k < 0 means no trim (the caller applies its own limit).

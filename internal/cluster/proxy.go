@@ -18,106 +18,19 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"time"
 
 	"pll/internal/trace"
+	"pll/internal/wire"
 )
 
 // statusClientClosedRequest is nginx's non-standard status for a
 // client that disconnected before the response was written.
 const statusClientClosedRequest = 499
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// writeJSONBytes writes pre-marshaled JSON (merged scatter responses).
-func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body) //nolint:errcheck // nothing to do for a dead client
-}
-
-// marshalResponse marshals a response map with a trailing newline —
-// the exact wire shape the replicas' json.Encoder produces, which is
-// what keeps merged coordinator responses byte-identical to a single
-// node's.
-func marshalResponse(v any) ([]byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// decodeBody mirrors the replica servers' body decoding bit for bit —
-// same size cap, same 413/400 split, same messages — so a request the
-// coordinator rejects gets the byte-identical rejection a replica
-// would have sent.
-func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxBody)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", tooBig.Limit)
-		} else {
-			writeError(w, http.StatusBadRequest, "bad JSON body: %v", err)
-		}
-		return false
-	}
-	return true
-}
-
-// checkFanout bounds a client-controlled count by MaxBatch before any
-// scatter: the coordinator must shed an oversized fan-out itself, not
-// amplify it across the pool first.
-func (c *Coordinator) checkFanout(w http.ResponseWriter, name string, v int) bool {
-	if v < 1 || v > c.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest, "%s=%d outside [1,%d]", name, v, c.cfg.MaxBatch)
-		return false
-	}
-	return true
-}
-
-// queryInt32 parses one required int32 query parameter (message-
-// identical to the replicas').
-func queryInt32(r *http.Request, name string) (int32, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return 0, fmt.Errorf("missing query parameter %q", name)
-	}
-	v, err := strconv.ParseInt(raw, 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, raw)
-	}
-	return int32(v), nil
-}
-
-// queryInt64 parses one required int64 query parameter.
-func queryInt64(r *http.Request, name string) (int64, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return 0, fmt.Errorf("missing query parameter %q", name)
-	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, raw)
-	}
-	return v, nil
-}
 
 func clientIP(r *http.Request) string {
 	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
@@ -297,7 +210,7 @@ func (c *Coordinator) pointHandler(name string) http.HandlerFunc {
 		}
 		ranked := c.rank(hashName(pathQuery))
 		if len(ranked) == 0 {
-			writeError(w, http.StatusServiceUnavailable, "no usable backends (%d configured)", len(c.backends))
+			wire.WriteError(w, http.StatusServiceUnavailable, "no usable backends (%d configured)", len(c.backends))
 			return
 		}
 
@@ -360,7 +273,7 @@ func (c *Coordinator) pointHandler(name string) http.HandlerFunc {
 					if lastFail.err == nil {
 						relay(w, lastFail)
 					} else {
-						writeError(w, http.StatusBadGateway, "backend %s: %v", lastFail.b.host, lastFail.err)
+						wire.WriteError(w, http.StatusBadGateway, "backend %s: %v", lastFail.b.host, lastFail.err)
 					}
 					return
 				}

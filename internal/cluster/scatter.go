@@ -12,19 +12,23 @@ package cluster
 // Partial failure is explicit, not silent: a scatter that could not
 // get a 200 from every shard (unreachable, erroring, or shedding load
 // with a 429) still answers, with "incomplete": true added to the
-// response, and the degradation is counted on /metrics. Every
-// client-controlled fan-out knob is checked against MaxBatch BEFORE
-// any scatter, so an oversized request is shed at the coordinator
-// instead of amplified across the pool.
+// response, and the degradation is counted on /metrics.
+//
+// Requests are parsed by the same internal/wire code the replicas run,
+// so a rejection is the replica's, byte for byte. Parsing checks every
+// client-controlled fan-out knob against MaxBatch BEFORE any scatter,
+// so an oversized request is shed at the coordinator instead of
+// amplified across the pool. The merged answers are the wire response
+// types, which the shard bodies are decoded into as well.
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 
+	"pll/internal/wire"
 	"pll/pll"
 )
 
@@ -82,9 +86,9 @@ func (c *Coordinator) collectScatter(w http.ResponseWriter, replies []*proxyResu
 		case shed != nil:
 			relay(w, shed)
 		case fail == nil:
-			writeError(w, http.StatusServiceUnavailable, "no usable backends (%d configured)", len(c.backends))
+			wire.WriteError(w, http.StatusServiceUnavailable, "no usable backends (%d configured)", len(c.backends))
 		case fail.err != nil:
-			writeError(w, http.StatusBadGateway, "backend %s: %v", fail.b.host, fail.err)
+			wire.WriteError(w, http.StatusBadGateway, "backend %s: %v", fail.b.host, fail.err)
 		default:
 			relay(w, fail)
 		}
@@ -101,90 +105,49 @@ func (c *Coordinator) collectScatter(w http.ResponseWriter, replies []*proxyResu
 // body is a protocol violation, answered 502, not a partial failure.
 func decodeShard[T any](w http.ResponseWriter, pr *proxyResult, v *T) bool {
 	if err := json.Unmarshal(pr.body, v); err != nil {
-		writeError(w, http.StatusBadGateway, "backend %s: bad response: %v", pr.b.host, err)
+		wire.WriteError(w, http.StatusBadGateway, "backend %s: bad response: %v", pr.b.host, err)
 		return false
 	}
 	return true
 }
 
 func (c *Coordinator) handleKNN(w http.ResponseWriter, r *http.Request) {
-	sv, err := queryInt32(r, "s")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	req, ok := c.limits.ParseKNN(w, r)
+	if !ok {
 		return
 	}
-	k, err := queryInt32(r, "k")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if !c.checkFanout(w, "k", int(k)) {
-		return
-	}
-	replies := c.scatterAll(r, http.MethodGet, fmt.Sprintf("/knn?s=%d&k=%d", sv, k), nil)
+	replies := c.scatterAll(r, http.MethodGet, fmt.Sprintf("/knn?s=%d&k=%d", req.S, req.K), nil)
 	oks, incomplete, done := c.collectScatter(w, replies)
 	if done {
 		return
 	}
 	shards := make([][]pll.Neighbor, 0, len(oks))
 	for _, pr := range oks {
-		var sr struct {
-			Neighbors []pll.Neighbor `json:"neighbors"`
-		}
+		var sr wire.KNNResponse
 		if !decodeShard(w, pr, &sr) {
 			return
 		}
 		shards = append(shards, sr.Neighbors)
 	}
-	merged := mergeNeighbors(shards, int(k))
-	resp := map[string]any{
-		"s":         sv,
-		"k":         k,
-		"count":     len(merged),
-		"neighbors": neighborsOrEmpty(merged),
-	}
-	if incomplete {
-		resp["incomplete"] = true
-	}
-	body, err := marshalResponse(resp)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeJSONBytes(w, http.StatusOK, body)
+	merged := mergeNeighbors(shards, int(req.K))
+	wire.WriteJSON(w, http.StatusOK, wire.KNNResponse{
+		Count:      len(merged),
+		Incomplete: incomplete,
+		K:          req.K,
+		Neighbors:  wire.NeighborsOrEmpty(merged),
+		S:          req.S,
+	})
 }
 
 func (c *Coordinator) handleRange(w http.ResponseWriter, r *http.Request) {
-	sv, err := queryInt32(r, "s")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	req, ok := c.limits.ParseRange(w, r)
+	if !ok {
 		return
-	}
-	radius, err := queryInt64(r, "r")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if radius < 0 {
-		writeError(w, http.StatusBadRequest, "r=%d must be non-negative", radius)
-		return
-	}
-	limit := c.cfg.MaxBatch
-	if raw := r.URL.Query().Get("limit"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad limit %q", raw)
-			return
-		}
-		if !c.checkFanout(w, "limit", v) {
-			return
-		}
-		limit = v
 	}
 	// The limit is forwarded explicitly: the replicas' default is their
 	// own MaxBatch, which the deployment contract keeps equal to the
 	// coordinator's, but an explicit value never depends on it.
-	replies := c.scatterAll(r, http.MethodGet, fmt.Sprintf("/range?s=%d&r=%d&limit=%d", sv, radius, limit), nil)
+	replies := c.scatterAll(r, http.MethodGet, fmt.Sprintf("/range?s=%d&r=%d&limit=%d", req.S, req.Radius, req.Limit), nil)
 	oks, incomplete, done := c.collectScatter(w, replies)
 	if done {
 		return
@@ -192,12 +155,7 @@ func (c *Coordinator) handleRange(w http.ResponseWriter, r *http.Request) {
 	shards := make([][]pll.Neighbor, 0, len(oks))
 	total, totalExact, truncated := 0, true, false
 	for _, pr := range oks {
-		var sr struct {
-			Total      int            `json:"total"`
-			TotalExact bool           `json:"total_exact"`
-			Truncated  bool           `json:"truncated"`
-			Neighbors  []pll.Neighbor `json:"neighbors"`
-		}
+		var sr wire.RangeResponse
 		if !decodeShard(w, pr, &sr) {
 			return
 		}
@@ -211,53 +169,30 @@ func (c *Coordinator) handleRange(w http.ResponseWriter, r *http.Request) {
 		truncated = truncated || sr.Truncated
 	}
 	merged := mergeNeighbors(shards, -1)
-	if len(merged) > limit {
-		merged = merged[:limit]
+	if len(merged) > req.Limit {
+		merged = merged[:req.Limit]
 		truncated = true
 	}
-	total = max(total, len(merged))
-	resp := map[string]any{
-		"s":           sv,
-		"radius":      radius,
-		"count":       len(merged),
-		"total":       total,
-		"total_exact": totalExact,
-		"truncated":   truncated,
-		"neighbors":   neighborsOrEmpty(merged),
-	}
-	if incomplete {
-		resp["incomplete"] = true
-	}
-	body, err := marshalResponse(resp)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeJSONBytes(w, http.StatusOK, body)
-}
-
-// nearestRequest mirrors the replicas' POST /nearest body shape.
-type nearestRequest struct {
-	Source int32   `json:"source"`
-	Set    []int32 `json:"set"`
-	K      int     `json:"k"`
+	wire.WriteJSON(w, http.StatusOK, wire.RangeResponse{
+		Count:      len(merged),
+		Incomplete: incomplete,
+		Neighbors:  wire.NeighborsOrEmpty(merged),
+		Radius:     req.Radius,
+		S:          req.S,
+		Total:      max(total, len(merged)),
+		TotalExact: totalExact,
+		Truncated:  truncated,
+	})
 }
 
 func (c *Coordinator) handleNearest(w http.ResponseWriter, r *http.Request) {
-	var req nearestRequest
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	if len(req.Set) == 0 {
-		writeError(w, http.StatusBadRequest, `nearest body needs a non-empty "set"`)
-		return
-	}
-	if !c.checkFanout(w, "set size", len(req.Set)) || !c.checkFanout(w, "k", req.K) {
+	req, ok := c.limits.ParseNearest(w, r)
+	if !ok {
 		return
 	}
 	fwd, err := json.Marshal(&req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	replies := c.scatterAll(r, http.MethodPost, "/nearest", fwd)
@@ -268,10 +203,7 @@ func (c *Coordinator) handleNearest(w http.ResponseWriter, r *http.Request) {
 	shards := make([][]pll.Neighbor, 0, len(oks))
 	setSize := 0
 	for _, pr := range oks {
-		var sr struct {
-			SetSize   int            `json:"set_size"`
-			Neighbors []pll.Neighbor `json:"neighbors"`
-		}
+		var sr wire.NearestResponse
 		if !decodeShard(w, pr, &sr) {
 			return
 		}
@@ -279,47 +211,22 @@ func (c *Coordinator) handleNearest(w http.ResponseWriter, r *http.Request) {
 		setSize = max(setSize, sr.SetSize)
 	}
 	merged := mergeNeighbors(shards, req.K)
-	resp := map[string]any{
-		"source":    req.Source,
-		"k":         req.K,
-		"set_size":  setSize,
-		"count":     len(merged),
-		"neighbors": neighborsOrEmpty(merged),
-	}
-	if incomplete {
-		resp["incomplete"] = true
-	}
-	body, err := marshalResponse(resp)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeJSONBytes(w, http.StatusOK, body)
+	wire.WriteJSON(w, http.StatusOK, wire.NearestResponse{
+		Count:      len(merged),
+		Incomplete: incomplete,
+		K:          req.K,
+		Neighbors:  wire.NeighborsOrEmpty(merged),
+		SetSize:    setSize,
+		Source:     req.Source,
+	})
 }
 
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req pll.CompositeRequest
-	if !c.decodeBody(w, r, &req) {
+	req, ok := c.limits.ParseQuery(w, r)
+	if !ok {
 		return
 	}
-	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	req.Normalize()
-	if !c.checkFanout(w, "constraint fan-out", req.Fanout()) {
-		return
-	}
-	if req.K > c.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest, "k=%d outside [0,%d]", req.K, c.cfg.MaxBatch)
-		return
-	}
-	canon, err := json.Marshal(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	replies := c.scatterAll(r, http.MethodPost, "/query", canon)
+	replies := c.scatterAll(r, http.MethodPost, "/query", req.Canonical)
 	oks, incomplete, done := c.collectScatter(w, replies)
 	if done {
 		return
@@ -327,12 +234,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	shards := make([][]pll.CompositeMatch, 0, len(oks))
 	total, totalExact, truncated := 0, true, false
 	for _, pr := range oks {
-		var sr struct {
-			Total      int                  `json:"total"`
-			TotalExact bool                 `json:"total_exact"`
-			Truncated  bool                 `json:"truncated"`
-			Matches    []pll.CompositeMatch `json:"matches"`
-		}
+		var sr wire.QueryResponse
 		if !decodeShard(w, pr, &sr) {
 			return
 		}
@@ -349,30 +251,14 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if merged == nil {
 		merged = []pll.CompositeMatch{}
 	}
-	total = max(total, len(merged))
-	resp := map[string]any{
-		"count":       len(merged),
-		"total":       total,
-		"total_exact": totalExact,
-		"truncated":   truncated,
-		"matches":     merged,
-	}
-	if incomplete {
-		resp["incomplete"] = true
-	}
-	body, err := marshalResponse(resp)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeJSONBytes(w, http.StatusOK, body)
-}
-
-// batchRequest mirrors the replicas' POST /batch body shape.
-type batchRequest struct {
-	Pairs   [][2]int32 `json:"pairs,omitempty"`
-	Source  *int32     `json:"source,omitempty"`
-	Targets []int32    `json:"targets,omitempty"`
+	wire.WriteJSON(w, http.StatusOK, wire.QueryResponse{
+		Count:      len(merged),
+		Incomplete: incomplete,
+		Matches:    merged,
+		Total:      max(total, len(merged)),
+		TotalExact: totalExact,
+		Truncated:  truncated,
+	})
 }
 
 // handleBatch splits the (validated, capped) pair list into contiguous
@@ -383,28 +269,17 @@ type batchRequest struct {
 // exhausts every backend (positional answers cannot be served
 // partially).
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	switch {
-	case req.Source != nil && len(req.Targets) > 0 && len(req.Pairs) == 0:
-	case req.Source == nil && len(req.Targets) == 0 && len(req.Pairs) > 0:
-	default:
-		writeError(w, http.StatusBadRequest, `batch body needs either "pairs" or "source"+"targets"`)
-		return
-	}
-	n := len(req.Pairs) + len(req.Targets)
-	if n > c.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, "batch of %d pairs exceeds the %d limit", n, c.cfg.MaxBatch)
+	req, ok := c.limits.ParseBatch(w, r)
+	if !ok {
 		return
 	}
 	usable := c.usable()
 	if len(usable) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no usable backends (%d configured)", len(c.backends))
+		wire.WriteError(w, http.StatusServiceUnavailable, "no usable backends (%d configured)", len(c.backends))
 		return
 	}
 
+	n := req.Len()
 	chunks := min(len(usable), n)
 	type chunkResult struct {
 		distances []int64
@@ -414,15 +289,15 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var wg sync.WaitGroup
 	for i := 0; i < chunks; i++ {
 		lo, hi := i*n/chunks, (i+1)*n/chunks
-		var sub any
+		sub := wire.BatchRequest{Source: req.Source}
 		if req.Source != nil {
-			sub = map[string]any{"source": *req.Source, "targets": req.Targets[lo:hi]}
+			sub.Targets = req.Targets[lo:hi]
 		} else {
-			sub = map[string]any{"pairs": req.Pairs[lo:hi]}
+			sub.Pairs = req.Pairs[lo:hi]
 		}
-		body, err := json.Marshal(sub)
+		body, err := json.Marshal(&sub)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			wire.WriteError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		wg.Add(1)
@@ -434,9 +309,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 				results[i].fail = pr
 				return
 			}
-			var sr struct {
-				Distances []int64 `json:"distances"`
-			}
+			var sr wire.BatchResponse
 			if err := json.Unmarshal(pr.body, &sr); err != nil {
 				results[i].fail = &proxyResult{b: pr.b, err: fmt.Errorf("bad response: %w", err)}
 				return
@@ -450,7 +323,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i := range results {
 		if pr := results[i].fail; pr != nil {
 			if pr.err != nil {
-				writeError(w, http.StatusBadGateway, "backend %s: %v", pr.b.host, pr.err)
+				wire.WriteError(w, http.StatusBadGateway, "backend %s: %v", pr.b.host, pr.err)
 			} else {
 				relay(w, pr)
 			}
@@ -458,12 +331,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		distances = append(distances, results[i].distances...)
 	}
-	body, err := marshalResponse(map[string]any{"count": n, "distances": distances})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeJSONBytes(w, http.StatusOK, body)
+	wire.WriteJSON(w, http.StatusOK, wire.BatchResponse{Count: n, Distances: distances})
 }
 
 // batchChunk posts one chunk, starting at the backend the chunk was

@@ -149,6 +149,7 @@ type fixtureLoader struct {
 	fset    *token.FileSet
 	root    string
 	pkgs    map[string]*Package
+	source  map[*types.Package]*Package
 	loading map[string]bool
 	stdlib  types.Importer
 }
@@ -159,6 +160,7 @@ func newFixtureLoader(root string) *fixtureLoader {
 		fset:    fset,
 		root:    root,
 		pkgs:    map[string]*Package{},
+		source:  map[*types.Package]*Package{},
 		loading: map[string]bool{},
 		stdlib:  importer.ForCompiler(fset, "source", nil),
 	}
@@ -206,7 +208,7 @@ func (ld *fixtureLoader) load(path string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkg, err := typeCheck(ld.fset, path, files, ld)
+	pkg, err := typeCheck(ld.fset, path, files, ld, ld.source)
 	if err != nil {
 		return nil, err
 	}

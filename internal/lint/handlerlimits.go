@@ -12,17 +12,24 @@ import (
 //
 // The serving surface is exposed to untrusted clients, so two limits
 // are load-bearing: the request body must pass through
-// http.MaxBytesReader before any decoder touches it (Server.decodeBody
-// is the blessed wrapper), and any client-controlled fan-out — a
-// decoded slice, a count — must be bounded by Config.MaxBatch (via
-// Server.checkFanout or an explicit comparison). The analyzer resolves
-// each mux registration whose pattern carries the POST method, walks
-// the handler's same-package call closure, and reports
+// http.MaxBytesReader before any decoder touches it (wire.Limits'
+// DecodeBody is the blessed wrapper), and any client-controlled
+// fan-out — a decoded slice, a count — must be bounded by a MaxBatch
+// read (wire.Limits.CheckFanout, or an explicit comparison). The
+// analyzer resolves each mux registration whose pattern carries the
+// POST method, walks the handler's call closure, and reports
 //
 //	(a) closures that never reach http.MaxBytesReader, with a fix that
 //	    inserts the cap at the top of the handler, and
 //	(b) closures that decode a slice-bearing request type but never
-//	    consult MaxBatch/checkFanout.
+//	    read a MaxBatch field.
+//
+// The closure crosses package boundaries into every package the loader
+// type-checked from source, and each body is read with its own
+// package's type information, so a handler that hands its request to
+// a parsing package is judged by what that package does. No helper is
+// trusted by name: a function counts as a decoder at its call sites
+// because its body passes one of its parameters on as a decode target.
 //
 // Method-less registrations match POST along with every other method,
 // so their handlers face the same rules once they actually decode a
@@ -38,8 +45,7 @@ var HandlerLimits = &Analyzer{
 }
 
 func runHandlerLimits(pass *Pass) error {
-	decls := funcDecls(pass)
-	reach := newReachability(pass, decls)
+	reach := newReachability(pass)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -79,7 +85,7 @@ func runHandlerLimits(pass *Pass) error {
 			}
 			if reach.decodesSlice(bodies) && !reach.capsFanout(bodies) {
 				pass.Reportf(call.Pos(),
-					"POST handler %s decodes a slice-bearing request but never caps its length against MaxBatch (checkFanout)",
+					"POST handler %s decodes a slice-bearing request but never caps its length against MaxBatch (CheckFanout)",
 					handlerName(handler))
 			}
 			return true
@@ -141,13 +147,13 @@ func handlerName(h ast.Expr) string {
 	return types.ExprString(h)
 }
 
-// funcDecls maps the package's function objects to their declarations.
-func funcDecls(pass *Pass) map[*types.Func]*ast.FuncDecl {
+// funcDecls maps one package's function objects to their declarations.
+func funcDecls(files []*ast.File, info *types.Info) map[*types.Func]*ast.FuncDecl {
 	out := map[*types.Func]*ast.FuncDecl{}
-	for _, f := range pass.Files {
+	for _, f := range files {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+				if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
 					out[fn] = fd
 				}
 			}
@@ -156,21 +162,50 @@ func funcDecls(pass *Pass) map[*types.Func]*ast.FuncDecl {
 	return out
 }
 
-// reachability computes, memoized, the same-package call closure of a
-// handler so transitive wrappers (decodeBody → MaxBytesReader) count.
+// body is one reachable function body with the type information of the
+// package that declares it.
+type body struct {
+	block *ast.BlockStmt
+	info  *types.Info
+}
+
+// reachability computes, memoized, the call closure of a handler so
+// transitive wrappers (DecodeBody → MaxBytesReader) count, in the
+// handler's package or any other the loader checked from source.
 type reachability struct {
-	pass  *Pass
-	decls map[*types.Func]*ast.FuncDecl
-	memo  map[*types.Func][]*ast.BlockStmt
+	pass   *Pass
+	decls  map[*types.Package]map[*types.Func]*ast.FuncDecl
+	memo   map[*types.Func][]body
+	params map[*types.Func]int // decodeParam results
 }
 
-func newReachability(pass *Pass, decls map[*types.Func]*ast.FuncDecl) *reachability {
-	return &reachability{pass: pass, decls: decls, memo: map[*types.Func][]*ast.BlockStmt{}}
+func newReachability(pass *Pass) *reachability {
+	return &reachability{
+		pass:   pass,
+		decls:  map[*types.Package]map[*types.Func]*ast.FuncDecl{},
+		memo:   map[*types.Func][]body{},
+		params: map[*types.Func]int{},
+	}
 }
 
-// bodies returns the bodies of every same-package function reachable
-// from the handler expression, the handler itself first.
-func (r *reachability) bodies(h ast.Expr) []*ast.BlockStmt {
+// decl finds fn's declaration and the type information to read it
+// with; nil when fn's package was not checked from source.
+func (r *reachability) decl(fn *types.Func) (*ast.FuncDecl, *types.Info) {
+	src, ok := r.pass.Source[fn.Pkg()]
+	if !ok {
+		return nil, nil
+	}
+	decls, ok := r.decls[src.Types]
+	if !ok {
+		decls = funcDecls(src.Files, src.TypesInfo)
+		r.decls[src.Types] = decls
+	}
+	return decls[fn], src.TypesInfo
+}
+
+// bodies returns the body of every function reachable from the handler
+// expression, the handler itself first.
+func (r *reachability) bodies(h ast.Expr) []body {
 	return r.exprBodies(ast.Unparen(h), map[*types.Func]bool{})
 }
 
@@ -184,26 +219,27 @@ func (r *reachability) bodies(h ast.Expr) []*ast.BlockStmt {
 // union of the wrapper's own bodies and the bodies of every func-typed
 // argument — the wrapped handler keeps being checked for its caps no
 // matter how many instrumentation layers sit in front of it.
-func (r *reachability) exprBodies(h ast.Expr, seen map[*types.Func]bool) []*ast.BlockStmt {
+func (r *reachability) exprBodies(h ast.Expr, seen map[*types.Func]bool) []body {
+	info := r.pass.TypesInfo
 	switch x := h.(type) {
 	case *ast.FuncLit:
-		return r.closure(x.Body, seen)
+		return r.closure(body{x.Body, info}, seen)
 	case *ast.Ident:
-		if fn, ok := r.pass.TypesInfo.Uses[x].(*types.Func); ok {
+		if fn, ok := info.Uses[x].(*types.Func); ok {
 			return r.funcBodies(fn, seen)
 		}
 	case *ast.SelectorExpr:
-		if fn, ok := r.pass.TypesInfo.Uses[x.Sel].(*types.Func); ok {
+		if fn, ok := info.Uses[x.Sel].(*types.Func); ok {
 			return r.funcBodies(fn, seen)
 		}
 	case *ast.CallExpr:
-		var out []*ast.BlockStmt
-		if fn := calleeFunc(r.pass.TypesInfo, x); fn != nil {
+		var out []body
+		if fn := calleeFunc(info, x); fn != nil {
 			out = append(out, r.funcBodies(fn, seen)...)
 		}
 		for _, a := range x.Args {
 			a = ast.Unparen(a)
-			tv, ok := r.pass.TypesInfo.Types[a]
+			tv, ok := info.Types[a]
 			if !ok {
 				continue
 			}
@@ -216,7 +252,8 @@ func (r *reachability) exprBodies(h ast.Expr, seen map[*types.Func]bool) []*ast.
 	return nil
 }
 
-func (r *reachability) funcBodies(fn *types.Func, seen map[*types.Func]bool) []*ast.BlockStmt {
+func (r *reachability) funcBodies(fn *types.Func, seen map[*types.Func]bool) []body {
+	fn = fn.Origin()
 	if seen[fn] {
 		return nil
 	}
@@ -224,23 +261,23 @@ func (r *reachability) funcBodies(fn *types.Func, seen map[*types.Func]bool) []*
 	if cached, ok := r.memo[fn]; ok {
 		return cached
 	}
-	decl, ok := r.decls[fn]
-	if !ok {
+	decl, info := r.decl(fn)
+	if decl == nil {
 		return nil
 	}
-	out := r.closure(decl.Body, seen)
+	out := r.closure(body{decl.Body, info}, seen)
 	r.memo[fn] = out
 	return out
 }
 
-func (r *reachability) closure(body *ast.BlockStmt, seen map[*types.Func]bool) []*ast.BlockStmt {
-	out := []*ast.BlockStmt{body}
-	ast.Inspect(body, func(n ast.Node) bool {
+func (r *reachability) closure(b body, seen map[*types.Func]bool) []body {
+	out := []body{b}
+	ast.Inspect(b.block, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if fn := calleeFunc(r.pass.TypesInfo, call); fn != nil {
+		if fn := calleeFunc(b.info, call); fn != nil {
 			out = append(out, r.funcBodies(fn, seen)...)
 		}
 		return true
@@ -250,52 +287,94 @@ func (r *reachability) closure(body *ast.BlockStmt, seen map[*types.Func]bool) [
 
 // callsMaxBytesReader reports whether any reachable body calls
 // net/http.MaxBytesReader.
-func (r *reachability) callsMaxBytesReader(bodies []*ast.BlockStmt) bool {
-	return r.anyCall(bodies, func(fn *types.Func) bool {
+func (r *reachability) callsMaxBytesReader(bodies []body) bool {
+	return anyCall(bodies, func(fn *types.Func, _ *ast.CallExpr, _ *types.Info) bool {
 		return fn.Pkg() != nil && fn.Pkg().Path() == "net/http" && fn.Name() == "MaxBytesReader"
 	})
 }
 
 // decodesBody reports whether any reachable body decodes a request
-// body at all (Decode/Unmarshal/decodeBody): the trigger that makes a
+// body at all (a Decode or Unmarshal call): the trigger that makes a
 // method-less registration subject to the body-cap rule.
-func (r *reachability) decodesBody(bodies []*ast.BlockStmt) bool {
-	return r.anyCall(bodies, func(fn *types.Func) bool {
-		switch fn.Name() {
-		case "Decode", "Unmarshal", "decodeBody":
-			return true
-		}
-		return false
+func (r *reachability) decodesBody(bodies []body) bool {
+	return anyCall(bodies, func(fn *types.Func, _ *ast.CallExpr, _ *types.Info) bool {
+		return fn.Name() == "Decode" || fn.Name() == "Unmarshal"
 	})
 }
 
 // decodesSlice reports whether any reachable body decodes JSON into a
 // value whose struct type carries a slice field (a client-controlled
 // fan-out).
-func (r *reachability) decodesSlice(bodies []*ast.BlockStmt) bool {
+func (r *reachability) decodesSlice(bodies []body) bool {
+	return anyCall(bodies, func(_ *types.Func, call *ast.CallExpr, info *types.Info) bool {
+		target := r.decodeTarget(info, call)
+		if target == nil {
+			return false
+		}
+		tv, ok := info.Types[target]
+		return ok && hasSliceField(tv.Type)
+	})
+}
+
+// decodeTarget returns the expression a call decodes JSON into: the
+// argument of a Decode or Unmarshal call, or the argument a function
+// checked from source passes on as such a target (see decodeParam).
+// Nil when the call decodes nothing.
+func (r *reachability) decodeTarget(info *types.Info, call *ast.CallExpr) ast.Expr {
+	fn := calleeFunc(info, call)
+	if fn == nil {
+		return nil
+	}
+	switch {
+	case fn.Name() == "Decode" && len(call.Args) == 1:
+		return call.Args[0]
+	case fn.Name() == "Unmarshal" && len(call.Args) == 2:
+		return call.Args[1]
+	}
+	if i := r.decodeParam(fn); i >= 0 && i < len(call.Args) {
+		return call.Args[i]
+	}
+	return nil
+}
+
+// decodeParam returns the index of the parameter fn's body decodes
+// JSON into, directly or through another such function, or -1. A
+// decode wrapper taking the target as an `any` parameter only shows
+// the decoded type at its call sites; this is what puts it there.
+func (r *reachability) decodeParam(fn *types.Func) int {
+	fn = fn.Origin()
+	if i, ok := r.params[fn]; ok {
+		return i
+	}
+	r.params[fn] = -1 // a recursive decoder settles on its own answer
+	decl, info := r.decl(fn)
+	if decl == nil {
+		return -1
+	}
+	params := fn.Type().(*types.Signature).Params()
+	found := -1
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && found < 0 {
+			if id, ok := ast.Unparen(r.decodeTarget(info, call)).(*ast.Ident); ok {
+				for i := 0; i < params.Len(); i++ {
+					if params.At(i) == info.Uses[id] {
+						found = i
+					}
+				}
+			}
+		}
+		return found < 0
+	})
+	r.params[fn] = found
+	return found
+}
+
+// capsFanout reports whether any reachable body reads a MaxBatch field.
+func (r *reachability) capsFanout(bodies []body) bool {
 	for _, b := range bodies {
 		found := false
-		ast.Inspect(b, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || found {
-				return !found
-			}
-			fn := calleeFunc(r.pass.TypesInfo, call)
-			if fn == nil {
-				return true
-			}
-			var target ast.Expr
-			switch {
-			case fn.Name() == "Decode" && len(call.Args) == 1:
-				target = call.Args[0]
-			case fn.Name() == "Unmarshal" && len(call.Args) == 2:
-				target = call.Args[1]
-			case fn.Name() == "decodeBody" && len(call.Args) == 3:
-				target = call.Args[2]
-			default:
-				return true
-			}
-			if tv, ok := r.pass.TypesInfo.Types[target]; ok && hasSliceField(tv.Type) {
+		ast.Inspect(b.block, func(n ast.Node) bool {
+			if x, ok := n.(*ast.SelectorExpr); ok && x.Sel.Name == "MaxBatch" {
 				found = true
 			}
 			return !found
@@ -307,37 +386,14 @@ func (r *reachability) decodesSlice(bodies []*ast.BlockStmt) bool {
 	return false
 }
 
-// capsFanout reports whether any reachable body consults the fan-out
-// cap: a checkFanout call or a MaxBatch field read.
-func (r *reachability) capsFanout(bodies []*ast.BlockStmt) bool {
+// anyCall reports whether a call in any reachable body matches, each
+// resolved with its own package's type information.
+func anyCall(bodies []body, match func(*types.Func, *ast.CallExpr, *types.Info) bool) bool {
 	for _, b := range bodies {
 		found := false
-		ast.Inspect(b, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.CallExpr:
-				if fn := calleeFunc(r.pass.TypesInfo, x); fn != nil && fn.Name() == "checkFanout" {
-					found = true
-				}
-			case *ast.SelectorExpr:
-				if x.Sel.Name == "MaxBatch" {
-					found = true
-				}
-			}
-			return !found
-		})
-		if found {
-			return true
-		}
-	}
-	return false
-}
-
-func (r *reachability) anyCall(bodies []*ast.BlockStmt, match func(*types.Func) bool) bool {
-	for _, b := range bodies {
-		found := false
-		ast.Inspect(b, func(n ast.Node) bool {
+		ast.Inspect(b.block, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
-				if fn := calleeFunc(r.pass.TypesInfo, call); fn != nil && match(fn) {
+				if fn := calleeFunc(b.info, call); fn != nil && match(fn, call, b.info) {
 					found = true
 				}
 			}
@@ -408,7 +464,7 @@ func maxBytesFix(pass *Pass, h ast.Expr) (SuggestedFix, bool) {
 	if !ok {
 		return SuggestedFix{}, false
 	}
-	decl, ok := funcDecls(pass)[fn]
+	decl, ok := funcDecls(pass.Files, pass.TypesInfo)[fn]
 	if !ok || decl.Type.Params == nil || len(decl.Type.Params.List) != 2 {
 		return SuggestedFix{}, false
 	}

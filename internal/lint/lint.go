@@ -23,7 +23,8 @@
 //     pll.Closer) are probed with the two-result form, and Searcher
 //     errors (ErrNoSearch, ErrStaleSet) are never discarded.
 //   - handlerlimits: every POST handler wires http.MaxBytesReader (via
-//     Server.decodeBody) before touching a request body.
+//     wire.Limits.DecodeBody) before touching a request body, and caps
+//     a decoded fan-out against MaxBatch.
 //   - profilescope: request-scoped trace profiles (trace.FromContext,
 //     trace.ProfileFromContext) are never stored past the handler that
 //     owns them.
@@ -65,6 +66,12 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	// Source holds every package the loader type-checked from source
+	// (module packages; fixture packages in tests), this one included,
+	// so an analyzer can follow a call across the package boundary and
+	// read the callee's body with its own package's TypesInfo. The
+	// standard library, whose importer keeps no syntax, is absent.
+	Source map[*types.Package]*Package
 
 	diags    []Diagnostic
 	analyzer *Analyzer
@@ -120,6 +127,7 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
+				Source:    pkg.source,
 				analyzer:  a,
 			}
 			if err := a.Run(pass); err != nil {

@@ -23,6 +23,10 @@ type Package struct {
 	Files     []*ast.File
 	Types     *types.Package
 	TypesInfo *types.Info
+
+	// source holds every package its loader type-checked from source,
+	// this one included, keyed by type (see Pass.Source).
+	source map[*types.Package]*Package
 }
 
 // Load resolves patterns with `go list` from dir and type-checks every
@@ -99,6 +103,7 @@ type loader struct {
 	fset     *token.FileSet
 	listings map[string]*listing
 	pkgs     map[string]*Package
+	source   map[*types.Package]*Package
 	loading  map[string]bool
 	stdlib   types.Importer
 }
@@ -112,6 +117,7 @@ func newLoader() *loader {
 		fset:     fset,
 		listings: map[string]*listing{},
 		pkgs:     map[string]*Package{},
+		source:   map[*types.Package]*Package{},
 		loading:  map[string]bool{},
 		stdlib:   importer.ForCompiler(fset, "source", nil),
 	}
@@ -150,7 +156,7 @@ func (ld *loader) load(path string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkg, err := typeCheck(ld.fset, path, files, ld)
+	pkg, err := typeCheck(ld.fset, path, files, ld, ld.source)
 	if err != nil {
 		return nil, err
 	}
@@ -172,8 +178,9 @@ func parseDir(fset *token.FileSet, dir string, names []string) ([]*ast.File, err
 	return files, nil
 }
 
-// typeCheck runs the types checker over parsed files with a full Info.
-func typeCheck(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (*Package, error) {
+// typeCheck runs the types checker over parsed files with a full Info
+// and registers the package in its loader's source set.
+func typeCheck(fset *token.FileSet, path string, files []*ast.File, imp types.Importer, source map[*types.Package]*Package) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -188,11 +195,14 @@ func typeCheck(fset *token.FileSet, path string, files []*ast.File, imp types.Im
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", path, err)
 	}
-	return &Package{
+	pkg := &Package{
 		PkgPath:   path,
 		Fset:      fset,
 		Files:     files,
 		Types:     tpkg,
 		TypesInfo: info,
-	}, nil
+		source:    source,
+	}
+	source[tpkg] = pkg
+	return pkg, nil
 }

@@ -12,83 +12,46 @@ package server
 //	 "rank": {"by": "sum", "terms": [{"source": 3, "weight": 2}]},
 //	 "k": 10}
 //
-// Structural validation happens before the oracle is touched, so a
-// hostile body fails with 400 without pinning a snapshot, and the
-// clause fan-out (near and in leaves plus ranking terms) is capped by
-// Config.MaxBatch like every other client-controlled knob.
+// Structural validation (wire.ParseQuery) happens before the oracle is
+// touched, so a hostile body fails with 400 without pinning a snapshot,
+// and the clause fan-out (near and in leaves plus ranking terms) is
+// capped by Config.MaxBatch like every other client-controlled knob.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
 	"pll/internal/trace"
+	"pll/internal/wire"
 	"pll/pll"
 )
 
-// writeJSONBytes writes pre-marshaled JSON (cached responses).
-func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body) //nolint:errcheck // nothing to do for a dead client
-}
-
-// marshalResponse marshals a response map with a trailing newline, the
-// same wire shape json.Encoder produces in writeJSON.
-func marshalResponse(v any) ([]byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req pll.CompositeRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Normalizing before keying makes the cache canonical: requests that
-	// differ only in defaults ("by":"sum" vs omitted, unsorted "in"
-	// members) collapse onto one entry.
-	req.Normalize()
-	if !s.checkFanout(w, "constraint fan-out", req.Fanout()) {
-		return
-	}
-	if req.K > s.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest, "k=%d outside [0,%d]", req.K, s.cfg.MaxBatch)
-		return
-	}
-	canon, err := json.Marshal(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	req, ok := s.limits.ParseQuery(w, r)
+	if !ok {
 		return
 	}
 	p := trace.ProfileFromContext(r.Context())
-	key := "query:" + string(canon)
-	if body, ok := s.results.get("query", key); ok {
+	key := "query:" + string(req.Canonical)
+	if body, ok := s.results.get(key, &s.queryTally); ok {
 		p.CacheLookup(true)
 		s.composites.Add(1)
-		writeJSONBytes(w, http.StatusOK, body)
+		wire.WriteJSONBytes(w, http.StatusOK, body)
 		return
 	}
 	p.CacheLookup(false)
 	epoch := s.results.currentEpoch()
 	var res *pll.CompositeResult
 	queryStart := time.Now()
-	err = s.oracle.View(func(o pll.Oracle) error {
+	err := s.oracle.View(func(o pll.Oracle) error {
 		cs, ok := o.(pll.CompositeSearcher)
 		if !ok {
 			return pll.ErrNoSearch
 		}
 		var err error
-		res, err = cs.Composite(&req)
+		res, err = cs.Composite(&req.CompositeRequest)
 		return err
 	})
 	if err == nil && p != nil {
@@ -98,17 +61,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		if errors.Is(err, pll.ErrNoSearch) {
-			writeError(w, http.StatusConflict, "served index does not support composite queries (a live dynamic index cannot be inverted; serve a frozen snapshot)")
+			wire.WriteError(w, http.StatusConflict, "served index does not support composite queries (a live dynamic index cannot be inverted; serve a frozen snapshot)")
 		} else {
 			// Remaining failures are request-shaped: vertices out of range
 			// for the served index.
-			writeError(w, http.StatusBadRequest, "%v", err)
+			wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		}
 		return
 	}
-	// K is capped above, so only an untrimmed (k=0) answer can exceed
-	// MaxBatch; cut it like /range does rather than ship an unbounded
-	// response.
+	// K is capped by ParseQuery, so only an untrimmed (k=0) answer can
+	// exceed MaxBatch; cut it like /range does rather than ship an
+	// unbounded response.
 	matches := res.Matches
 	truncated := false
 	if len(matches) > s.cfg.MaxBatch {
@@ -118,20 +81,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if matches == nil {
 		matches = []pll.CompositeMatch{}
 	}
-	body, err := marshalResponse(map[string]any{
-		"count":       len(matches),
-		"total":       res.Total,
-		"total_exact": res.Exact,
-		"truncated":   truncated,
-		"matches":     matches,
+	body, err := wire.MarshalResponse(wire.QueryResponse{
+		Count:      len(matches),
+		Matches:    matches,
+		Total:      res.Total,
+		TotalExact: res.Exact,
+		Truncated:  truncated,
 	})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		wire.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	s.results.put(epoch, key, body)
 	s.composites.Add(1)
-	writeJSONBytes(w, http.StatusOK, body)
+	wire.WriteJSONBytes(w, http.StatusOK, body)
 }
 
 // queryCacheKeyKNN canonicalizes a /knn request for the result cache.

@@ -10,6 +10,7 @@ import (
 	"pll/internal/gen"
 	"pll/internal/graph"
 	"pll/internal/rng"
+	"pll/internal/wire"
 	"pll/pll"
 )
 
@@ -226,7 +227,7 @@ func checkVariant(t *testing.T, tc variantCase) {
 		var resp struct {
 			Distances []int64 `json:"distances"`
 		}
-		postJSON(t, ts.URL+"/batch", batchRequest{Source: &src, Targets: targets},
+		postJSON(t, ts.URL+"/batch", wire.BatchRequest{Source: &src, Targets: targets},
 			http.StatusOK, &resp)
 		if len(resp.Distances) != tc.n {
 			t.Fatalf("%s: batch returned %d distances", tc.name, len(resp.Distances))
@@ -351,7 +352,7 @@ func TestConformanceDynamicAfterUpdates(t *testing.T) {
 		targets[i] = int32(i)
 	}
 	src := int32(0)
-	postJSON(t, ts.URL+"/batch", batchRequest{Source: &src, Targets: targets}, http.StatusOK, &resp)
+	postJSON(t, ts.URL+"/batch", wire.BatchRequest{Source: &src, Targets: targets}, http.StatusOK, &resp)
 	for tt, got := range resp.Distances {
 		if want := int64(bfs.AllDistances(gInit, src)[tt]); got != want {
 			t.Fatalf("pre-update d(0,%d) = %d, want %d", tt, got, want)
@@ -368,7 +369,7 @@ func TestConformanceDynamicAfterUpdates(t *testing.T) {
 	// Every pair must now match BFS on the full graph.
 	for _, src := range []int32{0, 17, int32(n - 1)} {
 		want := bfs.AllDistances(full, src)
-		postJSON(t, ts.URL+"/batch", batchRequest{Source: &src, Targets: targets}, http.StatusOK, &resp)
+		postJSON(t, ts.URL+"/batch", wire.BatchRequest{Source: &src, Targets: targets}, http.StatusOK, &resp)
 		for tt, got := range resp.Distances {
 			if got != int64(want[tt]) {
 				t.Fatalf("post-update d(%d,%d) = %d, want %d", src, tt, got, want[tt])

@@ -2,7 +2,7 @@ package server
 
 // GET /metrics: the Prometheus-text-format scrape surface, stdlib
 // only. Per-endpoint request counters and latency histograms come from
-// the middleware in middleware.go; cache and admission series read the
+// the middleware in stack.go; cache and admission series read the
 // existing counters; the index gauges (label sizes — the expected
 // merge length of a Distance call — and hub occupancy) come from
 // pll.Stats, cached per (generation, update-count) so a 15-second
@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pll/internal/wire"
 	"pll/pll"
 )
 
@@ -62,11 +63,11 @@ func (h *Histogram) WriteSeries(w io.Writer, metric, labels string) {
 	cum := int64(0)
 	for i := range latencyBuckets {
 		cum += h.buckets[i].Load()
-		fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d\n", metric, labels, fmtFloat(latencyBuckets[i]), cum)
+		fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d\n", metric, labels, wire.FmtFloat(latencyBuckets[i]), cum)
 	}
 	count := h.count.Load()
 	fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", metric, labels, count)
-	fmt.Fprintf(w, "%s_sum{%s} %s\n", metric, labels, fmtFloat(float64(h.sumNs.Load())/1e9))
+	fmt.Fprintf(w, "%s_sum{%s} %s\n", metric, labels, wire.FmtFloat(float64(h.sumNs.Load())/1e9))
 	fmt.Fprintf(w, "%s_count{%s} %d\n", metric, labels, count)
 }
 
@@ -131,9 +132,6 @@ func (s *Server) cachedStats() pll.Stats {
 	return c.st
 }
 
-// fmtFloat renders a float the way Prometheus clients expect.
-func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 
@@ -141,17 +139,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// middleware stack; everything below is Server-specific.
 	s.stack.WriteMetrics(w)
 
-	hits, misses := s.cache.counters()
 	fmt.Fprintf(w, "# HELP pll_cache_hits_total Cache hits by cache (pair = /distance, knn and query = result bodies).\n")
 	fmt.Fprintf(w, "# TYPE pll_cache_hits_total counter\n")
-	fmt.Fprintf(w, "pll_cache_hits_total{cache=\"pair\"} %d\n", hits)
-	fmt.Fprintf(w, "pll_cache_hits_total{cache=\"knn\"} %d\n", s.results.hitCount("knn"))
-	fmt.Fprintf(w, "pll_cache_hits_total{cache=\"query\"} %d\n", s.results.hitCount("query"))
+	fmt.Fprintf(w, "pll_cache_hits_total{cache=\"pair\"} %d\n", s.pairTally.hits.Load())
+	fmt.Fprintf(w, "pll_cache_hits_total{cache=\"knn\"} %d\n", s.knnTally.hits.Load())
+	fmt.Fprintf(w, "pll_cache_hits_total{cache=\"query\"} %d\n", s.queryTally.hits.Load())
 	fmt.Fprintf(w, "# HELP pll_cache_misses_total Cache misses by cache.\n")
 	fmt.Fprintf(w, "# TYPE pll_cache_misses_total counter\n")
-	fmt.Fprintf(w, "pll_cache_misses_total{cache=\"pair\"} %d\n", misses)
-	fmt.Fprintf(w, "pll_cache_misses_total{cache=\"knn\"} %d\n", s.results.missCount("knn"))
-	fmt.Fprintf(w, "pll_cache_misses_total{cache=\"query\"} %d\n", s.results.missCount("query"))
+	fmt.Fprintf(w, "pll_cache_misses_total{cache=\"pair\"} %d\n", s.pairTally.misses.Load())
+	fmt.Fprintf(w, "pll_cache_misses_total{cache=\"knn\"} %d\n", s.knnTally.misses.Load())
+	fmt.Fprintf(w, "pll_cache_misses_total{cache=\"query\"} %d\n", s.queryTally.misses.Load())
 	fmt.Fprintf(w, "# HELP pll_cache_entries Entries resident by cache.\n")
 	fmt.Fprintf(w, "# TYPE pll_cache_entries gauge\n")
 	fmt.Fprintf(w, "pll_cache_entries{cache=\"pair\"} %d\n", s.cache.len())
@@ -169,12 +166,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"pll_index_vertices", "Vertices in the served index.", strconv.Itoa(st.NumVertices)},
 		{"pll_index_bit_parallel_roots", "Bit-parallel roots in the served index.", strconv.Itoa(st.NumBitParallel)},
 		{"pll_index_label_entries", "Normal label entries over all vertices.", strconv.FormatInt(st.TotalLabelEntries, 10)},
-		{"pll_index_avg_label_size", "Average per-vertex label size: the expected merge length of one Distance call is twice this.", fmtFloat(st.AvgLabelSize)},
+		{"pll_index_avg_label_size", "Average per-vertex label size: the expected merge length of one Distance call is twice this.", wire.FmtFloat(st.AvgLabelSize)},
 		{"pll_index_max_label_size", "Largest per-vertex label: the worst-case merge length.", strconv.Itoa(st.MaxLabelSize)},
 		{"pll_index_bytes", "Estimated in-memory footprint of label and bit-parallel arrays.", strconv.FormatInt(st.IndexBytes, 10)},
 		{"pll_index_hubs_distinct", "Hubs carried by at least one label entry.", strconv.Itoa(st.DistinctHubs)},
 		{"pll_index_hub_load_max", "Label entries carried by the most loaded hub.", strconv.Itoa(st.MaxHubLoad)},
-		{"pll_index_hub_load_avg", "Label entries per occupied hub.", fmtFloat(st.AvgHubLoad)},
+		{"pll_index_hub_load_avg", "Label entries per occupied hub.", wire.FmtFloat(st.AvgHubLoad)},
 		{"pll_index_generation", "Completed index hot-swaps.", strconv.FormatUint(s.oracle.Generation(), 10)},
 	} {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", g.name, g.help, g.name, g.name, g.value)
@@ -188,7 +185,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "pll_updates_total %d\n", s.updates.Load())
 	fmt.Fprintf(w, "# HELP pll_uptime_seconds Seconds since the server was constructed.\n")
 	fmt.Fprintf(w, "# TYPE pll_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "pll_uptime_seconds %s\n", fmtFloat(time.Since(s.start).Seconds()))
+	fmt.Fprintf(w, "pll_uptime_seconds %s\n", wire.FmtFloat(time.Since(s.start).Seconds()))
 }
 
 // MetricsHandler returns the bare /metrics handler for mounting on an

@@ -9,49 +9,12 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
-	"strconv"
 
 	"pll/internal/trace"
+	"pll/internal/wire"
 	"pll/pll"
 )
-
-// queryInt32 parses one required int32 query parameter.
-func queryInt32(r *http.Request, name string) (int32, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return 0, fmt.Errorf("missing query parameter %q", name)
-	}
-	v, err := strconv.ParseInt(raw, 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, raw)
-	}
-	return int32(v), nil
-}
-
-// queryInt64 parses one required int64 query parameter (weighted radii
-// can exceed int32).
-func queryInt64(r *http.Request, name string) (int64, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return 0, fmt.Errorf("missing query parameter %q", name)
-	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, raw)
-	}
-	return v, nil
-}
-
-// checkFanout bounds a client-controlled count by MaxBatch.
-func (s *Server) checkFanout(w http.ResponseWriter, name string, v int) bool {
-	if v < 1 || v > s.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest, "%s=%d outside [1,%d]", name, v, s.cfg.MaxBatch)
-		return false
-	}
-	return true
-}
 
 // searchView runs f against the current snapshot's Searcher, mapping
 // the standard failure modes: 400 for bad vertices or sets, 409 when
@@ -74,80 +37,63 @@ func (s *Server) searchView(w http.ResponseWriter, src int32, f func(sr pll.Sear
 		s.searches.Add(1)
 		return true
 	case badInput:
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 	case errors.Is(err, pll.ErrNoSearch):
 		// Deliberately no Stats() call here: naming the variant would
 		// scan the whole index under the dynamic read lock on every
 		// rejected request.
-		writeError(w, http.StatusConflict, "served index does not support search queries (a live dynamic index cannot be inverted; serve a frozen snapshot)")
+		wire.WriteError(w, http.StatusConflict, "served index does not support search queries (a live dynamic index cannot be inverted; serve a frozen snapshot)")
 	default:
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 	}
 	return false
-}
-
-// neighborsOrEmpty keeps "neighbors" a JSON array even with no hits.
-func neighborsOrEmpty(ns []pll.Neighbor) []pll.Neighbor {
-	if ns == nil {
-		return []pll.Neighbor{}
-	}
-	return ns
 }
 
 // handleKNN answers GET /knn?s=V&k=N: the k nearest vertices to s,
 // sorted by (distance, vertex), ties at the cutoff resolved to the
 // smallest IDs.
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	sv, err := queryInt32(r, "s")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	k, err := queryInt32(r, "k")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if !s.checkFanout(w, "k", int(k)) {
+	req, ok := s.limits.ParseKNN(w, r)
+	if !ok {
 		return
 	}
 	// kNN answers are deterministic for a fixed index, so the marshaled
 	// response is cached whole, keyed by the canonical (s, k) pair;
 	// /update and /reload purge it.
 	p := trace.ProfileFromContext(r.Context())
-	key := queryCacheKeyKNN(sv, k)
-	if body, ok := s.results.get("knn", key); ok {
+	key := queryCacheKeyKNN(req.S, req.K)
+	if body, ok := s.results.get(key, &s.knnTally); ok {
 		p.CacheLookup(true)
 		s.searches.Add(1)
-		writeJSONBytes(w, http.StatusOK, body)
+		wire.WriteJSONBytes(w, http.StatusOK, body)
 		return
 	}
 	p.CacheLookup(false)
 	epoch := s.results.currentEpoch()
 	var res []pll.Neighbor
-	if !s.searchView(w, sv, func(sr pll.Searcher) error {
+	if !s.searchView(w, req.S, func(sr pll.Searcher) error {
 		var err error
 		if sp, ok := sr.(pll.SearchProfiler); ok {
-			res, err = sp.KNNProfiled(sv, int(k), p)
+			res, err = sp.KNNProfiled(req.S, int(req.K), p)
 		} else {
-			res, err = sr.KNN(sv, int(k))
+			res, err = sr.KNN(req.S, int(req.K))
 		}
 		return err
 	}) {
 		return
 	}
-	body, err := marshalResponse(map[string]any{
-		"s":         sv,
-		"k":         k,
-		"count":     len(res),
-		"neighbors": neighborsOrEmpty(res),
+	body, err := wire.MarshalResponse(wire.KNNResponse{
+		Count:     len(res),
+		K:         req.K,
+		Neighbors: wire.NeighborsOrEmpty(res),
+		S:         req.S,
 	})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		wire.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	s.results.put(epoch, key, body)
-	writeJSONBytes(w, http.StatusOK, body)
+	wire.WriteJSONBytes(w, http.StatusOK, body)
 }
 
 // handleRange answers GET /range?s=V&r=D[&limit=N]: every vertex
@@ -156,31 +102,9 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 // within-radius count ("total_exact" says whether the scan completed
 // or total is only a lower bound).
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	sv, err := queryInt32(r, "s")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	req, ok := s.limits.ParseRange(w, r)
+	if !ok {
 		return
-	}
-	radius, err := queryInt64(r, "r")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if radius < 0 {
-		writeError(w, http.StatusBadRequest, "r=%d must be non-negative", radius)
-		return
-	}
-	limit := s.cfg.MaxBatch
-	if raw := r.URL.Query().Get("limit"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad limit %q", raw)
-			return
-		}
-		if !s.checkFanout(w, "limit", v) {
-			return
-		}
-		limit = v
 	}
 	// Answer through KNN(limit+1) rather than Range: results sort by
 	// (distance, vertex), so the within-radius vertices are exactly a
@@ -190,19 +114,19 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	// however many vertices a hostile radius covers.
 	p := trace.ProfileFromContext(r.Context())
 	var res []pll.Neighbor
-	if !s.searchView(w, sv, func(sr pll.Searcher) error {
+	if !s.searchView(w, req.S, func(sr pll.Searcher) error {
 		var got []pll.Neighbor
 		var err error
 		if sp, ok := sr.(pll.SearchProfiler); ok {
-			got, err = sp.KNNProfiled(sv, limit+1, p)
+			got, err = sp.KNNProfiled(req.S, req.Limit+1, p)
 		} else {
-			got, err = sr.KNN(sv, limit+1)
+			got, err = sr.KNN(req.S, req.Limit+1)
 		}
 		if err != nil {
 			return err
 		}
 		for _, nb := range got {
-			if nb.Distance > radius {
+			if nb.Distance > req.Radius {
 				break
 			}
 			res = append(res, nb)
@@ -217,42 +141,28 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	// lower bound and total_exact is false.
 	total := len(res)
 	truncated := false
-	if len(res) > limit {
-		res = res[:limit]
+	if len(res) > req.Limit {
+		res = res[:req.Limit]
 		truncated = true
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"s":           sv,
-		"radius":      radius,
-		"count":       len(res),
-		"total":       total,
-		"total_exact": !truncated,
-		"truncated":   truncated,
-		"neighbors":   neighborsOrEmpty(res),
+	wire.WriteJSON(w, http.StatusOK, wire.RangeResponse{
+		Count:      len(res),
+		Neighbors:  wire.NeighborsOrEmpty(res),
+		Radius:     req.Radius,
+		S:          req.S,
+		Total:      total,
+		TotalExact: !truncated,
+		Truncated:  truncated,
 	})
 }
 
-// nearestRequest asks for the k members of a vertex set nearest to
-// source: POST /nearest {"source": 0, "set": [3, 17, 29], "k": 2}.
-// The set is registered per request against the current snapshot;
-// clients with a stable POI list and an embedded oracle should
-// register once with NewVertexSet instead.
-type nearestRequest struct {
-	Source int32   `json:"source"`
-	Set    []int32 `json:"set"`
-	K      int     `json:"k"`
-}
-
+// handleNearest answers POST /nearest: the k members of a vertex set
+// nearest to source. The set is registered per request against the
+// current snapshot; clients with a stable POI list and an embedded
+// oracle should register once with NewVertexSet instead.
 func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
-	var req nearestRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if len(req.Set) == 0 {
-		writeError(w, http.StatusBadRequest, `nearest body needs a non-empty "set"`)
-		return
-	}
-	if !s.checkFanout(w, "set size", len(req.Set)) || !s.checkFanout(w, "k", req.K) {
+	req, ok := s.limits.ParseNearest(w, r)
+	if !ok {
 		return
 	}
 	var res []pll.Neighbor
@@ -268,11 +178,11 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
 	}) {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"source":    req.Source,
-		"k":         req.K,
-		"set_size":  size,
-		"count":     len(res),
-		"neighbors": neighborsOrEmpty(res),
+	wire.WriteJSON(w, http.StatusOK, wire.NearestResponse{
+		Count:     len(res),
+		K:         req.K,
+		Neighbors: wire.NeighborsOrEmpty(res),
+		SetSize:   size,
+		Source:    req.Source,
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"pll/internal/wire"
 	"pll/pll"
 )
 
@@ -78,7 +79,7 @@ func checkSearchVariant(t *testing.T, tc variantCase) {
 				SetSize   int            `json:"set_size"`
 				Neighbors []pll.Neighbor `json:"neighbors"`
 			}
-			postJSON(t, ts.URL+"/nearest", nearestRequest{Source: src, Set: members, K: k},
+			postJSON(t, ts.URL+"/nearest", wire.NearestRequest{Source: src, Set: members, K: k},
 				http.StatusOK, &nr)
 			wantIn := bruteSearchRow(row, src, -1, k, inSet)
 			if nr.SetSize != len(members) || !neighborsMatch(nr.Neighbors, wantIn) {
@@ -178,10 +179,10 @@ func TestSearchHandlerHardening(t *testing.T) {
 	getJSON(t, ts.URL+"/range?s=0&r=3000000000&limit=2", http.StatusOK, &rr)
 
 	// /nearest set and k caps.
-	postJSON(t, ts.URL+"/nearest", nearestRequest{Source: 0, Set: nil, K: 2}, http.StatusBadRequest, nil)
+	postJSON(t, ts.URL+"/nearest", wire.NearestRequest{Source: 0, Set: nil, K: 2}, http.StatusBadRequest, nil)
 	big := make([]int32, 17)
-	postJSON(t, ts.URL+"/nearest", nearestRequest{Source: 0, Set: big, K: 2}, http.StatusBadRequest, nil)
-	postJSON(t, ts.URL+"/nearest", nearestRequest{Source: 0, Set: []int32{1, 99}, K: 2}, http.StatusBadRequest, nil)
+	postJSON(t, ts.URL+"/nearest", wire.NearestRequest{Source: 0, Set: big, K: 2}, http.StatusBadRequest, nil)
+	postJSON(t, ts.URL+"/nearest", wire.NearestRequest{Source: 0, Set: []int32{1, 99}, K: 2}, http.StatusBadRequest, nil)
 
 	// Body-size cap: an oversized payload dies with 413 on every POST
 	// endpoint, independent of its JSON content.
@@ -202,5 +203,5 @@ func TestSearchHandlerHardening(t *testing.T) {
 	_, dts := newTestServer(t, dyn.oracle, Config{})
 	getJSON(t, dts.URL+"/knn?s=0&k=3", http.StatusConflict, nil)
 	getJSON(t, dts.URL+"/range?s=0&r=2", http.StatusConflict, nil)
-	postJSON(t, dts.URL+"/nearest", nearestRequest{Source: 0, Set: []int32{1, 2}, K: 1}, http.StatusConflict, nil)
+	postJSON(t, dts.URL+"/nearest", wire.NearestRequest{Source: 0, Set: []int32{1, 2}, K: 1}, http.StatusConflict, nil)
 }

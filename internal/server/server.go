@@ -3,18 +3,16 @@ package server
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pll/internal/trace"
+	"pll/internal/wire"
 	"pll/pll"
 )
 
@@ -23,8 +21,9 @@ type Config struct {
 	// IndexPath is the container file /reload re-reads when the request
 	// names no path (and the file SIGHUP-style reloads come from).
 	IndexPath string
-	// CacheSize bounds the sharded distance cache in entries; 0
-	// disables caching.
+	// CacheSize bounds each of the two sharded caches (distances by
+	// pair, /knn and /query bodies by request) in entries; 0 disables
+	// caching.
 	CacheSize int
 	// MaxBatch caps the fan-out of one request: pairs per /batch, k per
 	// /knn and /nearest, members per /nearest set, results per /range
@@ -79,11 +78,14 @@ const (
 // The zero value is not usable; call New.
 type Server struct {
 	oracle  *pll.ConcurrentOracle
-	cache   *pairCache
-	results *resultCache
+	cache   *lru[uint64, int64]  // /distance answers by pairKey
+	results *lru[string, []byte] // /knn and /query bodies by canonical request
 	cfg     Config
+	limits  wire.Limits // cfg.MaxBatch and cfg.MaxBody after defaults
 	start   time.Time
 	mux     *http.ServeMux
+
+	pairTally, knnTally, queryTally tally // cache hits and misses
 
 	// stack is the shared middleware (metrics, admission, logging, the
 	// global in-flight count Drain waits on at shutdown so the process
@@ -118,9 +120,10 @@ func New(o *pll.ConcurrentOracle, cfg Config) *Server {
 	}
 	s := &Server{
 		oracle:  o,
-		cache:   newPairCache(cfg.CacheSize),
-		results: newResultCache(cfg.CacheSize),
+		cache:   newLRU[uint64, int64](cfg.CacheSize, mixPair),
+		results: newLRU[string, []byte](cfg.CacheSize, fnv1a),
 		cfg:     cfg,
+		limits:  wire.Limits{MaxBatch: cfg.MaxBatch, MaxBody: cfg.MaxBody},
 		start:   time.Now(),
 		mux:     http.NewServeMux(),
 		stack: NewStack(StackConfig{
@@ -200,54 +203,6 @@ func (s *Server) Drain(ctx context.Context) error { return s.stack.Drain(ctx) }
 // Oracle returns the served oracle (shared, not a copy).
 func (s *Server) Oracle() *pll.ConcurrentOracle { return s.oracle }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// decodeBody reads a JSON request body under the configured size cap,
-// writing the error response itself when the body is oversized (413)
-// or malformed (400). A hostile Content-Length or an endless stream
-// can therefore never force an unbounded read or allocation.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", tooBig.Limit)
-		} else {
-			writeError(w, http.StatusBadRequest, "bad JSON body: %v", err)
-		}
-		return false
-	}
-	return true
-}
-
-// queryPair parses the s and t query parameters as int32 vertex IDs.
-func queryPair(r *http.Request) (int32, int32, error) {
-	var s, t int32
-	for _, p := range []struct {
-		name string
-		dst  *int32
-	}{{"s", &s}, {"t", &t}} {
-		raw := r.URL.Query().Get(p.name)
-		if raw == "" {
-			return 0, 0, fmt.Errorf("missing query parameter %q", p.name)
-		}
-		v, err := strconv.ParseInt(raw, 10, 32)
-		if err != nil {
-			return 0, 0, fmt.Errorf("bad vertex %q", raw)
-		}
-		*p.dst = int32(v)
-	}
-	return s, t, nil
-}
-
 // handleHealthz answers the liveness probe with a backend-identity
 // payload: which index this replica serves (variant, vertex count, a
 // content checksum) and which local generation it is on. A scatter-
@@ -255,12 +210,12 @@ func queryPair(r *http.Request) (int32, int32, error) {
 // serve different indexes; a bare 200 cannot carry that contract.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.cachedStats()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":     "ok",
-		"variant":    st.Variant.String(),
-		"generation": s.oracle.Generation(),
-		"vertices":   st.NumVertices,
-		"checksum":   indexChecksum(st),
+	wire.WriteJSON(w, http.StatusOK, wire.Health{
+		Checksum:   indexChecksum(st),
+		Generation: s.oracle.Generation(),
+		Status:     "ok",
+		Variant:    st.Variant.String(),
+		Vertices:   st.NumVertices,
 	})
 }
 
@@ -297,16 +252,16 @@ type distanceResponse struct {
 }
 
 func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
-	sv, tv, err := queryPair(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	sv, tv, ok := wire.ParsePair(w, r)
+	if !ok {
 		return
 	}
 	p := trace.ProfileFromContext(r.Context())
-	if d, ok := s.cache.get(sv, tv); ok {
+	key := pairKey(sv, tv)
+	if d, ok := s.cache.get(key, &s.pairTally); ok {
 		p.CacheLookup(true)
 		s.queries.Add(1)
-		writeJSON(w, http.StatusOK, distanceResponse{S: sv, T: tv, Distance: d, Reachable: d != pll.Unreachable, Cached: true})
+		wire.WriteJSON(w, http.StatusOK, distanceResponse{S: sv, T: tv, Distance: d, Reachable: d != pll.Unreachable, Cached: true})
 		return
 	}
 	p.CacheLookup(false)
@@ -317,7 +272,7 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 	epoch := s.cache.currentEpoch()
 	// Validate and query under one View so a concurrent hot-swap to a
 	// smaller index cannot invalidate the check mid-request.
-	err = s.oracle.View(func(o pll.Oracle) error {
+	err := s.oracle.View(func(o pll.Oracle) error {
 		if err := pll.Validate(o, sv, tv); err != nil {
 			return err
 		}
@@ -329,38 +284,38 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.cache.put(epoch, sv, tv, d)
+	s.cache.put(epoch, key, d)
 	s.queries.Add(1)
-	writeJSON(w, http.StatusOK, distanceResponse{S: sv, T: tv, Distance: d, Reachable: d != pll.Unreachable})
+	wire.WriteJSON(w, http.StatusOK, distanceResponse{S: sv, T: tv, Distance: d, Reachable: d != pll.Unreachable})
 }
 
 func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
-	sv, tv, err := queryPair(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	sv, tv, ok := wire.ParsePair(w, r)
+	if !ok {
 		return
 	}
 	var p []int32
 	var badInput bool
-	err = s.oracle.View(func(o pll.Oracle) error {
+	err := s.oracle.View(func(o pll.Oracle) error {
 		if err := pll.Validate(o, sv, tv); err != nil {
 			badInput = true
 			return err
 		}
+		var err error
 		p, err = o.Path(sv, tv)
 		return err
 	})
 	if err != nil {
 		if badInput {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		} else {
 			// The index exists but cannot answer path queries (not built
 			// WithPaths, or a dynamic index): the conflict is with the
 			// server's resource, not the request.
-			writeError(w, http.StatusConflict, "%v", err)
+			wire.WriteError(w, http.StatusConflict, "%v", err)
 		}
 		return
 	}
@@ -370,37 +325,18 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 		resp["path"] = p
 		resp["hops"] = len(p) - 1
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
-// batchRequest asks for many distances at once: either explicit pairs,
-// or one source against many targets (the amortized single-source
-// form, answered with one label scan per target on undirected static
-// indexes).
-type batchRequest struct {
-	Pairs   [][2]int32 `json:"pairs,omitempty"`
-	Source  *int32     `json:"source,omitempty"`
-	Targets []int32    `json:"targets,omitempty"`
-}
-
+// handleBatch answers many distances at once: explicit pairs, or one
+// source against many targets (the amortized single-source form,
+// answered with one label scan per target).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if !s.decodeBody(w, r, &req) {
+	req, ok := s.limits.ParseBatch(w, r)
+	if !ok {
 		return
 	}
-	switch {
-	case req.Source != nil && len(req.Targets) > 0 && len(req.Pairs) == 0:
-	case req.Source == nil && len(req.Targets) == 0 && len(req.Pairs) > 0:
-	default:
-		writeError(w, http.StatusBadRequest, `batch body needs either "pairs" or "source"+"targets"`)
-		return
-	}
-	n := len(req.Pairs) + len(req.Targets)
-	if n > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, "batch of %d pairs exceeds the %d limit", n, s.cfg.MaxBatch)
-		return
-	}
-
+	n := req.Len()
 	prof := trace.ProfileFromContext(r.Context())
 	distances := make([]int64, 0, n)
 	err := s.oracle.View(func(o pll.Oracle) error {
@@ -445,17 +381,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.batchPairs.Add(int64(n))
-	writeJSON(w, http.StatusOK, map[string]any{"count": n, "distances": distances})
+	wire.WriteJSON(w, http.StatusOK, wire.BatchResponse{Count: n, Distances: distances})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.oracle.Stats()
-	hits, misses := s.cache.counters()
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"index": map[string]any{
 			"variant":            st.Variant.String(),
 			"vertices":           st.NumVertices,
@@ -488,9 +423,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"capacity":            s.cache.capacity(),
 			"configured_capacity": s.cfg.CacheSize,
 			"entries":             s.cache.len(),
-			"hits":                hits,
-			"misses":              misses,
-			"results":             s.results.stats(),
+			"hits":                s.pairTally.hits.Load(),
+			"misses":              s.pairTally.misses.Load(),
+			"results": map[string]any{
+				"entries":  s.results.len(),
+				"capacity": s.results.capacity(),
+				"knn":      s.knnTally.counts(),
+				"query":    s.queryTally.counts(),
+			},
 		},
 		"tracing": s.stack.TraceStats(),
 	})
@@ -503,14 +443,14 @@ type updateRequest struct {
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req updateRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.limits.DecodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Edges) == 0 {
-		writeError(w, http.StatusBadRequest, `update body needs a non-empty "edges" list`)
+		wire.WriteError(w, http.StatusBadRequest, `update body needs a non-empty "edges" list`)
 		return
 	}
-	if !s.checkFanout(w, "edges", len(req.Edges)) {
+	if !s.limits.CheckFanout(w, "edges", len(req.Edges)) {
 		return
 	}
 	// Validate and insert the whole batch under one write-locked Update,
@@ -548,15 +488,15 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case err == pll.ErrNotDynamic:
-			writeError(w, http.StatusConflict, "served index is the %s variant; only dynamic indexes accept updates", s.oracle.Stats().Variant)
+			wire.WriteError(w, http.StatusConflict, "served index is the %s variant; only dynamic indexes accept updates", s.oracle.Stats().Variant)
 		case badEdge != nil:
-			writeError(w, http.StatusBadRequest, "%v", err)
+			wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		default:
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			wire.WriteError(w, http.StatusInternalServerError, "%v", err)
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"inserted":    inserted,
 		"label_delta": labelDelta,
 	})
@@ -571,7 +511,7 @@ type reloadRequest struct {
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	var req reloadRequest
 	if r.ContentLength != 0 {
-		if !s.decodeBody(w, r, &req) {
+		if !s.limits.DecodeBody(w, r, &req) {
 			return
 		}
 	}
@@ -580,15 +520,15 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		path = s.cfg.IndexPath
 	}
 	if path == "" {
-		writeError(w, http.StatusBadRequest, "no path in request and the server was started without an index file")
+		wire.WriteError(w, http.StatusBadRequest, "no path in request and the server was started without an index file")
 		return
 	}
 	st, err := s.Reload(path)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "reload %s: %v", path, err)
+		wire.WriteError(w, http.StatusUnprocessableEntity, "reload %s: %v", path, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"path":       path,
 		"variant":    st.Variant.String(),
 		"vertices":   st.NumVertices,

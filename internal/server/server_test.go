@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"pll/internal/wire"
 	"pll/pll"
 )
 
@@ -175,7 +176,7 @@ func TestBatchPairs(t *testing.T) {
 		Distances []int64 `json:"distances"`
 	}
 	postJSON(t, ts.URL+"/batch",
-		batchRequest{Pairs: [][2]int32{{0, 9}, {3, 3}, {2, 5}}},
+		wire.BatchRequest{Pairs: [][2]int32{{0, 9}, {3, 3}, {2, 5}}},
 		http.StatusOK, &resp)
 	want := []int64{9, 0, 3}
 	if resp.Count != 3 || len(resp.Distances) != 3 {
@@ -199,7 +200,7 @@ func TestBatchSingleSource(t *testing.T) {
 		Distances []int64 `json:"distances"`
 	}
 	postJSON(t, ts.URL+"/batch",
-		batchRequest{Source: &src, Targets: []int32{1, 5, 9, 0}},
+		wire.BatchRequest{Source: &src, Targets: []int32{1, 5, 9, 0}},
 		http.StatusOK, &resp)
 	want := []int64{1, 5, 9, 0}
 	for i, d := range want {
@@ -218,17 +219,17 @@ func TestBatchValidation(t *testing.T) {
 	src := int32(0)
 	// Both forms at once.
 	postJSON(t, ts.URL+"/batch",
-		batchRequest{Source: &src, Targets: []int32{1}, Pairs: [][2]int32{{0, 1}}},
+		wire.BatchRequest{Source: &src, Targets: []int32{1}, Pairs: [][2]int32{{0, 1}}},
 		http.StatusBadRequest, nil)
 	// Neither form.
-	postJSON(t, ts.URL+"/batch", batchRequest{}, http.StatusBadRequest, nil)
+	postJSON(t, ts.URL+"/batch", wire.BatchRequest{}, http.StatusBadRequest, nil)
 	// Out-of-range vertex.
 	postJSON(t, ts.URL+"/batch",
-		batchRequest{Pairs: [][2]int32{{0, 17}}},
+		wire.BatchRequest{Pairs: [][2]int32{{0, 17}}},
 		http.StatusBadRequest, nil)
 	// Over the batch cap.
 	postJSON(t, ts.URL+"/batch",
-		batchRequest{Pairs: [][2]int32{{0, 1}, {1, 2}, {2, 3}}},
+		wire.BatchRequest{Pairs: [][2]int32{{0, 1}, {1, 2}, {2, 3}}},
 		http.StatusRequestEntityTooLarge, nil)
 }
 

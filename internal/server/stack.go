@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"pll/internal/trace"
+	"pll/internal/wire"
 )
 
 // StackConfig tunes the middleware stack. Every field zero yields a
@@ -184,7 +185,7 @@ func (st *Stack) Guarded(name string, h http.HandlerFunc) http.HandlerFunc {
 		trace.ProfileFromContext(r.Context()).AddAdmissionWait(time.Since(waitStart))
 		if release == nil {
 			w.Header().Set("Retry-After", retryAfter)
-			writeError(w, http.StatusTooManyRequests, "server over capacity (%s); retry after %ss", reason, retryAfter)
+			wire.WriteError(w, http.StatusTooManyRequests, "server over capacity (%s); retry after %ss", reason, retryAfter)
 			return
 		}
 		defer release()
@@ -305,5 +306,5 @@ func (st *Stack) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "pll_trace_ring_capacity %d\n", ts["ring_capacity"])
 	fmt.Fprintf(w, "# HELP pll_trace_sample_rate Head-sampling probability.\n")
 	fmt.Fprintf(w, "# TYPE pll_trace_sample_rate gauge\n")
-	fmt.Fprintf(w, "pll_trace_sample_rate %s\n", fmtFloat(ts["sample_rate"].(float64)))
+	fmt.Fprintf(w, "pll_trace_sample_rate %s\n", wire.FmtFloat(ts["sample_rate"].(float64)))
 }
