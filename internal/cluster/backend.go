@@ -7,7 +7,6 @@ package cluster
 
 import (
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,10 +25,11 @@ type identity struct {
 }
 
 type backend struct {
-	base   string // normalized base URL, no trailing slash
-	host   string // host:port, for X-Forwarded-For-style labels
-	seed   uint64 // rendezvous seed, from the base URL
-	client *http.Client
+	base     string // normalized base URL, no trailing slash
+	host     string // host:port, for X-Forwarded-For-style labels
+	spanName string // "backend <host>", each attempt's trace span
+	seed     uint64 // rendezvous seed, from the base URL
+	client   *http.Client
 
 	healthy  atomic.Bool // last health sweep succeeded
 	mismatch atomic.Bool // identity disagrees with the pool majority
@@ -49,9 +49,10 @@ type backend struct {
 
 func newBackend(base, host string, cfg Config) *backend {
 	b := &backend{
-		base: base,
-		host: host,
-		seed: hashName(base),
+		base:     base,
+		host:     host,
+		spanName: "backend " + host,
+		seed:     hashName(base),
 		client: &http.Client{
 			Transport: &http.Transport{
 				MaxConnsPerHost:     cfg.MaxConnsPerBackend,
@@ -183,8 +184,8 @@ func (br *breaker) open() bool {
 }
 
 // latencyRing keeps the last latencyWindow attempt durations for the
-// adaptive hedge delay. Quantiles are computed on demand from a copy —
-// the window is small and hedging only consults it once per request.
+// adaptive hedge delay, which reads its p99 once per lookup. The window
+// must stay at most 199 samples for p99's one-pass scan.
 const latencyWindow = 128
 
 type latencyRing struct {
@@ -204,21 +205,23 @@ func (lr *latencyRing) add(d time.Duration) {
 	lr.mu.Unlock()
 }
 
-// p99 returns the 99th-percentile observed latency, or 0 when no
-// samples exist yet.
+// p99 returns the nearest-rank 99th percentile of the window, the
+// ceil(0.99·n)-th smallest sample, or 0 when no samples exist yet. For
+// n ≤ 199 that rank is n or n−1, so one scan keeping the top two
+// samples finds it.
 func (lr *latencyRing) p99() time.Duration {
 	lr.mu.Lock()
-	n := lr.n
-	tmp := make([]time.Duration, n)
-	copy(tmp, lr.buf[:n])
-	lr.mu.Unlock()
-	if n == 0 {
-		return 0
+	defer lr.mu.Unlock()
+	var top, second time.Duration
+	for _, d := range lr.buf[:lr.n] {
+		if d > top {
+			top, second = d, top
+		} else if d > second {
+			second = d
+		}
 	}
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	idx := (99*n + 99) / 100 // ceil(0.99*n), 1-based
-	if idx > n {
-		idx = n
+	if (99*lr.n+99)/100 < lr.n {
+		return second
 	}
-	return tmp[idx-1]
+	return top
 }

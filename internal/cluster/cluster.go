@@ -38,12 +38,13 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"hash/fnv"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -170,8 +171,8 @@ func New(cfg Config) (*Coordinator, error) {
 	c.mux.HandleFunc("GET /metrics", c.stack.Instrument("metrics", c.handleMetrics))
 	c.mux.HandleFunc("GET /debug/traces", c.stack.Instrument("debug", trace.DebugHandler(c.stack.Tracer())))
 	c.mux.HandleFunc("GET /stats", c.stack.Guarded("stats", c.handleStats))
-	c.mux.HandleFunc("GET /distance", c.stack.Guarded("distance", c.pointHandler("distance")))
-	c.mux.HandleFunc("GET /path", c.stack.Guarded("path", c.pointHandler("path")))
+	c.mux.HandleFunc("GET /distance", c.stack.Guarded("distance", c.handlePoint))
+	c.mux.HandleFunc("GET /path", c.stack.Guarded("path", c.handlePoint))
 	c.mux.HandleFunc("POST /batch", c.stack.Guarded("batch", c.handleBatch))
 	c.mux.HandleFunc("GET /knn", c.stack.Guarded("knn", c.handleKNN))
 	c.mux.HandleFunc("GET /range", c.stack.Guarded("range", c.handleRange))
@@ -245,21 +246,11 @@ func (c *Coordinator) usable() []*backend {
 // the same key identically, and removing a backend only remaps the
 // keys it owned.
 func (c *Coordinator) rank(key uint64) []*backend {
-	usable := c.usable()
-	type scored struct {
-		b *backend
-		s uint64
-	}
-	sc := make([]scored, len(usable))
-	for i, b := range usable {
-		sc[i] = scored{b, mix(b.seed ^ key)}
-	}
-	sort.Slice(sc, func(i, j int) bool { return sc[i].s > sc[j].s })
-	out := make([]*backend, len(sc))
-	for i := range sc {
-		out[i] = sc[i].b
-	}
-	return out
+	ranked := c.usable()
+	slices.SortFunc(ranked, func(a, b *backend) int {
+		return cmp.Compare(mix(b.seed^key), mix(a.seed^key))
+	})
+	return ranked
 }
 
 // mix is splitmix64's finalizer: a cheap, well-distributed permutation

@@ -17,24 +17,49 @@ import (
 )
 
 // fakeBackend is a minimal replica: a healthz identity (so the
-// coordinator pools it) and a /distance that can be made slow. It
-// counts how many in-flight requests were canceled under it.
+// coordinator pools it) and a /distance that can be made slow or made
+// to fail. It counts how many in-flight requests were canceled under
+// it.
 type fakeBackend struct {
 	ts       *httptest.Server
 	name     string
 	delay    time.Duration
+	status   int           // non-zero: /distance answers this status
+	pool     *inflightPeak // non-nil: /distance requests count in it
 	canceled atomic.Int64
 	served   atomic.Int64
 }
 
-func newFakeBackend(t *testing.T, name, checksum string, delay time.Duration) *fakeBackend {
-	t.Helper()
-	fb := &fakeBackend{name: name, delay: delay}
+// inflightPeak counts requests in flight across a set of fakes and
+// keeps the highest count seen.
+type inflightPeak struct{ cur, peak atomic.Int64 }
+
+func (g *inflightPeak) enter() {
+	n := g.cur.Add(1)
+	for p := g.peak.Load(); n > p && !g.peak.CompareAndSwap(p, n); p = g.peak.Load() {
+	}
+}
+
+func (g *inflightPeak) exit() { g.cur.Add(-1) }
+
+func newFakeBackend(tb testing.TB, name, checksum string, delay time.Duration) *fakeBackend {
+	tb.Helper()
+	return startFake(tb, &fakeBackend{name: name, delay: delay}, checksum)
+}
+
+// startFake serves fb, whose settings are fixed before its server
+// starts.
+func startFake(tb testing.TB, fb *fakeBackend, checksum string) *fakeBackend {
+	tb.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `{"status":"ok","variant":"test","generation":1,"vertices":10,"checksum":%q}`+"\n", checksum)
 	})
 	mux.HandleFunc("GET /distance", func(w http.ResponseWriter, r *http.Request) {
+		if fb.pool != nil {
+			fb.pool.enter()
+			defer fb.pool.exit()
+		}
 		if fb.delay > 0 {
 			select {
 			case <-r.Context().Done():
@@ -44,10 +69,16 @@ func newFakeBackend(t *testing.T, name, checksum string, delay time.Duration) *f
 			}
 		}
 		fb.served.Add(1)
+		if fb.status != 0 {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(fb.status)
+			fmt.Fprintf(w, `{"error":%q}`+"\n", fb.name)
+			return
+		}
 		fmt.Fprintf(w, `{"from":%q}`+"\n", fb.name)
 	})
 	fb.ts = httptest.NewServer(mux)
-	t.Cleanup(fb.ts.Close)
+	tb.Cleanup(fb.ts.Close)
 	return fb
 }
 
@@ -177,7 +208,7 @@ func TestBreakerRecoveryUnderMetricsScrapes(t *testing.T) {
 	}
 }
 
-// TestHedgeRetryAfterPropagation pins the 429 contract through the
+// TestRetryAfterPropagation pins the 429 contract through the
 // proxy: a backend shedding load answers through the coordinator with
 // its status and Retry-After intact.
 func TestRetryAfterPropagation(t *testing.T) {

@@ -5,8 +5,8 @@ package cluster
 // string so the same pair keeps hitting the same replica's distance
 // cache. Resilience comes from two mechanisms with different clocks:
 // failover walks down the rendezvous ranking when an attempt fails
-// (transport error or backend 5xx), and a hedge fires a duplicate
-// attempt at the next-ranked backend when the primary is slower than
+// (transport error or backend 5xx), and a hedge starts a second walk
+// at the next backend not yet tried when the primary is slower than
 // its own recent p99 — whichever attempt answers first wins and the
 // loser's request context is canceled.
 //
@@ -22,6 +22,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	"pll/internal/trace"
@@ -107,7 +108,7 @@ func (c *Coordinator) fetch(ctx context.Context, b *backend, in *http.Request, m
 	// attempt's span ID forwarded as the replica's traceparent parent so
 	// the replica's own trace joins the same tree.
 	treq := trace.FromContext(in.Context())
-	sp := treq.StartSpan("backend " + b.host)
+	sp := treq.StartSpan(b.spanName)
 	sp.SetAttr("path", pathQuery)
 	if hedged {
 		sp.SetAttr("hedged", "true")
@@ -197,98 +198,144 @@ func relay(w http.ResponseWriter, pr *proxyResult) {
 	w.Write(pr.body) //nolint:errcheck // nothing to do for a dead client
 }
 
-// pointHandler serves one point-lookup endpoint (/distance, /path) by
+// lookup is one routed point lookup. The handler goroutine walks the
+// rendezvous ranking itself, one attempt at a time; if the primary is
+// slower than the hedge delay, a timer starts one more walker at the
+// next unclaimed backend. Both walkers claim from the same ranking, so
+// no backend is tried twice and at most two attempts are in flight,
+// and the first answer below 500 ends the lookup for both: its walker
+// cancels every other attempt through the lookup's context.
+type lookup struct {
+	c         *Coordinator
+	in        *http.Request
+	pathQuery string
+	ranked    []*backend
+	ctx       context.Context // every attempt's parent
+	cancel    context.CancelCauseFunc
+	hedge     *time.Timer
+
+	mu       sync.Mutex
+	next     int           // ranked[next] is the next unclaimed backend
+	closed   bool          // answered, or the handler is done: claim nothing more
+	hedgeEnd chan struct{} // made when a hedge starts, closed when its walker stops
+	answer   *proxyResult  // the first response below 500
+	lastFail *proxyResult  // the most recent failed attempt
+}
+
+// claimLocked hands out the next unclaimed backend in rendezvous
+// order, or nil once the lookup is closed, the client has gone or the
+// ranking is exhausted. l.mu must be held.
+func (l *lookup) claimLocked() *backend {
+	if l.closed || l.next == len(l.ranked) || l.ctx.Err() != nil {
+		return nil
+	}
+	l.next++
+	return l.ranked[l.next-1]
+}
+
+// walk tries b, then each backend it claims after a failed attempt,
+// until an attempt answers below 500 or nothing is left to claim. Only
+// the first attempt of a hedge walker is hedged.
+func (l *lookup) walk(b *backend, hedged bool) {
+	for b != nil {
+		ctx, cancel := context.WithTimeout(l.ctx, l.c.cfg.RequestTimeout)
+		pr := l.c.fetch(ctx, b, l.in, http.MethodGet, l.pathQuery, nil, hedged)
+		cancel()
+		hedged = false
+		won := false
+		l.mu.Lock()
+		switch {
+		case l.closed:
+			b = nil
+		case pr.answered():
+			l.answer, l.closed, won = pr, true, true
+			b = nil
+		default:
+			l.lastFail = pr
+			b = l.claimLocked()
+		}
+		l.mu.Unlock()
+		if won {
+			l.cancel(errAttemptSuperseded)
+		}
+	}
+}
+
+// startHedge runs on the hedge timer's goroutine: the primary has been
+// slower than the hedge delay, so a second walker starts at the next
+// unclaimed backend.
+func (l *lookup) startHedge() {
+	l.mu.Lock()
+	b := l.claimLocked()
+	if b != nil {
+		l.hedgeEnd = make(chan struct{})
+	}
+	l.mu.Unlock()
+	if b == nil {
+		return
+	}
+	defer close(l.hedgeEnd)
+	l.c.hedges.Add(1)
+	b.hedges.Add(1)
+	l.walk(b, true)
+}
+
+// end closes the lookup once the handler's own walk has stopped, so no
+// hedge can start after it, and cancels whatever is still in flight.
+// Without an answer, a hedge walker is waited for first: its attempt
+// may yet answer, and its context ends with the client's.
+func (l *lookup) end() (answer, lastFail *proxyResult) {
+	l.hedge.Stop()
+	l.mu.Lock()
+	if hedgeEnd := l.hedgeEnd; l.answer == nil && hedgeEnd != nil {
+		l.mu.Unlock()
+		<-hedgeEnd
+		l.mu.Lock()
+	}
+	l.closed = true
+	answer, lastFail = l.answer, l.lastFail
+	l.mu.Unlock()
+	l.cancel(errAttemptSuperseded)
+	return answer, lastFail
+}
+
+// handlePoint serves a point-lookup endpoint (/distance, /path) by
 // routing to the rendezvous-ranked backends with hedging and failover.
 // Point lookups fail fast: with no usable backend the caller gets an
 // immediate 503 rather than a degraded answer — a distance is either
 // exact or an error.
-func (c *Coordinator) pointHandler(name string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		pathQuery := r.URL.Path
-		if r.URL.RawQuery != "" {
-			pathQuery += "?" + r.URL.RawQuery
-		}
-		ranked := c.rank(hashName(pathQuery))
-		if len(ranked) == 0 {
-			wire.WriteError(w, http.StatusServiceUnavailable, "no usable backends (%d configured)", len(c.backends))
-			return
-		}
+func (c *Coordinator) handlePoint(w http.ResponseWriter, r *http.Request) {
+	pathQuery := r.URL.Path
+	if r.URL.RawQuery != "" {
+		pathQuery += "?" + r.URL.RawQuery
+	}
+	ranked := c.rank(hashName(pathQuery))
+	if len(ranked) == 0 {
+		wire.WriteError(w, http.StatusServiceUnavailable, "no usable backends (%d configured)", len(c.backends))
+		return
+	}
 
-		ctx := r.Context()
-		// Buffered to the maximum number of attempts, so a loser's
-		// goroutine can always deliver its result and exit after the
-		// handler returned — no reaper, no leak.
-		results := make(chan *proxyResult, len(ranked))
-		cancels := make([]func(), 0, len(ranked))
-		defer func() {
-			for _, cancel := range cancels {
-				cancel()
-			}
-		}()
-		launched := 0
-		launch := func(hedged bool) {
-			b := ranked[launched]
-			launched++
-			// WithCancelCause under the timeout: when the handler returns
-			// because another attempt won, the losers are canceled with
-			// errAttemptSuperseded and their spans record that cause.
-			actx, acancel := context.WithCancelCause(ctx)
-			tctx, tcancel := context.WithTimeout(actx, c.cfg.RequestTimeout)
-			cancels = append(cancels, func() {
-				acancel(errAttemptSuperseded)
-				tcancel()
-			})
-			if hedged {
-				c.hedges.Add(1)
-				b.hedges.Add(1)
-			}
-			go func() {
-				results <- c.fetch(tctx, b, r, http.MethodGet, pathQuery, nil, hedged)
-			}()
+	l := &lookup{c: c, in: r, pathQuery: pathQuery, ranked: ranked, next: 1}
+	l.ctx, l.cancel = context.WithCancelCause(r.Context())
+	l.hedge = time.AfterFunc(c.hedgeDelay(ranked[0]), l.startHedge)
+	l.walk(ranked[0], false)
+	answer, lastFail := l.end()
+	switch {
+	case answer != nil:
+		if answer.hedged {
+			c.hedgeWins.Add(1)
 		}
-		launch(false)
-
-		hedgeTimer := time.NewTimer(c.hedgeDelay(ranked[0]))
-		defer hedgeTimer.Stop()
-
-		var lastFail *proxyResult
-		received := 0
-		for {
-			select {
-			case pr := <-results:
-				received++
-				if pr.answered() {
-					if pr.hedged {
-						c.hedgeWins.Add(1)
-					}
-					relay(w, pr)
-					return
-				}
-				lastFail = pr
-				if launched < len(ranked) {
-					launch(false)
-				} else if received == launched {
-					// Every attempt failed: relay the last backend 5xx if
-					// one answered, else report the transport error.
-					if lastFail.err == nil {
-						relay(w, lastFail)
-					} else {
-						wire.WriteError(w, http.StatusBadGateway, "backend %s: %v", lastFail.b.host, lastFail.err)
-					}
-					return
-				}
-			case <-hedgeTimer.C:
-				if launched < len(ranked) {
-					launch(true)
-				}
-			case <-ctx.Done():
-				// The client went away before any attempt answered: stamp
-				// the nginx-style client-closed-request status so the
-				// Instrument layer doesn't book an abandoned lookup as an
-				// implicit 200.
-				w.WriteHeader(statusClientClosedRequest)
-				return
-			}
-		}
+		relay(w, answer)
+	case r.Context().Err() != nil:
+		// The client went away before any attempt answered: stamp the
+		// nginx-style client-closed-request status so the Instrument
+		// layer doesn't book an abandoned lookup as an implicit 200.
+		w.WriteHeader(statusClientClosedRequest)
+	case lastFail.err == nil:
+		// Every attempt failed: relay the last backend 5xx if one
+		// answered, else report the transport error.
+		relay(w, lastFail)
+	default:
+		wire.WriteError(w, http.StatusBadGateway, "backend %s: %v", lastFail.b.host, lastFail.err)
 	}
 }
