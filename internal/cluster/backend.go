@@ -80,11 +80,16 @@ func (b *backend) routable() bool {
 }
 
 // observe records one completed attempt against the backend: latency
-// always, and success/failure for the breaker. 4xx counts as success —
-// the backend answered; the request was bad.
-func (b *backend) observe(d time.Duration, ok bool) {
+// in the histogram always, and in the hedge-delay ring only for point
+// lookups, the one kind of request that hedges (a slow scatter leg or
+// /batch chunk says nothing about when to hedge a lookup); success or
+// failure for the breaker. 4xx counts as success — the backend
+// answered; the request was bad.
+func (b *backend) observe(d time.Duration, ok bool, kind attempt) {
 	b.hist.Observe(d)
-	b.lat.add(d)
+	if kind != legAttempt {
+		b.lat.add(d)
+	}
 	if ok {
 		b.ok.Add(1)
 		b.breaker.succeed()
@@ -183,9 +188,10 @@ func (br *breaker) open() bool {
 	return until != 0 && time.Now().UnixNano() < until
 }
 
-// latencyRing keeps the last latencyWindow attempt durations for the
-// adaptive hedge delay, which reads its p99 once per lookup. The window
-// must stay at most 199 samples for p99's one-pass scan.
+// latencyRing keeps the last latencyWindow point-lookup attempt
+// durations for the adaptive hedge delay, which reads its p99 once per
+// lookup. The window must stay at most 199 samples for p99's one-pass
+// scan.
 const latencyWindow = 128
 
 type latencyRing struct {

@@ -17,13 +17,14 @@ import (
 )
 
 // fakeBackend is a minimal replica: a healthz identity (so the
-// coordinator pools it) and a /distance that can be made slow or made
-// to fail. It counts how many in-flight requests were canceled under
-// it.
+// coordinator pools it), a /distance that can be made slow or made to
+// fail, and an empty /knn that can be made slow. It counts how many
+// in-flight requests were canceled under it.
 type fakeBackend struct {
 	ts       *httptest.Server
 	name     string
 	delay    time.Duration
+	knnDelay time.Duration
 	status   int           // non-zero: /distance answers this status
 	pool     *inflightPeak // non-nil: /distance requests count in it
 	canceled atomic.Int64
@@ -76,6 +77,14 @@ func startFake(tb testing.TB, fb *fakeBackend, checksum string) *fakeBackend {
 			return
 		}
 		fmt.Fprintf(w, `{"from":%q}`+"\n", fb.name)
+	})
+	mux.HandleFunc("GET /knn", func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+			return
+		case <-time.After(fb.knnDelay):
+		}
+		fmt.Fprintln(w, `{"count":0,"k":1,"neighbors":[],"s":0}`)
 	})
 	fb.ts = httptest.NewServer(mux)
 	tb.Cleanup(fb.ts.Close)
@@ -143,6 +152,28 @@ func TestHedgeOvertakesSlowPrimaryAndCancelsLoser(t *testing.T) {
 	}
 	if slow.served.Load() != 0 {
 		t.Fatalf("slow backend completed %d requests; they should all have been canceled", slow.served.Load())
+	}
+}
+
+// TestHedgeDelayIgnoresScatterLatency: only point lookups hedge, so
+// only their attempts may set the adaptive hedge delay. Three slow /knn
+// scatters after 100 fast lookups must leave it near the lookups' p99.
+func TestHedgeDelayIgnoresScatterLatency(t *testing.T) {
+	const scatterDelay = 40 * time.Millisecond
+	fb := startFake(t, &fakeBackend{name: "only", knnDelay: scatterDelay}, "ff")
+	c, coord := fakeCoordinator(t, 0, fb)
+	for i := 0; i < 100; i++ {
+		if st, _, body := do(t, http.MethodGet, fmt.Sprintf("%s/distance?s=%d&t=1", coord.URL, i%10), ""); st != http.StatusOK {
+			t.Fatalf("lookup %d: status %d (%s)", i, st, body)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if st, _, body := do(t, http.MethodGet, coord.URL+"/knn?s=0&k=1", ""); st != http.StatusOK {
+			t.Fatalf("scatter %d: status %d (%s)", i, st, body)
+		}
+	}
+	if d := c.hedgeDelay(c.backends[0]); d >= 5*time.Millisecond {
+		t.Fatalf("hedge delay %v after three %v scatters, want under 5ms", d, scatterDelay)
 	}
 }
 

@@ -81,16 +81,27 @@ var errBreakerOpen = errors.New("circuit breaker open")
 // trace span says it lost the race rather than generically "canceled".
 var errAttemptSuperseded = errors.New("superseded: another backend answered first")
 
-// fetch runs one attempt against b: build the backend request (same
-// method, path and query; forwarded identity headers), read the whole
-// response, and record the attempt in the backend's latency ring and
-// breaker. The breaker's probe slot is consumed here, at send time —
+// attempt says what a backend request is for. Only point lookups
+// hedge, so only their attempts set the hedge delay.
+type attempt uint8
+
+const (
+	legAttempt   attempt = iota // a scatter leg or a /batch chunk
+	pointAttempt                // a point lookup's primary or failover attempt
+	hedgeAttempt                // a point lookup's hedge
+)
+
+// fetch runs one attempt of the given kind against b: build the backend
+// request (same method, path and query; forwarded identity headers),
+// read the whole response, and record the attempt with the backend
+// (observe). The breaker's probe slot is consumed here, at send time —
 // the routability checks that picked b are read-only. Attempts aborted
 // by cancellation (a lost hedge race, a gone client) are not charged
 // to the breaker — cancellation says the pool was slow, not that the
 // backend failed — but a held probe slot is released so the breaker
 // can still admit the next probe.
-func (c *Coordinator) fetch(ctx context.Context, b *backend, in *http.Request, method, pathQuery string, body []byte, hedged bool) *proxyResult {
+func (c *Coordinator) fetch(ctx context.Context, b *backend, in *http.Request, method, pathQuery string, body []byte, kind attempt) *proxyResult {
+	hedged := kind == hedgeAttempt
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -143,7 +154,7 @@ func (c *Coordinator) fetch(ctx context.Context, b *backend, in *http.Request, m
 	resp, err := b.client.Do(req)
 	if err != nil {
 		if ctx.Err() == nil {
-			b.observe(time.Since(start), false)
+			b.observe(time.Since(start), false, kind)
 		} else {
 			settleAbort()
 		}
@@ -153,22 +164,22 @@ func (c *Coordinator) fetch(ctx context.Context, b *backend, in *http.Request, m
 	resp.Body.Close()
 	if err != nil {
 		if ctx.Err() == nil {
-			b.observe(time.Since(start), false)
+			b.observe(time.Since(start), false, kind)
 		} else {
 			settleAbort()
 		}
 		return finishSpan(&proxyResult{b: b, hedged: hedged, err: err})
 	}
-	b.observe(time.Since(start), resp.StatusCode < http.StatusInternalServerError)
+	b.observe(time.Since(start), resp.StatusCode < http.StatusInternalServerError, kind)
 	return finishSpan(&proxyResult{b: b, hedged: hedged, status: resp.StatusCode, header: resp.Header, body: data})
 }
 
 // hedgeDelay picks how long to give the primary before duplicating the
 // request: the configured fixed delay, else the primary's own observed
-// p99 clamped to [1ms, 250ms] (5ms before any samples exist). Hedging
-// at the p99 bounds the duplicate-request overhead to roughly 1% of
-// traffic while cutting the latency tail to the second backend's
-// median.
+// point-lookup p99 clamped to [1ms, 250ms] (5ms before any samples
+// exist). Hedging at the p99 bounds the duplicate-request overhead to
+// roughly 1% of traffic while cutting the latency tail to the second
+// backend's median.
 func (c *Coordinator) hedgeDelay(primary *backend) time.Duration {
 	if c.cfg.HedgeAfter > 0 {
 		return c.cfg.HedgeAfter
@@ -235,13 +246,13 @@ func (l *lookup) claimLocked() *backend {
 
 // walk tries b, then each backend it claims after a failed attempt,
 // until an attempt answers below 500 or nothing is left to claim. Only
-// the first attempt of a hedge walker is hedged.
-func (l *lookup) walk(b *backend, hedged bool) {
+// the first attempt of a hedge walker (kind hedgeAttempt) is hedged.
+func (l *lookup) walk(b *backend, kind attempt) {
 	for b != nil {
 		ctx, cancel := context.WithTimeout(l.ctx, l.c.cfg.RequestTimeout)
-		pr := l.c.fetch(ctx, b, l.in, http.MethodGet, l.pathQuery, nil, hedged)
+		pr := l.c.fetch(ctx, b, l.in, http.MethodGet, l.pathQuery, nil, kind)
 		cancel()
-		hedged = false
+		kind = pointAttempt
 		won := false
 		l.mu.Lock()
 		switch {
@@ -277,7 +288,7 @@ func (l *lookup) startHedge() {
 	defer close(l.hedgeEnd)
 	l.c.hedges.Add(1)
 	b.hedges.Add(1)
-	l.walk(b, true)
+	l.walk(b, hedgeAttempt)
 }
 
 // end closes the lookup once the handler's own walk has stopped, so no
@@ -318,7 +329,7 @@ func (c *Coordinator) handlePoint(w http.ResponseWriter, r *http.Request) {
 	l := &lookup{c: c, in: r, pathQuery: pathQuery, ranked: ranked, next: 1}
 	l.ctx, l.cancel = context.WithCancelCause(r.Context())
 	l.hedge = time.AfterFunc(c.hedgeDelay(ranked[0]), l.startHedge)
-	l.walk(ranked[0], false)
+	l.walk(ranked[0], pointAttempt)
 	answer, lastFail := l.end()
 	switch {
 	case answer != nil:

@@ -44,7 +44,7 @@ func (c *Coordinator) scatterAll(in *http.Request, method, pathQuery string, bod
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(in.Context(), c.cfg.RequestTimeout)
 			defer cancel()
-			results[i] = c.fetch(ctx, b, in, method, pathQuery, body, false)
+			results[i] = c.fetch(ctx, b, in, method, pathQuery, body, legAttempt)
 		}(i, b)
 	}
 	wg.Wait()
@@ -345,7 +345,7 @@ func (c *Coordinator) batchChunk(in *http.Request, usable []*backend, first int,
 		pr := func() *proxyResult {
 			ctx, cancel := context.WithTimeout(in.Context(), c.cfg.RequestTimeout)
 			defer cancel()
-			return c.fetch(ctx, b, in, http.MethodPost, "/batch", body, false)
+			return c.fetch(ctx, b, in, http.MethodPost, "/batch", body, legAttempt)
 		}()
 		if pr.answered() {
 			return pr

@@ -173,22 +173,22 @@ func (di *DynamicIndex) DistanceFrom(s int32, targets []int32, dst []int64, p *t
 	if len(targets) > 0 {
 		rs := di.rank[s]
 		sc := getSourceScratch[uint8](&di.batchPool, di.n)
-		sc.load(di.labV[rs], di.labD[rs])
+		sc.load(di.lab.v[rs], di.lab.d[rs])
 		for k, tv := range targets {
 			if tv == s {
 				dst[k] = 0
 				continue
 			}
 			rt := di.rank[tv]
-			dst[k] = orUnreachable(sc.probe(di.labV[rt], di.labD[rt], unreached))
+			dst[k] = orUnreachable(sc.probe(di.lab.v[rt], di.lab.d[rt], unreached))
 		}
 		sc.release(&di.batchPool)
 	}
 	if p != nil {
 		elapsed := time.Since(start)
-		entries := int64(len(di.labV[di.rank[s]]))
+		entries := int64(len(di.lab.v[di.rank[s]]))
 		for _, t := range targets {
-			entries += int64(len(di.labV[di.rank[t]]))
+			entries += int64(len(di.lab.v[di.rank[t]]))
 		}
 		p.AddMerge(entries, elapsed)
 	}

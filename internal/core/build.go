@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -125,11 +126,25 @@ func rankOrder[G relabeler[G]](g G, shape func() *graph.Graph, opt Options) (h G
 
 // growing is one label family under construction, indexed by rank:
 // hub ranks, distances and (when storing paths) search-tree parents.
-// Roots run in rank order, so appends keep every label sorted by hub.
+// Roots run in rank order, so a build's appends keep every label sorted
+// by hub.
 type growing[D dist] struct {
 	v [][]int32
 	d [][]D
 	p [][]int32 // nil unless storing paths
+
+	// A dynamic index sets logging, so add records every change it makes
+	// and a failed insert can be undone (rollback). Builds never log.
+	logging bool
+	log     []labelEdit[D]
+}
+
+// labelEdit is one logged change to u's label: entry i was inserted, or
+// its distance lowered from old.
+type labelEdit[D dist] struct {
+	u, i     int32
+	old      D
+	inserted bool
 }
 
 func newGrowing[D dist](n int, paths bool) *growing[D] {
@@ -141,13 +156,47 @@ func newGrowing[D dist](n int, paths bool) *growing[D] {
 }
 
 // add appends the entry (hub, d) to u's label, with u's search-tree
-// parent par[u] when storing paths (par is read only then).
+// parent par[u] when storing paths (par is read only then). Only a
+// search resumed by DynamicIndex.InsertEdge, which stores no paths, can
+// meet a label whose last hub is not below hub: the entry then goes in
+// place, or lowers the existing entry for hub (which the prune test
+// guarantees is above d).
 func (g *growing[D]) add(u, hub int32, d D, par []int32) {
-	g.v[u] = append(g.v[u], hub)
-	g.d[u] = append(g.d[u], d)
-	if g.p != nil {
-		g.p[u] = append(g.p[u], par[u])
+	lv := g.v[u]
+	e := labelEdit[D]{u: u, i: int32(len(lv)), inserted: true}
+	if n := len(lv); n > 0 && lv[n-1] >= hub {
+		i, found := slices.BinarySearch(lv, hub)
+		e.i, e.inserted = int32(i), !found
+		if found {
+			e.old, g.d[u][i] = g.d[u][i], d
+		} else {
+			g.v[u] = slices.Insert(lv, i, hub)
+			g.d[u] = slices.Insert(g.d[u], i, d)
+		}
+	} else {
+		g.v[u] = append(lv, hub)
+		g.d[u] = append(g.d[u], d)
+		if g.p != nil {
+			g.p[u] = append(g.p[u], par[u])
+		}
 	}
+	if g.logging {
+		g.log = append(g.log, e)
+	}
+}
+
+// rollback undoes the logged changes, newest first, and empties the log.
+func (g *growing[D]) rollback() {
+	for k := len(g.log) - 1; k >= 0; k-- {
+		e := g.log[k]
+		if e.inserted {
+			g.v[e.u] = slices.Delete(g.v[e.u], int(e.i), int(e.i)+1)
+			g.d[e.u] = slices.Delete(g.d[e.u], int(e.i), int(e.i)+1)
+		} else {
+			g.d[e.u][e.i] = e.old
+		}
+	}
+	g.log = g.log[:0]
 }
 
 // sweep is one pruned search direction: the arcs it follows, the label
@@ -357,7 +406,7 @@ func (b *builder[D]) searchRoot(vk int32) error {
 		if b.weights != nil {
 			added, visited, err = b.dijkstra(vk, sw)
 		} else {
-			added, visited, err = b.bfs(vk, sw)
+			added, visited, err = b.bfs(vk, vk, 0, sw)
 		}
 		if err != nil {
 			return err
@@ -374,14 +423,18 @@ func (b *builder[D]) searchRoot(vk int32) error {
 
 // bfs is Algorithm 1 with the engineering of §4.5: a pruned BFS from vk
 // along sw, with all scratch arrays reset by revisiting exactly the
-// entries that were touched.
-func (b *builder[D]) bfs(vk int32, sw *sweep[D]) (added, visited int64, err error) {
+// entries that were touched. Builds enter it at the root (start = vk,
+// d0 = 0). DynamicIndex.InsertEdge resumes vk's search past a new edge
+// (Akiba, Iwata & Yoshida, WWW 2014): it enters at the edge's far
+// endpoint start, d0 hops from vk. added counts the label entries
+// added or lowered.
+func (b *builder[D]) bfs(vk, start int32, d0 uint8, sw *sweep[D]) (added, visited int64, err error) {
 	sc := b.sc
 	lv := sc.load(sw.root, vk)
 	b.mirrorBP(sc, vk)
-	que := append(sc.seen[:0], vk)
-	sc.hops[vk] = 0
-	sc.par[vk] = -1
+	que := append(sc.seen[:0], start)
+	sc.hops[start] = d0
+	sc.par[start] = -1
 search:
 	for qh := 0; qh < len(que); qh++ {
 		u := que[qh]

@@ -6,9 +6,10 @@ package core
 // BuildStats that feed Figures 3 and 4. This test hashes what each
 // builder leaves in memory: every column (off, vertex, dist, parent) of
 // every label family of directed and weighted path-storing builds and
-// of a dynamic index frozen after a fixed run of insertions, plus all
-// four BuildStats vectors of an undirected bit-parallel build (stats
-// force a sequential build). The label builds run sequentially and
+// of a dynamic index frozen after a fixed run of insertions, the label
+// delta each of those insertions returned, plus all four BuildStats
+// vectors of an undirected bit-parallel build (stats force a
+// sequential build). The label builds run sequentially and
 // batch-parallel under a forced schedule; both must produce the
 // recorded digest.
 
@@ -45,6 +46,7 @@ var builderDigests = map[string]string{
 	"directed-paths": "19ea555e15028575b12d7984b1cd3b539af547cfe68a7ffd717ca9355e8436bf",
 	"weighted-paths": "837ab23062432f71d0a1ff747d625a1630abf8133cef4ad7b126f197288e8f55",
 	"dynamic-frozen": "a7d225fd099e41b3dc4f80bed73d53250b211af096965ec9ce39f3d495bbebbe",
+	"dynamic-deltas": "240a4ce1990570866069c9af2fe360ad9b489512bd54573b9ab347e5d0c3cbad",
 	"stats-bp4":      "2a262d0a10e6e2883c7e00774a2876fadc711e986ab009ab4b81c5bac90504ca",
 }
 
@@ -78,12 +80,18 @@ func TestBuilderOutputsGolden(t *testing.T) {
 		}
 		r := rng.New(11)
 		n := int32(ug.NumVertices())
-		for i := 0; i < 25; i++ {
-			if _, err := di.InsertEdge(r.Int31n(n), r.Int31n(n)); err != nil {
+		deltas := make([]int64, 25)
+		for i := range deltas {
+			delta, err := di.InsertEdge(r.Int31n(n), r.Int31n(n))
+			if err != nil {
 				t.Fatal(err)
 			}
+			deltas[i] = int64(delta)
 		}
 		check("dynamic-frozen", familyDigest(di.Freeze().out))
+		h := sha256.New()
+		hashColumns(h, deltas)
+		check("dynamic-deltas", hex.EncodeToString(h.Sum(nil)))
 	}
 
 	var bs BuildStats

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -30,14 +31,11 @@ type DynamicIndex struct {
 	// adjacency by rank, growable.
 	adj [][]int32
 
-	// labels by rank, sorted by hub rank ascending.
-	labV [][]int32
-	labD [][]uint8
-
-	// scratch for resumed BFSs.
-	dist    []uint8
-	rootLab []uint8
-	queue   []int32
+	// b is the builder that built the labels. Inserts resume its pruned
+	// BFS along its one sweep, which follows adj; lab is that sweep's
+	// label family: labels by rank, sorted by hub rank ascending.
+	b   *builder[uint8]
+	lab *growing[uint8]
 
 	batchPool sync.Pool // recycles *sourceScratch[uint8] for DistanceFrom
 }
@@ -56,34 +54,29 @@ func BuildDynamic(g *graph.Graph, opt Options) (*DynamicIndex, error) {
 		return nil, err
 	}
 	// The initial build is the shared pruned labeling (batch-parallel,
-	// byte-identical to sequential); incremental updates stay sequential
-	// — resumed BFSs patch labels in place.
+	// byte-identical to sequential). The builder stays with the index:
+	// inserts resume its sequential bfs over the growable adjacency, with
+	// label changes logged so a failed insert can be rolled back.
 	n := len(perm)
 	lab := newGrowing[uint8](n, false)
-	if err := newBuilder(opt, nil, sweep[uint8]{h.Neighbors, lab, lab}).run(EffectiveWorkers(opt.Workers)); err != nil {
+	b := newBuilder(opt, nil, sweep[uint8]{h.Neighbors, lab, lab})
+	if err := b.run(EffectiveWorkers(opt.Workers)); err != nil {
 		return nil, err
 	}
 
 	di := &DynamicIndex{
-		n:       n,
-		perm:    append([]int32(nil), perm...),
-		rank:    order.RankOf(perm),
-		adj:     make([][]int32, n),
-		labV:    lab.v,
-		labD:    lab.d,
-		dist:    make([]uint8, n),
-		rootLab: make([]uint8, n+1),
-		queue:   make([]int32, 0, 1024),
+		n:    n,
+		perm: append([]int32(nil), perm...),
+		rank: order.RankOf(perm),
+		adj:  make([][]int32, n),
+		b:    b,
+		lab:  lab,
 	}
 	for v := int32(0); int(v) < n; v++ {
 		di.adj[v] = append([]int32(nil), h.Neighbors(v)...)
 	}
-	for i := range di.dist {
-		di.dist[i] = InfDist
-	}
-	for i := range di.rootLab {
-		di.rootLab[i] = InfDist
-	}
+	b.sweeps[0].next = func(u int32) []int32 { return di.adj[u] }
+	lab.logging = true
 	return di, nil
 }
 
@@ -108,14 +101,14 @@ func (di *DynamicIndex) Distance(s, t int32, p *trace.QueryProfile) int64 {
 	start := time.Now()
 	d := di.Query(s, t)
 	elapsed := time.Since(start)
-	p.AddMerge(int64(len(di.labV[di.rank[s]])+len(di.labV[di.rank[t]])), elapsed)
+	p.AddMerge(int64(len(di.lab.v[di.rank[s]])+len(di.lab.v[di.rank[t]])), elapsed)
 	return int64(d)
 }
 
 func (di *DynamicIndex) queryRank(rs, rt int32) int {
 	best := infQuery
-	av, ad := di.labV[rs], di.labD[rs]
-	bv, bd := di.labV[rt], di.labD[rt]
+	av, ad := di.lab.v[rs], di.lab.d[rs]
+	bv, bd := di.lab.v[rt], di.lab.d[rt]
 	i, j := 0, 0
 	for i < len(av) && j < len(bv) {
 		switch {
@@ -139,7 +132,9 @@ func (di *DynamicIndex) queryRank(rs, rt int32) int {
 
 // InsertEdge adds the undirected edge {a, b} and repairs the labels so
 // queries remain exact. Inserting an existing edge or a self-loop is a
-// no-op. It returns the number of label entries added or decreased.
+// no-op. It returns the number of label entries added or decreased. An
+// insert that fails (ErrDiameterTooLarge) changes nothing: the edge is
+// dropped and every label it touched is restored.
 func (di *DynamicIndex) InsertEdge(a, b int32) (updated int, err error) {
 	if a < 0 || int(a) >= di.n || b < 0 || int(b) >= di.n {
 		return 0, fmt.Errorf("core: edge (%d,%d) out of range [0,%d)", a, b, di.n)
@@ -148,127 +143,54 @@ func (di *DynamicIndex) InsertEdge(a, b int32) (updated int, err error) {
 		return 0, nil
 	}
 	ra, rb := di.rank[a], di.rank[b]
-	if containsSorted(di.adj[ra], rb) {
+	if _, dup := slices.BinarySearch(di.adj[ra], rb); dup {
 		return 0, nil
 	}
 	di.adj[ra] = insertSorted(di.adj[ra], rb)
 	di.adj[rb] = insertSorted(di.adj[rb], ra)
 
-	// Resume pruned BFSs from every hub of both endpoints, in rank
-	// order (labels are stored sorted by rank, so plain iteration is
-	// already rank order).
+	// Resume the pruned BFS of every hub of both endpoints, in rank
+	// order, entered at the other endpoint one hop past the hub.
 	type seedEntry struct {
 		root  int32
 		start int32
 		d     int
 	}
+	lab := di.lab
 	var seeds []seedEntry
-	for i, r := range di.labV[ra] {
-		seeds = append(seeds, seedEntry{root: r, start: rb, d: int(di.labD[ra][i]) + 1})
+	for i, r := range lab.v[ra] {
+		seeds = append(seeds, seedEntry{root: r, start: rb, d: int(lab.d[ra][i]) + 1})
 	}
-	for i, r := range di.labV[rb] {
-		seeds = append(seeds, seedEntry{root: r, start: ra, d: int(di.labD[rb][i]) + 1})
+	for i, r := range lab.v[rb] {
+		seeds = append(seeds, seedEntry{root: r, start: ra, d: int(lab.d[rb][i]) + 1})
 	}
 	sort.SliceStable(seeds, func(i, j int) bool { return seeds[i].root < seeds[j].root })
 	for _, s := range seeds {
 		if s.d > MaxDist {
-			return updated, ErrDiameterTooLarge
+			err = ErrDiameterTooLarge
+			break
 		}
-		n, err := di.resumePBFS(s.root, s.start, uint8(s.d))
-		if err != nil {
-			return updated, err
+		var added int64
+		if added, _, err = di.b.bfs(s.root, s.start, uint8(s.d), &di.b.sweeps[0]); err != nil {
+			break
 		}
-		updated += n
+		updated += int(added)
 	}
+	if err != nil {
+		lab.rollback()
+		di.adj[ra] = removeSorted(di.adj[ra], rb)
+		di.adj[rb] = removeSorted(di.adj[rb], ra)
+		return 0, err
+	}
+	lab.log = lab.log[:0]
 	return updated, nil
-}
-
-// resumePBFS continues root's pruned BFS from start at distance d,
-// inserting or decreasing (root, ·) entries.
-func (di *DynamicIndex) resumePBFS(root, start int32, d uint8) (updated int, err error) {
-	// Load the T array with root's current label.
-	lv, ld := di.labV[root], di.labD[root]
-	for i, w := range lv {
-		di.rootLab[w] = ld[i]
-	}
-	que := di.queue[:0]
-	que = append(que, start)
-	di.dist[start] = d
-	for qh := 0; qh < len(que); qh++ {
-		u := que[qh]
-		du := di.dist[u]
-		// Prune when current labels already certify a distance <= du
-		// between root and u.
-		if di.coveredBy(u, du) {
-			continue
-		}
-		if di.upsertLabel(u, root, du) {
-			updated++
-		}
-		nd := int(du) + 1
-		for _, w := range di.adj[u] {
-			if di.dist[w] == InfDist && w != root {
-				if nd > MaxDist {
-					di.resetResume(que, lv)
-					return updated, ErrDiameterTooLarge
-				}
-				di.dist[w] = uint8(nd)
-				que = append(que, w)
-			}
-		}
-	}
-	di.resetResume(que, lv)
-	di.queue = que[:0]
-	return updated, nil
-}
-
-func (di *DynamicIndex) resetResume(visited []int32, rootLabelVertices []int32) {
-	for _, v := range visited {
-		di.dist[v] = InfDist
-	}
-	for _, w := range rootLabelVertices {
-		di.rootLab[w] = InfDist
-	}
-}
-
-// coveredBy reports whether labels certify d(root, u) <= d via the
-// preloaded T array.
-func (di *DynamicIndex) coveredBy(u int32, d uint8) bool {
-	uv, ud := di.labV[u], di.labD[u]
-	for i, w := range uv {
-		if tw := di.rootLab[w]; tw != InfDist && int(tw)+int(ud[i]) <= int(d) {
-			return true
-		}
-	}
-	return false
-}
-
-// upsertLabel inserts (root, d) into u's sorted label, or decreases an
-// existing entry. It reports whether anything changed.
-func (di *DynamicIndex) upsertLabel(u, root int32, d uint8) bool {
-	lv := di.labV[u]
-	i := sort.Search(len(lv), func(i int) bool { return lv[i] >= root })
-	if i < len(lv) && lv[i] == root {
-		if di.labD[u][i] <= d {
-			return false
-		}
-		di.labD[u][i] = d
-		return true
-	}
-	di.labV[u] = append(di.labV[u], 0)
-	copy(di.labV[u][i+1:], di.labV[u][i:])
-	di.labV[u][i] = root
-	di.labD[u] = append(di.labD[u], 0)
-	copy(di.labD[u][i+1:], di.labD[u][i:])
-	di.labD[u][i] = d
-	return true
 }
 
 // ComputeStats scans the dynamic index and returns summary statistics.
 func (di *DynamicIndex) ComputeStats() Stats {
 	st := Stats{Variant: VariantDynamic, NumVertices: di.n}
 	sizes := make([]int, di.n)
-	for r, l := range di.labV {
+	for r, l := range di.lab.v {
 		sizes[r] = len(l)
 		st.TotalLabelEntries += int64(len(l))
 		if len(l) > st.MaxLabelSize {
@@ -279,7 +201,7 @@ func (di *DynamicIndex) ComputeStats() Stats {
 		st.AvgLabelSize = float64(st.TotalLabelEntries) / float64(di.n)
 	}
 	insertionSortQuantiles(sizes, &st.LabelSizeQuantiles)
-	applyHubStats(&st, di.n, di.labV...)
+	applyHubStats(&st, di.n, di.lab.v...)
 	st.NormalLabelBytes = st.TotalLabelEntries * 5 // int32 hub + uint8 dist per entry
 	st.IndexBytes = st.NormalLabelBytes + int64(len(di.perm))*8
 	return st
@@ -293,20 +215,17 @@ func (di *DynamicIndex) ComputeStats() Stats {
 func (di *DynamicIndex) Freeze() *Index {
 	ix := &Index{}
 	ix.setOrder(VariantDynamic, di.perm)
-	ix.out = flatten(di.labV, di.labD, nil)
+	ix.out = flatten(di.lab.v, di.lab.d, nil)
 	ix.in = ix.out
 	return ix
 }
 
-func containsSorted(s []int32, v int32) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	return i < len(s) && s[i] == v
+func insertSorted(s []int32, v int32) []int32 {
+	i, _ := slices.BinarySearch(s, v)
+	return slices.Insert(s, i, v)
 }
 
-func insertSorted(s []int32, v int32) []int32 {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
+func removeSorted(s []int32, v int32) []int32 {
+	i, _ := slices.BinarySearch(s, v)
+	return slices.Delete(s, i, i+1)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -101,6 +103,97 @@ func TestDynamicInsertExistingEdgeNoop(t *testing.T) {
 	}
 	if _, err := di.InsertEdge(0, 99); err == nil {
 		t.Fatal("expected range error")
+	}
+}
+
+// TestDynamicFailedInsertChangesNothing joins two 200-vertex paths into
+// one of diameter 399. Under the default order a search resumed by the
+// insert overruns the 8-bit distance budget after it has already
+// changed labels. The insert must fail having changed nothing: same
+// stats, same labels, every cross pair still unreachable, and no edge
+// left behind, so a retry fails the same way instead of passing as a
+// duplicate. The valid inserts before and after it must keep answering
+// like BFS.
+func TestDynamicFailedInsertChangesNothing(t *testing.T) {
+	const half = 200
+	var edges []graph.Edge
+	for v := int32(0); v < 2*half-1; v++ {
+		if v != half-1 {
+			edges = append(edges, graph.Edge{U: v, V: v + 1})
+		}
+	}
+	g, err := graph.NewGraph(2*half, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	di, err := BuildDynamic(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := di.InsertEdge(300, 350); err != nil {
+		t.Fatal(err)
+	}
+	edges = append(edges, graph.Edge{U: 300, V: 350})
+	stats, digest := di.ComputeStats(), familyDigest(di.Freeze().out)
+	for try := 0; try < 2; try++ {
+		if n, err := di.InsertEdge(half-1, half); n != 0 || !errors.Is(err, ErrDiameterTooLarge) {
+			t.Fatalf("try %d: InsertEdge(%d,%d) = %d, %v; want 0, ErrDiameterTooLarge", try, half-1, half, n, err)
+		}
+		if got := di.ComputeStats(); got != stats {
+			t.Fatalf("stats after the failed insert:\n%+v\nwant\n%+v", got, stats)
+		}
+		if got := familyDigest(di.Freeze().out); got != digest {
+			t.Fatalf("labels changed by the failed insert: digest %s, want %s", got, digest)
+		}
+	}
+	for s := int32(0); s < half; s++ {
+		for u := int32(half); u < 2*half; u++ {
+			if d := di.Query(s, u); d != Unreachable {
+				t.Fatalf("Query(%d,%d) = %d after the failed insert, want Unreachable", s, u, d)
+			}
+		}
+	}
+	if _, err := di.InsertEdge(0, 100); err != nil {
+		t.Fatal(err)
+	}
+	after, err := graph.NewGraph(2*half, append(edges, graph.Edge{U: 0, V: 100}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertDynamicExact(t, after, di)
+}
+
+// TestLabelRollback drives growing.add the way resumed searches do —
+// appends, entries inserted in place and entries lowered, several per
+// row — and checks that rollback restores every row exactly.
+func TestLabelRollback(t *testing.T) {
+	r := rng.New(5)
+	const n = 8
+	for trial := 0; trial < 50; trial++ {
+		g := newGrowing[uint8](n, false)
+		for u := int32(0); u < n; u++ {
+			for hub := int32(0); hub < 40; hub += 1 + r.Int31n(4) {
+				g.add(u, hub, uint8(10+r.Intn(40)), nil)
+			}
+		}
+		wantV, wantD := make([][]int32, n), make([][]uint8, n)
+		for u := range wantV {
+			wantV[u] = append([]int32(nil), g.v[u]...)
+			wantD[u] = append([]uint8(nil), g.d[u]...)
+		}
+		g.logging = true
+		for k := 0; k < 60; k++ {
+			g.add(r.Int31n(n), r.Int31n(48), uint8(r.Intn(10)), nil)
+		}
+		g.rollback()
+		for u := range wantV {
+			if !slices.Equal(g.v[u], wantV[u]) || !slices.Equal(g.d[u], wantD[u]) {
+				t.Fatalf("trial %d: row %d after rollback = %v %v, want %v %v", trial, u, g.v[u], g.d[u], wantV[u], wantD[u])
+			}
+		}
+		if len(g.log) != 0 {
+			t.Fatalf("trial %d: %d log entries left after rollback", trial, len(g.log))
+		}
 	}
 }
 

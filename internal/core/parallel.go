@@ -195,7 +195,7 @@ func (b *builder[D]) merge(vk, batchStart int32, sw *sweep[D], cands []cand[D], 
 	case needSeq && b.weights != nil:
 		_, _, err = b.dijkstra(vk, sw)
 	case needSeq:
-		_, _, err = b.bfs(vk, sw)
+		_, _, err = b.bfs(vk, vk, 0, sw)
 	case b.paths:
 		b.mark(cands, true)
 		if b.weights != nil {

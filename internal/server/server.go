@@ -389,7 +389,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.oracle.Stats()
+	st := s.cachedStats()
 	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"index": map[string]any{
 			"variant":            st.Variant.String(),
@@ -488,7 +488,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case err == pll.ErrNotDynamic:
-			wire.WriteError(w, http.StatusConflict, "served index is the %s variant; only dynamic indexes accept updates", s.oracle.Stats().Variant)
+			wire.WriteError(w, http.StatusConflict, "served index is the %s variant; only dynamic indexes accept updates", s.cachedStats().Variant)
 		case badEdge != nil:
 			wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		default:

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -266,6 +267,84 @@ func TestUpdateEndpointDynamic(t *testing.T) {
 		http.StatusBadRequest, nil)
 	// Empty body.
 	postJSON(t, ts.URL+"/update", updateRequest{}, http.StatusBadRequest, nil)
+}
+
+// TestUpdateFailedInsertChangesNothing joins two 200-vertex paths,
+// whose insert overruns the 8-bit distance budget during the label
+// repair. The /update must fail with 500 and leave the served index as
+// it was: every distance from one path to the other stays unreachable.
+func TestUpdateFailedInsertChangesNothing(t *testing.T) {
+	const half = 200
+	var edges []pll.Edge
+	for v := int32(0); v < 2*half-1; v++ {
+		if v != half-1 {
+			edges = append(edges, pll.Edge{U: v, V: v + 1})
+		}
+	}
+	g, err := pll.NewGraph(2*half, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	di, err := pll.BuildDynamic(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, di, Config{CacheSize: 64})
+	postJSON(t, ts.URL+"/update",
+		updateRequest{Edges: [][2]int32{{half - 1, half}}},
+		http.StatusInternalServerError, nil)
+	src := int32(half - 1)
+	req := wire.BatchRequest{Source: &src}
+	for v := int32(half); v < 2*half; v++ {
+		req.Targets = append(req.Targets, v)
+	}
+	var resp wire.BatchResponse
+	postJSON(t, ts.URL+"/batch", req, http.StatusOK, &resp)
+	for i, d := range resp.Distances {
+		if d != pll.Unreachable {
+			t.Fatalf("distance %d-%d = %d after the failed update, want %d", src, req.Targets[i], d, pll.Unreachable)
+		}
+	}
+	if len(resp.Distances) != half {
+		t.Fatalf("%d distances, want %d", len(resp.Distances), half)
+	}
+}
+
+// statsCounter counts the label scans (Stats calls) made on the oracle
+// it wraps.
+type statsCounter struct {
+	pll.Oracle
+	calls atomic.Int64
+}
+
+func (o *statsCounter) Stats() pll.Stats {
+	o.calls.Add(1)
+	return o.Oracle.Stats()
+}
+
+// TestStatsScannedOnce: /stats, /healthz, /metrics and the 409 of an
+// /update on a static index all read the stats memoized per (generation,
+// updates), so together they scan the labels once.
+func TestStatsScannedOnce(t *testing.T) {
+	ix, err := pll.Build(lineGraph(t, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := &statsCounter{Oracle: ix}
+	_, ts := newTestServer(t, o, Config{})
+	for i := 0; i < 3; i++ {
+		getJSON(t, ts.URL+"/stats", http.StatusOK, nil)
+	}
+	getJSON(t, ts.URL+"/healthz", http.StatusOK, nil)
+	getJSON(t, ts.URL+"/metrics", http.StatusOK, nil)
+	for i := 0; i < 2; i++ {
+		postJSON(t, ts.URL+"/update",
+			updateRequest{Edges: [][2]int32{{0, 3}}},
+			http.StatusConflict, nil)
+	}
+	if n := o.calls.Load(); n != 1 {
+		t.Fatalf("%d Stats calls, want 1", n)
+	}
 }
 
 func TestUpdateEndpointStaticConflicts(t *testing.T) {

@@ -58,6 +58,23 @@ func NewConcurrentOracle(o Oracle) *ConcurrentOracle {
 	return c
 }
 
+// read loads the current state and takes its read lock when it has one
+// (a dynamic oracle). The caller releases it with a deferred done.
+func (c *ConcurrentOracle) read() *concurrentState {
+	st := c.state.Load()
+	if st.mu != nil {
+		st.mu.RLock()
+	}
+	return st
+}
+
+// done releases the read lock read took, if any.
+func (st *concurrentState) done() {
+	if st.mu != nil {
+		st.mu.RUnlock()
+	}
+}
+
 // View runs f against a consistent snapshot of the current oracle,
 // holding the read lock (when the oracle is dynamic) for the whole
 // call. Use it when several calls must observe the same index — e.g.
@@ -66,36 +83,23 @@ func NewConcurrentOracle(o Oracle) *ConcurrentOracle {
 // retain the oracle after returning and must not call InsertEdge or
 // Swap (the former would deadlock on the write lock).
 func (c *ConcurrentOracle) View(f func(o Oracle) error) error {
-	st := c.state.Load()
-	if st.mu != nil {
-		st.mu.RLock()
-		defer st.mu.RUnlock()
-	}
+	st := c.read()
+	defer st.done()
 	return f(st.oracle)
 }
 
 // Distance returns the exact s-t distance, or Unreachable.
 func (c *ConcurrentOracle) Distance(s, t int32) int64 {
-	st := c.state.Load()
-	if st.mu == nil {
-		return st.oracle.Distance(s, t)
-	}
-	st.mu.RLock()
-	d := st.oracle.Distance(s, t)
-	st.mu.RUnlock()
-	return d
+	st := c.read()
+	defer st.done()
+	return st.oracle.Distance(s, t)
 }
 
 // Path returns one exact shortest path, or nil for disconnected pairs.
 func (c *ConcurrentOracle) Path(s, t int32) ([]int32, error) {
-	st := c.state.Load()
-	if st.mu == nil {
-		return st.oracle.Path(s, t)
-	}
-	st.mu.RLock()
-	p, err := st.oracle.Path(s, t)
-	st.mu.RUnlock()
-	return p, err
+	st := c.read()
+	defer st.done()
+	return st.oracle.Path(s, t)
 }
 
 // DistanceFrom answers a single-source batch against one consistent
@@ -105,11 +109,8 @@ func (c *ConcurrentOracle) Path(s, t int32) ([]int32, error) {
 // *DynamicIndex the read lock covers the whole batch, so a concurrent
 // InsertEdge can never split it.
 func (c *ConcurrentOracle) DistanceFrom(s int32, targets []int32, dst []int64) []int64 {
-	st := c.state.Load()
-	if st.mu != nil {
-		st.mu.RLock()
-		defer st.mu.RUnlock()
-	}
+	st := c.read()
+	defer st.done()
 	if b, ok := st.oracle.(Batcher); ok {
 		return b.DistanceFrom(s, targets, dst)
 	}
@@ -125,39 +126,24 @@ func (c *ConcurrentOracle) DistanceFrom(s int32, targets []int32, dst []int64) [
 
 // NumVertices returns the number of vertices the current oracle covers.
 func (c *ConcurrentOracle) NumVertices() int {
-	st := c.state.Load()
-	if st.mu == nil {
-		return st.oracle.NumVertices()
-	}
-	st.mu.RLock()
-	n := st.oracle.NumVertices()
-	st.mu.RUnlock()
-	return n
+	st := c.read()
+	defer st.done()
+	return st.oracle.NumVertices()
 }
 
 // Stats summarizes the current oracle.
 func (c *ConcurrentOracle) Stats() Stats {
-	st := c.state.Load()
-	if st.mu == nil {
-		return st.oracle.Stats()
-	}
-	st.mu.RLock()
-	s := st.oracle.Stats()
-	st.mu.RUnlock()
-	return s
+	st := c.read()
+	defer st.done()
+	return st.oracle.Stats()
 }
 
 // WriteTo serializes the current oracle, excluding concurrent updates
 // for the duration of the write.
 func (c *ConcurrentOracle) WriteTo(w io.Writer) (int64, error) {
-	st := c.state.Load()
-	if st.mu == nil {
-		return st.oracle.WriteTo(w)
-	}
-	st.mu.RLock()
-	n, err := st.oracle.WriteTo(w)
-	st.mu.RUnlock()
-	return n, err
+	st := c.read()
+	defer st.done()
+	return st.oracle.WriteTo(w)
 }
 
 // Update runs f against the wrapped *DynamicIndex under the write

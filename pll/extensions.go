@@ -68,7 +68,8 @@ func (d *DynamicIndex) Path(s, t int32) ([]int32, error) {
 
 // InsertEdge adds the undirected edge {a,b} and repairs the labels.
 // Inserting an existing edge or a self-loop is a no-op. It returns the
-// number of label entries added or decreased.
+// number of label entries added or decreased. A failed insert (the
+// repair overran the 8-bit distance budget) leaves the index unchanged.
 func (d *DynamicIndex) InsertEdge(a, b int32) (int, error) { return d.di.InsertEdge(a, b) }
 
 // NumVertices returns the number of vertices the index covers.
