@@ -98,7 +98,7 @@ func buildOracle(t *testing.T, variant string) pll.Oracle {
 // startReplicas serves the oracle from count independent replica
 // servers (shared read-only index, separate server state — exactly a
 // replica pool on one host).
-func startReplicas(t *testing.T, o pll.Oracle, count int, cfg server.Config) ([]string, []*httptest.Server) {
+func startReplicas(t testing.TB, o pll.Oracle, count int, cfg server.Config) ([]string, []*httptest.Server) {
 	t.Helper()
 	urls := make([]string, count)
 	servers := make([]*httptest.Server, count)
@@ -112,7 +112,7 @@ func startReplicas(t *testing.T, o pll.Oracle, count int, cfg server.Config) ([]
 	return urls, servers
 }
 
-func startCoordinator(t *testing.T, urls []string, mut func(*Config)) (*Coordinator, *httptest.Server) {
+func startCoordinator(t testing.TB, urls []string, mut func(*Config)) (*Coordinator, *httptest.Server) {
 	t.Helper()
 	cfg := Config{Backends: urls, HealthInterval: 25 * time.Millisecond}
 	if mut != nil {
@@ -435,6 +435,31 @@ func TestBatchChunkFailover(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("failover batch differs:\n got: %q\nwant: %q", got, want)
+	}
+}
+
+// TestBatchBadReplicaAnswer: a replica's 200 /batch answer that does
+// not decode, or holds a distance count other than its chunk's, is a
+// protocol violation answered 502, never merged into a shifted answer.
+func TestBatchBadReplicaAnswer(t *testing.T) {
+	for answer, want := range map[string]string{
+		`{"count":1,"distances":[1]}`: "bad response: 1 distances for a chunk of 2",
+		`{"count":2,"distances":[1,`:  "bad response: unexpected end of JSON input",
+	} {
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprintln(w, `{"status":"ok","variant":"test","generation":1,"vertices":10,"checksum":"ff"}`)
+		})
+		mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprintln(w, answer)
+		})
+		replica := httptest.NewServer(mux)
+		t.Cleanup(replica.Close)
+		_, coord := startCoordinator(t, []string{replica.URL}, func(c *Config) { c.HealthInterval = time.Hour })
+		status, _, got := do(t, http.MethodPost, coord.URL+"/batch", `{"pairs":[[0,1],[2,3]]}`)
+		if status != http.StatusBadGateway || !strings.Contains(got, want) {
+			t.Errorf("replica answering %s: got %d %s, want 502 with %q", answer, status, got, want)
+		}
 	}
 }
 

@@ -295,11 +295,6 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		} else {
 			sub.Pairs = req.Pairs[lo:hi]
 		}
-		body, err := json.Marshal(&sub)
-		if err != nil {
-			wire.WriteError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
 		wg.Add(1)
 		go func(i int, body []byte) {
 			defer wg.Done()
@@ -309,13 +304,16 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 				results[i].fail = pr
 				return
 			}
-			var sr wire.BatchResponse
-			if err := json.Unmarshal(pr.body, &sr); err != nil {
+			sr, err := wire.DecodeBatchResponse(pr.body)
+			if err == nil && len(sr.Distances) != hi-lo {
+				err = fmt.Errorf("%d distances for a chunk of %d", len(sr.Distances), hi-lo)
+			}
+			if err != nil {
 				results[i].fail = &proxyResult{b: pr.b, err: fmt.Errorf("bad response: %w", err)}
 				return
 			}
 			results[i].distances = sr.Distances
-		}(i, body)
+		}(i, sub.AppendJSON(make([]byte, 0, 32+12*(hi-lo))))
 	}
 	wg.Wait()
 
@@ -331,7 +329,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		distances = append(distances, results[i].distances...)
 	}
-	wire.WriteJSON(w, http.StatusOK, wire.BatchResponse{Count: n, Distances: distances})
+	wire.WriteBatch(w, distances)
 }
 
 // batchChunk posts one chunk, starting at the backend the chunk was

@@ -131,26 +131,58 @@ func (di *DynamicIndex) queryRank(rs, rt int32) int {
 }
 
 // InsertEdge adds the undirected edge {a, b} and repairs the labels so
-// queries remain exact. Inserting an existing edge or a self-loop is a
-// no-op. It returns the number of label entries added or decreased. An
-// insert that fails (ErrDiameterTooLarge) changes nothing: the edge is
-// dropped and every label it touched is restored.
+// queries remain exact: InsertEdges of the one edge.
 func (di *DynamicIndex) InsertEdge(a, b int32) (updated int, err error) {
-	if a < 0 || int(a) >= di.n || b < 0 || int(b) >= di.n {
-		return 0, fmt.Errorf("core: edge (%d,%d) out of range [0,%d)", a, b, di.n)
-	}
-	if a == b {
-		return 0, nil
-	}
-	ra, rb := di.rank[a], di.rank[b]
-	if _, dup := slices.BinarySearch(di.adj[ra], rb); dup {
-		return 0, nil
-	}
-	di.adj[ra] = insertSorted(di.adj[ra], rb)
-	di.adj[rb] = insertSorted(di.adj[rb], ra)
+	return di.InsertEdges([]graph.Edge{{U: a, V: b}})
+}
 
-	// Resume the pruned BFS of every hub of both endpoints, in rank
-	// order, entered at the other endpoint one hop past the hub.
+// InsertEdges adds the undirected edges in order and repairs the labels
+// so queries remain exact. Self-loops and edges already present, before
+// the call or earlier in it, are no-ops. It returns the number of label
+// entries added or decreased. The batch applies whole or not at all: an
+// edge out of range changes nothing, and an insert that fails
+// (ErrDiameterTooLarge) restores every label the batch touched and
+// drops every edge it added.
+func (di *DynamicIndex) InsertEdges(edges []graph.Edge) (updated int, err error) {
+	for _, e := range edges {
+		if e.U < 0 || int(e.U) >= di.n || e.V < 0 || int(e.V) >= di.n {
+			return 0, fmt.Errorf("core: edge (%d,%d) out of range [0,%d)", e.U, e.V, di.n)
+		}
+	}
+	var added [][2]int32 // the new edges, by rank
+	for _, e := range edges {
+		ra, rb := di.rank[e.U], di.rank[e.V]
+		if ra == rb {
+			continue
+		}
+		if _, dup := slices.BinarySearch(di.adj[ra], rb); dup {
+			continue
+		}
+		di.adj[ra] = insertSorted(di.adj[ra], rb)
+		di.adj[rb] = insertSorted(di.adj[rb], ra)
+		added = append(added, [2]int32{ra, rb})
+		var n int
+		if n, err = di.repair(ra, rb); err != nil {
+			break
+		}
+		updated += n
+	}
+	if err != nil {
+		di.lab.rollback()
+		for _, e := range added {
+			di.adj[e[0]] = removeSorted(di.adj[e[0]], e[1])
+			di.adj[e[1]] = removeSorted(di.adj[e[1]], e[0])
+		}
+		return 0, err
+	}
+	di.lab.log = di.lab.log[:0]
+	return updated, nil
+}
+
+// repair resumes the pruned BFS of every hub of both endpoints of the
+// new edge {ra, rb}, in rank order, entered at the other endpoint one
+// hop past the hub. Its label changes are logged for rollback.
+func (di *DynamicIndex) repair(ra, rb int32) (updated int, err error) {
 	type seedEntry struct {
 		root  int32
 		start int32
@@ -167,22 +199,14 @@ func (di *DynamicIndex) InsertEdge(a, b int32) (updated int, err error) {
 	sort.SliceStable(seeds, func(i, j int) bool { return seeds[i].root < seeds[j].root })
 	for _, s := range seeds {
 		if s.d > MaxDist {
-			err = ErrDiameterTooLarge
-			break
+			return updated, ErrDiameterTooLarge
 		}
-		var added int64
-		if added, _, err = di.b.bfs(s.root, s.start, uint8(s.d), &di.b.sweeps[0]); err != nil {
-			break
+		added, _, err := di.b.bfs(s.root, s.start, uint8(s.d), &di.b.sweeps[0])
+		if err != nil {
+			return updated, err
 		}
 		updated += int(added)
 	}
-	if err != nil {
-		lab.rollback()
-		di.adj[ra] = removeSorted(di.adj[ra], rb)
-		di.adj[rb] = removeSorted(di.adj[rb], ra)
-		return 0, err
-	}
-	lab.log = lab.log[:0]
 	return updated, nil
 }
 

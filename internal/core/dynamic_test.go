@@ -163,6 +163,57 @@ func TestDynamicFailedInsertChangesNothing(t *testing.T) {
 	assertDynamicExact(t, after, di)
 }
 
+// TestDynamicInsertEdgesAllOrNothing inserts batches into the two-path
+// graph of TestDynamicFailedInsertChangesNothing. A batch whose last
+// edge overruns the distance budget, after edges that alone succeed
+// (one of them twice), and a batch with an edge out of range must both
+// leave the stats and labels exactly as before, with every edge of the
+// batch gone. A later valid batch must answer like BFS.
+func TestDynamicInsertEdgesAllOrNothing(t *testing.T) {
+	const half = 200
+	var edges []graph.Edge
+	for v := int32(0); v < 2*half-1; v++ {
+		if v != half-1 {
+			edges = append(edges, graph.Edge{U: v, V: v + 1})
+		}
+	}
+	g, err := graph.NewGraph(2*half, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	di, err := BuildDynamic(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, digest := di.ComputeStats(), familyDigest(di.Freeze().out)
+	for _, batch := range [][]graph.Edge{
+		{{U: 0, V: 100}, {U: 300, V: 350}, {U: 100, V: 0}, {U: 7, V: 7}, {U: half - 1, V: half}},
+		{{U: 0, V: 100}, {U: 300, V: 2 * half}},
+	} {
+		if n, err := di.InsertEdges(batch); n != 0 || err == nil {
+			t.Fatalf("InsertEdges(%v) = %d, %v; want 0 and an error", batch, n, err)
+		}
+		if got := di.ComputeStats(); got != stats {
+			t.Fatalf("stats after the failed batch %v:\n%+v\nwant\n%+v", batch, got, stats)
+		}
+		if got := familyDigest(di.Freeze().out); got != digest {
+			t.Fatalf("labels changed by the failed batch %v: digest %s, want %s", batch, got, digest)
+		}
+		if d := di.Query(0, 100); d != 100 {
+			t.Fatalf("Query(0,100) = %d after the failed batch %v, want 100", d, batch)
+		}
+	}
+	valid := []graph.Edge{{U: 0, V: 100}, {U: 300, V: 350}, {U: 100, V: 0}, {U: 7, V: 7}, {U: 20, V: 180}}
+	if n, err := di.InsertEdges(valid); n == 0 || err != nil {
+		t.Fatalf("InsertEdges(%v) = %d, %v; want label changes and no error", valid, n, err)
+	}
+	after, err := graph.NewGraph(2*half, append(edges, valid...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertDynamicExact(t, after, di)
+}
+
 // TestLabelRollback drives growing.add the way resumed searches do —
 // appends, entries inserted in place and entries lowered, several per
 // row — and checks that rollback restores every row exactly.

@@ -154,15 +154,23 @@ type fixtureLoader struct {
 	stdlib  types.Importer
 }
 
+// Type-checking a fixture's standard-library imports from source
+// (net/http above all) costs seconds, so every loader in the test
+// binary shares one source importer and the FileSet it records
+// positions in. The fixture packages stay per loader.
+var (
+	fixtureFset   = token.NewFileSet()
+	stdlibImports = importer.ForCompiler(fixtureFset, "source", nil)
+)
+
 func newFixtureLoader(root string) *fixtureLoader {
-	fset := token.NewFileSet()
 	return &fixtureLoader{
-		fset:    fset,
+		fset:    fixtureFset,
 		root:    root,
 		pkgs:    map[string]*Package{},
 		source:  map[*types.Package]*Package{},
 		loading: map[string]bool{},
-		stdlib:  importer.ForCompiler(fset, "source", nil),
+		stdlib:  stdlibImports,
 	}
 }
 

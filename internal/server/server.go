@@ -341,7 +341,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	distances := make([]int64, 0, n)
 	err := s.oracle.View(func(o pll.Oracle) error {
 		if req.Source != nil {
-			if err := pll.Validate(o, append([]int32{*req.Source}, req.Targets...)...); err != nil {
+			if err := pll.Validate(o, *req.Source); err != nil {
+				return err
+			}
+			if err := pll.Validate(o, req.Targets...); err != nil {
 				return err
 			}
 			// Single-source batches forward to the Batcher capability —
@@ -362,12 +365,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			return nil
 		}
-		flat := make([]int32, 0, 2*len(req.Pairs))
 		for _, p := range req.Pairs {
-			flat = append(flat, p[0], p[1])
-		}
-		if err := pll.Validate(o, flat...); err != nil {
-			return err
+			if err := pll.Validate(o, p[0], p[1]); err != nil {
+				return err
+			}
 		}
 		if po, ok := o.(pll.ProfiledOracle); ok && prof != nil {
 			for _, p := range req.Pairs {
@@ -385,7 +386,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.batchPairs.Add(int64(n))
-	wire.WriteJSON(w, http.StatusOK, wire.BatchResponse{Count: n, Distances: distances})
+	wire.WriteBatch(w, distances)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -453,51 +454,47 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if !s.limits.CheckFanout(w, "edges", len(req.Edges)) {
 		return
 	}
+	edges := make([]pll.Edge, len(req.Edges))
+	for i, e := range req.Edges {
+		edges[i] = pll.Edge{U: e[0], V: e[1]}
+	}
 	// Validate and insert the whole batch under one write-locked Update,
 	// so the bounds check, every insert, and nothing else all see the
 	// same oracle even if a hot-reload swaps it mid-request, and readers
-	// never observe a half-applied batch.
-	inserted, labelDelta := 0, 0
-	var badEdge *[2]int32
+	// never observe a half-applied batch. InsertEdges applies every edge
+	// or none, so an error means no edge took effect.
+	labelDelta := 0
+	badEdge := false
 	err := s.oracle.Update(func(di *pll.DynamicIndex) error {
 		n := int32(di.NumVertices())
-		for i, e := range req.Edges {
+		for _, e := range req.Edges {
 			if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
-				badEdge = &req.Edges[i]
+				badEdge = true
 				return fmt.Errorf("edge {%d,%d} out of range [0,%d)", e[0], e[1], n)
 			}
 		}
-		for _, e := range req.Edges {
-			d, err := di.InsertEdge(e[0], e[1])
-			if err != nil {
-				return err
-			}
-			inserted++
-			labelDelta += d
-		}
-		return nil
+		var err error
+		labelDelta, err = di.InsertEdges(edges)
+		return err
 	})
-	if inserted > 0 {
-		// Inserted edges can only shorten distances; drop every cached
-		// pair and search result even when a later edge of the batch
-		// failed.
-		s.updates.Add(int64(inserted))
-		s.cache.purge()
-		s.results.purge()
-	}
 	if err != nil {
 		switch {
 		case err == pll.ErrNotDynamic:
 			wire.WriteError(w, http.StatusConflict, "served index is the %s variant; only dynamic indexes accept updates", s.cachedStats().Variant)
-		case badEdge != nil:
+		case badEdge:
 			wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		default:
 			wire.WriteError(w, http.StatusInternalServerError, "%v", err)
 		}
 		return
 	}
+	// Inserted edges can only shorten distances; drop every cached pair
+	// and search result.
+	s.updates.Add(int64(len(req.Edges)))
+	s.cache.purge()
+	s.results.purge()
 	wire.WriteJSON(w, http.StatusOK, map[string]any{
-		"inserted":    inserted,
+		"inserted":    len(req.Edges),
 		"label_delta": labelDelta,
 	})
 }

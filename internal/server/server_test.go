@@ -310,6 +310,60 @@ func TestUpdateFailedInsertChangesNothing(t *testing.T) {
 	}
 }
 
+// TestUpdateBatchAppliesWholeOrNothing sends a two-edge /update to the
+// two-path index: {0,100} alone would shorten d(0,100) to 1, but
+// {199,200} overruns the 8-bit distance budget. The 500 must mean no
+// edge took effect: d(0,100) still reads 100, and /stats counts no
+// update and the label entries of the untouched index.
+func TestUpdateBatchAppliesWholeOrNothing(t *testing.T) {
+	const half = 200
+	var edges []pll.Edge
+	for v := int32(0); v < 2*half-1; v++ {
+		if v != half-1 {
+			edges = append(edges, pll.Edge{U: v, V: v + 1})
+		}
+	}
+	g, err := pll.NewGraph(2*half, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	di, err := pll.BuildDynamic(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := di.Stats().TotalLabelEntries
+	_, ts := newTestServer(t, di, Config{CacheSize: 64})
+	distance := func(want int64) {
+		t.Helper()
+		var d distanceResponse
+		getJSON(t, ts.URL+"/distance?s=0&t=100", http.StatusOK, &d)
+		if d.Distance != want {
+			t.Fatalf("d(0,100) = %d, want %d", d.Distance, want)
+		}
+	}
+	distance(100)
+	postJSON(t, ts.URL+"/update",
+		updateRequest{Edges: [][2]int32{{0, 100}, {half - 1, half}}},
+		http.StatusInternalServerError, nil)
+	distance(100)
+	var st struct {
+		Index struct {
+			LabelEntries int64 `json:"label_entries"`
+		} `json:"index"`
+		Server struct {
+			Updates int64 `json:"updates"`
+		} `json:"server"`
+	}
+	getJSON(t, ts.URL+"/stats", http.StatusOK, &st)
+	if st.Server.Updates != 0 || st.Index.LabelEntries != entries {
+		t.Fatalf("after the failed update: %d updates and %d label entries, want 0 and %d",
+			st.Server.Updates, st.Index.LabelEntries, entries)
+	}
+	// The first edge on its own applies.
+	postJSON(t, ts.URL+"/update", updateRequest{Edges: [][2]int32{{0, 100}}}, http.StatusOK, nil)
+	distance(1)
+}
+
 // statsCounter counts the label scans (Stats calls) made on the oracle
 // it wraps.
 type statsCounter struct {

@@ -14,12 +14,19 @@
 // The response types declare their fields in sorted key order, the
 // order encoding/json writes a map in. A tier answering with a map
 // of the same keys would send the same bytes.
+//
+// The hot /batch shapes skip reflection in both directions (fast.go):
+// a strict scanner that declines anything encoding/json might decode
+// differently, with encoding/json on the same bytes as the fallback,
+// and append-style writers of encoding/json's exact bytes.
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -72,9 +79,23 @@ type Limits struct {
 // when it is oversized and 400 when it is malformed. A hostile
 // Content-Length or an endless stream can therefore never force an
 // unbounded read or allocation.
+//
+// A *BatchRequest the strict scanner accepts (fast.go) is decoded
+// without reflection. Every other body, and any read that failed, goes
+// to json.NewDecoder over the bytes read followed by the read's error:
+// the byte stream, and so every verdict and message, of decoding the
+// request body directly.
 func (l Limits) DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, l.MaxBody)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	body, readErr := l.readBody(r)
+	if req, ok := v.(*BatchRequest); ok && readErr == nil && scanBatchRequest(body, req) {
+		return true
+	}
+	src := io.Reader(bytes.NewReader(body))
+	if readErr != nil {
+		src = io.MultiReader(src, errReader{readErr})
+	}
+	if err := json.NewDecoder(src).Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", tooBig.Limit)
@@ -85,6 +106,36 @@ func (l Limits) DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	}
 	return true
 }
+
+// readBody reads the whole capped body into one buffer sized from
+// Content-Length, capped at MaxBody: a hostile header can never force
+// more than MaxBody+1 bytes. It returns the bytes read and the read's
+// error, io.EOF excepted.
+func (l Limits) readBody(r *http.Request) ([]byte, error) {
+	size := int64(512) // io.ReadAll's first guess, for an unknown length
+	if r.ContentLength >= 0 {
+		size = min(r.ContentLength, l.MaxBody) + 1 // +1 so EOF needs no growth
+	}
+	b := make([]byte, 0, size)
+	for {
+		n, err := r.Body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
+}
+
+// errReader replays a body read's error after its bytes.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // CheckFanout answers 400 unless a client-controlled count is in
 // [1, MaxBatch]. The coordinator checks before it scatters, so an
@@ -259,21 +310,25 @@ func (b *BatchRequest) Len() int { return len(b.Pairs) + len(b.Targets) }
 // two forms, and answers 413 when it asks for more than MaxBatch
 // distances.
 func (l Limits) ParseBatch(w http.ResponseWriter, r *http.Request) (req BatchRequest, ok bool) {
-	if !l.DecodeBody(w, r, &req) {
-		return req, false
-	}
+	ok = l.DecodeBody(w, r, &req) && l.checkBatch(w, &req)
+	return req, ok
+}
+
+// checkBatch answers the 4xx of a decoded /batch body that is not
+// exactly one form or asks for more than MaxBatch distances.
+func (l Limits) checkBatch(w http.ResponseWriter, req *BatchRequest) bool {
 	switch {
 	case req.Source != nil && len(req.Targets) > 0 && len(req.Pairs) == 0:
 	case req.Source == nil && len(req.Targets) == 0 && len(req.Pairs) > 0:
 	default:
 		WriteError(w, http.StatusBadRequest, `batch body needs either "pairs" or "source"+"targets"`)
-		return req, false
+		return false
 	}
 	if n := req.Len(); n > l.MaxBatch {
 		WriteError(w, http.StatusRequestEntityTooLarge, "batch of %d pairs exceeds the %d limit", n, l.MaxBatch)
-		return req, false
+		return false
 	}
-	return req, true
+	return true
 }
 
 // NeighborsOrEmpty keeps "neighbors" a JSON array even with no hits.

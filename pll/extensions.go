@@ -72,6 +72,13 @@ func (d *DynamicIndex) Path(s, t int32) ([]int32, error) {
 // repair overran the 8-bit distance budget) leaves the index unchanged.
 func (d *DynamicIndex) InsertEdge(a, b int32) (int, error) { return d.di.InsertEdge(a, b) }
 
+// InsertEdges adds the undirected edges in order and repairs the
+// labels, returning the number of label entries added or decreased.
+// Self-loops and edges already present are no-ops. The batch applies
+// whole or not at all: if any edge is out of range or its repair
+// overruns the 8-bit distance budget, the index is left unchanged.
+func (d *DynamicIndex) InsertEdges(edges []Edge) (int, error) { return d.di.InsertEdges(edges) }
+
 // NumVertices returns the number of vertices the index covers.
 func (d *DynamicIndex) NumVertices() int { return d.di.NumVertices() }
 
