@@ -2,21 +2,22 @@ package wire
 
 // The /batch fast path. encoding/json spends about 300 µs of reflection
 // decoding one 1,024-target /batch body; the loops here take a few tens.
-// They accept only input encoding/json is certain to decode to an equal
-// value and decline everything else, so the caller falls back to
-// encoding/json on the same bytes and every status and message stays
-// encoding/json's own. Accepted:
+// They accept only the compact shapes the serving traffic sends, and
+// only where encoding/json is certain to decode them to an equal value:
 //
-//   - one object whose members are exactly spelled known keys, each at
-//     most once, in any order (no escapes, no case folding);
-//   - JSON whitespace between tokens and after the object;
-//   - integers -?(0|[1-9][0-9]*) within the field's type: no fraction,
-//     exponent, leading zero or overflow;
-//   - non-empty arrays, and /batch pairs of exactly two.
+//   - a request of exactly {"source":N,"targets":[N,…]}, the form
+//     perfbench, examples/loadtest and the coordinator's source+targets
+//     chunks all write;
+//   - a replica answer of exactly the bytes WriteBatch writes,
+//     {"count":N,"distances":[N,…]} and a newline.
 //
-// null, string values, unknown or repeated keys, empty arrays and
-// trailing data are all declined. A fuzz target checks the accept side
-// against encoding/json.
+// Integers must match -?(0|[1-9][0-9]*) within the field's type. Any
+// other body (whitespace, another key order, the pairs form, an escape,
+// a fraction, an exponent, a leading zero, an overflow, null, an empty
+// array, trailing data) is declined, and the caller decodes the same
+// bytes with encoding/json, so every status and message stays
+// encoding/json's own. A fuzz target checks the accept side against
+// encoding/json.
 
 import (
 	"bytes"
@@ -26,26 +27,23 @@ import (
 	"strconv"
 )
 
-// scanner walks one JSON body.
+// scanner walks one compact JSON body.
 type scanner struct {
 	b []byte
 	i int
 }
 
-func (s *scanner) skipSpace() {
-	for s.i < len(s.b) {
-		switch s.b[s.i] {
-		case ' ', '\t', '\n', '\r':
-			s.i++
-		default:
-			return
-		}
+// lit consumes the bytes of tok.
+func (s *scanner) lit(tok string) bool {
+	if len(s.b)-s.i < len(tok) || string(s.b[s.i:s.i+len(tok)]) != tok {
+		return false
 	}
+	s.i += len(tok)
+	return true
 }
 
-// lit consumes the byte c after optional whitespace.
-func (s *scanner) lit(c byte) bool {
-	s.skipSpace()
+// eat consumes the byte c.
+func (s *scanner) eat(c byte) bool {
 	if s.i < len(s.b) && s.b[s.i] == c {
 		s.i++
 		return true
@@ -53,25 +51,8 @@ func (s *scanner) lit(c byte) bool {
 	return false
 }
 
-// key consumes a member name and its colon, returning the name's raw
-// bytes. A name with an escape never equals a known key, so comparing
-// the raw bytes declines it.
-func (s *scanner) key() ([]byte, bool) {
-	if !s.lit('"') {
-		return nil, false
-	}
-	end := bytes.IndexByte(s.b[s.i:], '"')
-	if end < 0 {
-		return nil, false
-	}
-	name := s.b[s.i : s.i+end]
-	s.i += end + 1
-	return name, s.lit(':')
-}
-
 // int consumes an integer within [lo, hi].
 func (s *scanner) int(lo, hi int64) (int64, bool) {
-	s.skipSpace()
 	b, i := s.b, s.i
 	neg := i < len(b) && b[i] == '-'
 	if neg {
@@ -107,131 +88,60 @@ func (s *scanner) int(lo, hi int64) (int64, bool) {
 	return v, true
 }
 
-// elems bounds the elements of the array starting here: one more than
-// the commas left in the body.
-func (s *scanner) elems() int { return bytes.Count(s.b[s.i:], []byte{','}) + 1 }
-
-// ints consumes a non-empty array of integers within [lo, hi].
+// ints consumes a non-empty array of integers within [lo, hi], sized
+// once from the commas left in the body.
 func ints[T int32 | int64](s *scanner, lo, hi int64) ([]T, bool) {
-	if !s.lit('[') {
+	if !s.eat('[') {
 		return nil, false
 	}
-	out := make([]T, 0, s.elems())
+	out := make([]T, 0, bytes.Count(s.b[s.i:], []byte{','})+1)
 	for {
 		v, ok := s.int(lo, hi)
 		if !ok {
 			return nil, false
 		}
 		out = append(out, T(v))
-		if !s.lit(',') {
-			return out, s.lit(']')
+		if !s.eat(',') {
+			return out, s.eat(']')
 		}
 	}
 }
 
-// pairs consumes a non-empty array of two-element int32 arrays.
-func (s *scanner) pairs() ([][2]int32, bool) {
-	if !s.lit('[') {
-		return nil, false
-	}
-	out := make([][2]int32, 0, (s.elems()+1)/2)
-	for {
-		if !s.lit('[') {
-			return nil, false
-		}
-		a, ok := s.int(math.MinInt32, math.MaxInt32)
-		if !ok || !s.lit(',') {
-			return nil, false
-		}
-		b, ok := s.int(math.MinInt32, math.MaxInt32)
-		if !ok || !s.lit(']') {
-			return nil, false
-		}
-		out = append(out, [2]int32{int32(a), int32(b)})
-		if !s.lit(',') {
-			return out, s.lit(']')
-		}
-	}
-}
-
-// object walks one object to the end of the body, handing each member
-// name to member, which consumes the value. It reports false when the
-// body is not one such object followed by whitespace only.
-func (s *scanner) object(member func(name []byte) bool) bool {
-	if !s.lit('{') {
-		return false
-	}
-	for {
-		name, ok := s.key()
-		if !ok || !member(name) {
-			return false
-		}
-		if !s.lit(',') {
-			break
-		}
-	}
-	if !s.lit('}') {
-		return false
-	}
-	s.skipSpace()
-	return s.i == len(s.b)
-}
-
-// scanBatchRequest decodes a /batch body into req when the strict
-// grammar accepts it. Fields the body names are set, others left alone,
-// as encoding/json does; on false req is untouched.
-func scanBatchRequest(b []byte, req *BatchRequest) bool {
-	var got BatchRequest
+// scanBatchRequest decodes a /batch body of exactly the compact
+// {"source":N,"targets":[N,…]} form and reports false for any other.
+func scanBatchRequest(b []byte) (BatchRequest, bool) {
 	s := scanner{b: b}
-	ok := s.object(func(name []byte) bool {
-		var ok bool
-		switch {
-		case string(name) == "source" && got.Source == nil:
-			var v int64
-			if v, ok = s.int(math.MinInt32, math.MaxInt32); ok {
-				src := int32(v)
-				got.Source = &src
-			}
-		case string(name) == "targets" && got.Targets == nil:
-			got.Targets, ok = ints[int32](&s, math.MinInt32, math.MaxInt32)
-		case string(name) == "pairs" && got.Pairs == nil:
-			got.Pairs, ok = s.pairs()
-		}
-		return ok
-	})
-	if !ok {
-		return false
+	if !s.lit(`{"source":`) {
+		return BatchRequest{}, false
 	}
-	if got.Source != nil {
-		req.Source = got.Source
+	src, ok := s.int(math.MinInt32, math.MaxInt32)
+	if !ok || !s.lit(`,"targets":`) {
+		return BatchRequest{}, false
 	}
-	if got.Targets != nil {
-		req.Targets = got.Targets
+	targets, ok := ints[int32](&s, math.MinInt32, math.MaxInt32)
+	if !ok || !s.eat('}') || s.i != len(b) {
+		return BatchRequest{}, false
 	}
-	if got.Pairs != nil {
-		req.Pairs = got.Pairs
-	}
-	return true
+	source := int32(src)
+	return BatchRequest{Source: &source, Targets: targets}, true
 }
 
-// scanBatchResponse decodes a replica's /batch answer when the strict
-// grammar accepts it.
-func scanBatchResponse(b []byte) (resp BatchResponse, ok bool) {
+// scanBatchResponse decodes a replica's /batch answer of exactly the
+// bytes WriteBatch writes and reports false for any other.
+func scanBatchResponse(b []byte) (BatchResponse, bool) {
 	s := scanner{b: b}
-	seenCount := false
-	ok = s.object(func(name []byte) bool {
-		var ok bool
-		switch {
-		case string(name) == "count" && !seenCount:
-			var v int64
-			v, ok = s.int(math.MinInt, math.MaxInt)
-			resp.Count, seenCount = int(v), true
-		case string(name) == "distances" && resp.Distances == nil:
-			resp.Distances, ok = ints[int64](&s, math.MinInt64, math.MaxInt64)
-		}
-		return ok
-	})
-	return resp, ok
+	if !s.lit(`{"count":`) {
+		return BatchResponse{}, false
+	}
+	count, ok := s.int(math.MinInt, math.MaxInt)
+	if !ok || !s.lit(`,"distances":`) {
+		return BatchResponse{}, false
+	}
+	distances, ok := ints[int64](&s, math.MinInt64, math.MaxInt64)
+	if !ok || !s.lit("}\n") || s.i != len(b) {
+		return BatchResponse{}, false
+	}
+	return BatchResponse{Count: int(count), Distances: distances}, true
 }
 
 // DecodeBatchResponse decodes a replica's /batch answer: by the strict

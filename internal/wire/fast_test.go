@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -29,6 +28,16 @@ func perfbenchBody() []byte {
 
 // fallbackBodies holds one body per class the scanner must decline.
 var fallbackBodies = map[string]string{
+	"json.dumps":           `{"source": 1, "targets": [2, 3]}`,
+	"pretty":               "{\n\t\"source\" : 1 ,\n\t\"targets\" : [ 2 ,\r\n 3 ]\n}",
+	"leading space":        ` {"source":1,"targets":[2]}`,
+	"trailing newline":     "{\"source\":1,\"targets\":[2]}\n",
+	"reversed keys":        `{"targets":[2],"source":1}`,
+	"pairs":                `{"pairs":[[0,1],[2,3],[-4,2147483647]]}`,
+	"pairs spaced":         `{"pairs": [[0, 1], [2, 3]]}`,
+	"source only":          `{"source":5}`,
+	"targets only":         `{"targets":[1]}`,
+	"both forms":           `{"source":1,"targets":[2],"pairs":[[3,4]]}`,
 	"escaped key":          `{"sour\u0063e":1,"targets":[2]}`,
 	"escaped quote":        `{"sou\"rce":1,"targets":[2]}`,
 	"unknown key":          `{"source":1,"targets":[2],"k":3}`,
@@ -64,37 +73,16 @@ var fallbackBodies = map[string]string{
 // acceptedBodies holds bodies the scanner must accept.
 var acceptedBodies = map[string]string{
 	"compact":        `{"source":1,"targets":[2,3]}`,
-	"json.dumps":     `{"source": 1, "targets": [2, 3]}`,
-	"pretty":         "{\n\t\"targets\" : [ 2 ,\r\n 3 ] ,\n\t\"source\" : -0\n}\n",
-	"pairs":          `{"pairs":[[0,1],[2,3],[-4,2147483647]]}`,
-	"pairs spaced":   `{"pairs": [[0, 1], [2, 3]]}`,
+	"one target":     `{"source":0,"targets":[0]}`,
+	"negative zero":  `{"source":-0,"targets":[-0,1]}`,
 	"int32 extremes": `{"source":-2147483648,"targets":[2147483647,0,-1]}`,
-	"source only":    `{"source":5}`,
-	"needs one form": `{"source":1,"targets":[2],"pairs":[[3,4]]}`,
-	"leading space":  ` {"source":1,"targets":[2]}`,
-	"targets only":   `{"targets":[1]}`,
-}
-
-// refDecode is DecodeBody before the fast path: encoding/json straight
-// off the capped request body.
-func refDecode(l Limits, w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, l.MaxBody)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", tooBig.Limit)
-		} else {
-			WriteError(w, http.StatusBadRequest, "bad JSON body: %v", err)
-		}
-		return false
-	}
-	return true
 }
 
 // TestParseBatchMatchesEncodingJSON drives ParseBatch through httptest
 // with every fallback class, the accepted shapes and oversized bodies,
 // and checks each answer, status and body byte for byte, and each
-// decoded request against encoding/json's decode of the same request.
+// decoded request, against DecodeBody's streaming encoding/json decode
+// of the same request followed by the same checks.
 func TestParseBatchMatchesEncodingJSON(t *testing.T) {
 	l := Limits{MaxBatch: 1024, MaxBody: 1 << 14}
 	cases := map[string]string{"perfbench": string(perfbenchBody())}
@@ -119,7 +107,7 @@ func TestParseBatchMatchesEncodingJSON(t *testing.T) {
 			}
 			want, got := httptest.NewRecorder(), httptest.NewRecorder()
 			var wantReq BatchRequest
-			wantOK := refDecode(l, want, newReq(), &wantReq) && l.checkBatch(want, &wantReq)
+			wantOK := l.DecodeBody(want, newReq(), &wantReq) && l.checkBatch(want, &wantReq)
 			gotReq, gotOK := l.ParseBatch(got, newReq())
 			if gotOK != wantOK || got.Code != want.Code || got.Body.String() != want.Body.String() {
 				t.Errorf("%s (chunked %v): got %v %d %q, want %v %d %q", name, chunked,
@@ -135,20 +123,38 @@ func TestParseBatchMatchesEncodingJSON(t *testing.T) {
 // TestScannerClasses pins which side of the fork each class takes.
 func TestScannerClasses(t *testing.T) {
 	for name, body := range fallbackBodies {
-		var req BatchRequest
-		if scanBatchRequest([]byte(body), &req) {
+		if _, ok := scanBatchRequest([]byte(body)); ok {
 			t.Errorf("%s: the scanner accepted %q", name, body)
 		}
 	}
 	for name, body := range acceptedBodies {
-		var req BatchRequest
-		if !scanBatchRequest([]byte(body), &req) {
+		if _, ok := scanBatchRequest([]byte(body)); !ok {
 			t.Errorf("%s: the scanner declined %q", name, body)
 		}
 	}
-	var req BatchRequest
-	if !scanBatchRequest(perfbenchBody(), &req) || len(req.Targets) != 1024 || *req.Source != 17 {
+	if req, ok := scanBatchRequest(perfbenchBody()); !ok || len(req.Targets) != 1024 || *req.Source != 17 {
 		t.Errorf("perfbench body: scanned %d targets", len(req.Targets))
+	}
+	resp := appendBatchResponse(nil, []int64{3, -1, 1<<63 - 1})
+	if _, ok := scanBatchResponse(resp); !ok {
+		t.Errorf("the response scanner declined WriteBatch's own %q", resp)
+	}
+}
+
+// TestReadBodyFirstAllocation: a declared Content-Length buys at most
+// firstRead bytes before any arrive; the buffer grows as they do.
+func TestReadBodyFirstAllocation(t *testing.T) {
+	l := Limits{MaxBatch: 1024, MaxBody: 1 << 20}
+	for _, n := range []int{2, firstRead + 5000} {
+		r := httptest.NewRequest(http.MethodPost, "/batch", strings.NewReader(strings.Repeat(" ", n)))
+		r.ContentLength = l.MaxBody
+		b, err := l.readBody(r)
+		if err != nil || len(b) != n {
+			t.Fatalf("read %d of %d bytes, err %v", len(b), n, err)
+		}
+		if n < firstRead && cap(b) != firstRead+1 {
+			t.Errorf("first allocation %d bytes for a declared %d, want %d", cap(b), l.MaxBody, firstRead+1)
+		}
 	}
 }
 
@@ -166,6 +172,8 @@ func TestDecodeBatchResponse(t *testing.T) {
 		`{"count":1,"distances":[1]} trailing`,
 		`{"count":1,"count":2,"distances":[1]}`,
 		`{"count":1,"distances":[1],"extra":true}`,
+		`{"count": 2, "distances": [1, 2]}`,
+		`{"count":1,"distances":[1]}`,
 		`not json`,
 	} {
 		got, gotErr := DecodeBatchResponse([]byte(body))
@@ -265,9 +273,9 @@ func FuzzBatchFastPath(f *testing.F) {
 	}
 	f.Add([]byte("{\"count\":3,\"distances\":[1,-1,255]}\n"))
 	f.Add([]byte(`{"distances": [0, 9223372036854775807], "count": 2}`))
+	f.Add([]byte(`{"count":2,"distances":[0,-9223372036854775808]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var got BatchRequest
-		if scanBatchRequest(body, &got) {
+		if got, ok := scanBatchRequest(body); ok {
 			var want BatchRequest
 			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&want); err != nil {
 				t.Fatalf("scanner accepted %q, encoding/json rejects it: %v", body, err)

@@ -16,9 +16,9 @@
 // of the same keys would send the same bytes.
 //
 // The hot /batch shapes skip reflection in both directions (fast.go):
-// a strict scanner that declines anything encoding/json might decode
-// differently, with encoding/json on the same bytes as the fallback,
-// and append-style writers of encoding/json's exact bytes.
+// a strict scanner for the compact forms the serving traffic sends,
+// with encoding/json on the same bytes for every other body, and
+// append-style writers of encoding/json's exact bytes.
 package wire
 
 import (
@@ -79,22 +79,15 @@ type Limits struct {
 // when it is oversized and 400 when it is malformed. A hostile
 // Content-Length or an endless stream can therefore never force an
 // unbounded read or allocation.
-//
-// A *BatchRequest the strict scanner accepts (fast.go) is decoded
-// without reflection. Every other body, and any read that failed, goes
-// to json.NewDecoder over the bytes read followed by the read's error:
-// the byte stream, and so every verdict and message, of decoding the
-// request body directly.
 func (l Limits) DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, l.MaxBody)
-	body, readErr := l.readBody(r)
-	if req, ok := v.(*BatchRequest); ok && readErr == nil && scanBatchRequest(body, req) {
-		return true
-	}
-	src := io.Reader(bytes.NewReader(body))
-	if readErr != nil {
-		src = io.MultiReader(src, errReader{readErr})
-	}
+	return decodeJSON(w, r.Body, v)
+}
+
+// decodeJSON decodes one JSON value from src into v, answering 413 when
+// src failed with *http.MaxBytesError and 400 when the value is
+// malformed.
+func decodeJSON(w http.ResponseWriter, src io.Reader, v any) bool {
 	if err := json.NewDecoder(src).Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -107,14 +100,19 @@ func (l Limits) DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// readBody reads the whole capped body into one buffer sized from
-// Content-Length, capped at MaxBody: a hostile header can never force
-// more than MaxBody+1 bytes. It returns the bytes read and the read's
-// error, io.EOF excepted.
+// firstRead caps readBody's first allocation: enough for a 1,024-target
+// /batch body in one buffer, small next to MaxBody.
+const firstRead = 64 << 10
+
+// readBody reads the whole capped body into one buffer. The buffer
+// starts at Content-Length, capped at MaxBody and firstRead, and grows
+// only as bytes arrive, so a client that declares a large body and
+// stalls pins at most firstRead+1 bytes. It returns the bytes read and
+// the read's error, io.EOF excepted.
 func (l Limits) readBody(r *http.Request) ([]byte, error) {
 	size := int64(512) // io.ReadAll's first guess, for an unknown length
 	if r.ContentLength >= 0 {
-		size = min(r.ContentLength, l.MaxBody) + 1 // +1 so EOF needs no growth
+		size = min(r.ContentLength, l.MaxBody, firstRead) + 1 // +1 so EOF needs no growth
 	}
 	b := make([]byte, 0, size)
 	for {
@@ -309,9 +307,28 @@ func (b *BatchRequest) Len() int { return len(b.Pairs) + len(b.Targets) }
 // ParseBatch decodes a /batch body, which must hold exactly one of the
 // two forms, and answers 413 when it asks for more than MaxBatch
 // distances.
+//
+// It reads the capped body whole. A body the strict scanner accepts
+// (fast.go) is decoded without reflection; any other, and any read that
+// failed, goes to encoding/json over the bytes read followed by the
+// read's error: the byte stream DecodeBody decodes, and so its every
+// verdict and message.
 func (l Limits) ParseBatch(w http.ResponseWriter, r *http.Request) (req BatchRequest, ok bool) {
-	ok = l.DecodeBody(w, r, &req) && l.checkBatch(w, &req)
-	return req, ok
+	r.Body = http.MaxBytesReader(w, r.Body, l.MaxBody)
+	body, err := l.readBody(r)
+	if err == nil {
+		if req, ok = scanBatchRequest(body); ok {
+			return req, l.checkBatch(w, &req)
+		}
+	}
+	src := io.Reader(bytes.NewReader(body))
+	if err != nil {
+		src = io.MultiReader(src, errReader{err})
+	}
+	if !decodeJSON(w, src, &req) {
+		return req, false
+	}
+	return req, l.checkBatch(w, &req)
 }
 
 // checkBatch answers the 4xx of a decoded /batch body that is not
