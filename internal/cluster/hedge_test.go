@@ -157,7 +157,9 @@ func TestHedgeOvertakesSlowPrimaryAndCancelsLoser(t *testing.T) {
 
 // TestHedgeDelayIgnoresScatterLatency: only point lookups hedge, so
 // only their attempts may set the adaptive hedge delay. Three slow /knn
-// scatters after 100 fast lookups must leave it near the lookups' p99.
+// scatters after 100 lookups must leave the backend's latency ring
+// (samples, fill and write position) and the hedge delay exactly as
+// the lookups left them.
 func TestHedgeDelayIgnoresScatterLatency(t *testing.T) {
 	const scatterDelay = 40 * time.Millisecond
 	fb := startFake(t, &fakeBackend{name: "only", knnDelay: scatterDelay}, "ff")
@@ -167,13 +169,27 @@ func TestHedgeDelayIgnoresScatterLatency(t *testing.T) {
 			t.Fatalf("lookup %d: status %d (%s)", i, st, body)
 		}
 	}
+	type ringState struct {
+		buf     [latencyWindow]time.Duration
+		n, next int
+	}
+	ring := func() ringState {
+		lr := &c.backends[0].lat
+		lr.mu.Lock()
+		defer lr.mu.Unlock()
+		return ringState{lr.buf, lr.n, lr.next}
+	}
+	before, delay := ring(), c.hedgeDelay(c.backends[0])
 	for i := 0; i < 3; i++ {
 		if st, _, body := do(t, http.MethodGet, coord.URL+"/knn?s=0&k=1", ""); st != http.StatusOK {
 			t.Fatalf("scatter %d: status %d (%s)", i, st, body)
 		}
 	}
-	if d := c.hedgeDelay(c.backends[0]); d >= 5*time.Millisecond {
-		t.Fatalf("hedge delay %v after three %v scatters, want under 5ms", d, scatterDelay)
+	if after := ring(); after != before {
+		t.Fatalf("three %v scatters changed the latency ring: n %d→%d, next %d→%d", scatterDelay, before.n, after.n, before.next, after.next)
+	}
+	if d := c.hedgeDelay(c.backends[0]); d != delay {
+		t.Fatalf("hedge delay %v after three %v scatters, want %v as the lookups left it", d, scatterDelay, delay)
 	}
 }
 

@@ -159,36 +159,37 @@ func (st *store[D]) DistanceFrom(s int32, targets []int32, dst []int64, p *trace
 	return dst
 }
 
-// DistanceFrom answers a single-source batch over the current labels
-// (-1 unreachable), profiled like the static indexes' DistanceFrom.
-// Like every DynamicIndex read it may run under a ConcurrentOracle read
-// lock concurrently with other reads, so the scratch is pooled rather
-// than owned.
+// DistanceFrom answers a single-source batch over one published version
+// of the labels (-1 unreachable), profiled like the static indexes'
+// DistanceFrom. Readers run concurrently with each other and with
+// InsertEdges, so the scratch is pooled rather than owned.
 func (di *DynamicIndex) DistanceFrom(s int32, targets []int32, dst []int64, p *trace.QueryProfile) []int64 {
 	var start time.Time
 	if p != nil {
 		start = time.Now()
 	}
+	vw := di.view.Load()
 	dst = ensureI64(dst, len(targets))
 	if len(targets) > 0 {
-		rs := di.rank[s]
 		sc := getSourceScratch[uint8](&di.batchPool, di.n)
-		sc.load(di.lab.v[rs], di.lab.d[rs])
+		sc.load(vw.row(di.rank[s]))
 		for k, tv := range targets {
 			if tv == s {
 				dst[k] = 0
 				continue
 			}
-			rt := di.rank[tv]
-			dst[k] = orUnreachable(sc.probe(di.lab.v[rt], di.lab.d[rt], unreached))
+			hubs, dists := vw.row(di.rank[tv])
+			dst[k] = orUnreachable(sc.probe(hubs, dists, unreached))
 		}
 		sc.release(&di.batchPool)
 	}
 	if p != nil {
 		elapsed := time.Since(start)
-		entries := int64(len(di.lab.v[di.rank[s]]))
+		hubs, _ := vw.row(di.rank[s])
+		entries := int64(len(hubs))
 		for _, t := range targets {
-			entries += int64(len(di.lab.v[di.rank[t]]))
+			hubs, _ = vw.row(di.rank[t])
+			entries += int64(len(hubs))
 		}
 		p.AddMerge(entries, elapsed)
 	}

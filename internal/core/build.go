@@ -133,18 +133,11 @@ type growing[D dist] struct {
 	d [][]D
 	p [][]int32 // nil unless storing paths
 
-	// A dynamic index sets logging, so add records every change it makes
-	// and a failed insert can be undone (rollback). Builds never log.
-	logging bool
-	log     []labelEdit[D]
-}
-
-// labelEdit is one logged change to u's label: entry i was inserted, or
-// its distance lowered from old.
-type labelEdit[D dist] struct {
-	u, i     int32
-	old      D
-	inserted bool
+	// A dynamic index sets own, so add copies row u before its first
+	// change since the last publish (touched lists those rows) and a
+	// published labelView never sees a write. Builds leave own nil.
+	own     []bool
+	touched []int32
 }
 
 func newGrowing[D dist](n int, paths bool) *growing[D] {
@@ -162,13 +155,14 @@ func newGrowing[D dist](n int, paths bool) *growing[D] {
 // place, or lowers the existing entry for hub (which the prune test
 // guarantees is above d).
 func (g *growing[D]) add(u, hub int32, d D, par []int32) {
+	if g.own != nil && !g.own[u] {
+		g.copyRow(u)
+	}
 	lv := g.v[u]
-	e := labelEdit[D]{u: u, i: int32(len(lv)), inserted: true}
 	if n := len(lv); n > 0 && lv[n-1] >= hub {
 		i, found := slices.BinarySearch(lv, hub)
-		e.i, e.inserted = int32(i), !found
 		if found {
-			e.old, g.d[u][i] = g.d[u][i], d
+			g.d[u][i] = d
 		} else {
 			g.v[u] = slices.Insert(lv, i, hub)
 			g.d[u] = slices.Insert(g.d[u], i, d)
@@ -180,23 +174,17 @@ func (g *growing[D]) add(u, hub int32, d D, par []int32) {
 			g.p[u] = append(g.p[u], par[u])
 		}
 	}
-	if g.logging {
-		g.log = append(g.log, e)
-	}
 }
 
-// rollback undoes the logged changes, newest first, and empties the log.
-func (g *growing[D]) rollback() {
-	for k := len(g.log) - 1; k >= 0; k-- {
-		e := g.log[k]
-		if e.inserted {
-			g.v[e.u] = slices.Delete(g.v[e.u], int(e.i), int(e.i)+1)
-			g.d[e.u] = slices.Delete(g.d[e.u], int(e.i), int(e.i)+1)
-		} else {
-			g.d[e.u][e.i] = e.old
-		}
-	}
-	g.log = g.log[:0]
+// copyRow gives the writer its own copy of row u, with room for a few
+// more entries, and marks it touched. Dynamic labels store no parents.
+func (g *growing[D]) copyRow(u int32) {
+	n := len(g.v[u])
+	c := n + n/8 + 4
+	g.v[u] = append(make([]int32, 0, c), g.v[u]...)
+	g.d[u] = append(make([]D, 0, c), g.d[u]...)
+	g.own[u] = true
+	g.touched = append(g.touched, u)
 }
 
 // sweep is one pruned search direction: the arcs it follows, the label

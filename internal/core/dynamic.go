@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pll/internal/graph"
@@ -22,22 +23,117 @@ import (
 // After updates the index remains a correct 2-hop cover; it may lose
 // minimality (stale over-estimates are kept but never win a merge join).
 //
+// A DynamicIndex is safe for concurrent use. Readers load the published
+// labelView once per call and never lock; writers serialize on mu, and
+// each InsertEdges call publishes its whole batch with one atomic store.
+//
 // Bit-parallel labels are not used: they cannot be patched incrementally.
 type DynamicIndex struct {
 	n    int
 	perm []int32
 	rank []int32
 
-	// adjacency by rank, growable.
-	adj [][]int32
+	// view is the published version of the labels: labels by rank,
+	// sorted by hub rank ascending.
+	view atomic.Pointer[labelView[uint8]]
 
-	// b is the builder that built the labels. Inserts resume its pruned
-	// BFS along its one sweep, which follows adj; lab is that sweep's
-	// label family: labels by rank, sorted by hub rank ascending.
+	// mu serializes writers and guards their state. adj is the
+	// adjacency by rank, growable. b is the builder that built the
+	// labels: inserts resume its pruned BFS along its one sweep, which
+	// follows adj. lab is that sweep's label family, the writer's rows:
+	// the published ones, except those copied since the last publish.
+	mu  sync.Mutex
+	adj [][]int32
 	b   *builder[uint8]
 	lab *growing[uint8]
 
 	batchPool sync.Pool // recycles *sourceScratch[uint8] for DistanceFrom
+}
+
+// A labelView is one published version of a dynamic index's labels, by
+// rank, in chunks of chunkRows rows. Nothing writes a view once it is
+// published, so readers read it as plain memory; the writer builds the
+// next version from its own row copies (growing.publish), sharing every
+// chunk that holds no changed row.
+type labelView[D dist] struct {
+	chunks []*labelChunk[D]
+}
+
+// chunkRows is the number of rows in a labelChunk, the unit a publish
+// copies around each changed row. A publish copies n/chunkRows chunk
+// pointers plus chunkRows row headers per changed chunk; on perfbench's
+// graph (n=25,000, about 25 rows changed per insert) 16 rows left the
+// least garbage per insert, against 8 and 32.
+const (
+	chunkShift = 4
+	chunkRows  = 1 << chunkShift
+)
+
+type labelChunk[D dist] struct {
+	v [chunkRows][]int32
+	d [chunkRows][]D
+}
+
+// viewOf publishes the rows v, d whole. Each chunk is its own
+// allocation, so a replaced chunk and the rows only it holds are freed
+// on their own.
+func viewOf[D dist](v [][]int32, d [][]D) *labelView[D] {
+	vw := &labelView[D]{chunks: make([]*labelChunk[D], (len(v)+chunkRows-1)>>chunkShift)}
+	for k := range vw.chunks {
+		vw.chunks[k] = new(labelChunk[D])
+		vw.chunks[k].fill(v, d, k)
+	}
+	return vw
+}
+
+// fill sets the chunk to rows k·chunkRows onwards of v, d.
+func (c *labelChunk[D]) fill(v [][]int32, d [][]D, k int) {
+	copy(c.v[:], v[k<<chunkShift:])
+	copy(c.d[:], d[k<<chunkShift:])
+}
+
+// row returns rank r's hubs and distances in this version.
+func (vw *labelView[D]) row(r int32) ([]int32, []D) {
+	c := vw.chunks[r>>chunkShift]
+	return c.v[r&(chunkRows-1)], c.d[r&(chunkRows-1)]
+}
+
+// rows returns this version's first n rows as flat headers.
+func (vw *labelView[D]) rows(n int) ([][]int32, [][]D) {
+	v := make([][]int32, 0, len(vw.chunks)*chunkRows)
+	d := make([][]D, 0, cap(v))
+	for _, c := range vw.chunks {
+		v, d = append(v, c.v[:]...), append(d, c.d[:]...)
+	}
+	return v[:n], d[:n]
+}
+
+// publish returns the version that follows vw with the writer's changes
+// since vw, and hands the changed rows to it: a later change copies them
+// again. A chunk is copied once, from the writer's headers, which match
+// vw for every row the writer did not change.
+func (g *growing[D]) publish(vw *labelView[D]) *labelView[D] {
+	next := &labelView[D]{chunks: slices.Clone(vw.chunks)}
+	for _, u := range g.touched {
+		if k := u >> chunkShift; next.chunks[k] == vw.chunks[k] {
+			c := new(labelChunk[D])
+			c.fill(g.v, g.d, int(k))
+			next.chunks[k] = c
+		}
+		g.own[u] = false
+	}
+	g.touched = g.touched[:0]
+	return next
+}
+
+// discard drops the writer's changes since vw: each changed row goes
+// back to its version in vw, which never saw the change.
+func (g *growing[D]) discard(vw *labelView[D]) {
+	for _, u := range g.touched {
+		g.v[u], g.d[u] = vw.row(u)
+		g.own[u] = false
+	}
+	g.touched = g.touched[:0]
 }
 
 // BuildDynamic constructs a dynamic index. Options follow Build except
@@ -55,8 +151,8 @@ func BuildDynamic(g *graph.Graph, opt Options) (*DynamicIndex, error) {
 	}
 	// The initial build is the shared pruned labeling (batch-parallel,
 	// byte-identical to sequential). The builder stays with the index:
-	// inserts resume its sequential bfs over the growable adjacency, with
-	// label changes logged so a failed insert can be rolled back.
+	// inserts resume its sequential bfs over the growable adjacency, on
+	// copies of the rows they change.
 	n := len(perm)
 	lab := newGrowing[uint8](n, false)
 	b := newBuilder(opt, nil, sweep[uint8]{h.Neighbors, lab, lab})
@@ -76,7 +172,8 @@ func BuildDynamic(g *graph.Graph, opt Options) (*DynamicIndex, error) {
 		di.adj[v] = append([]int32(nil), h.Neighbors(v)...)
 	}
 	b.sweeps[0].next = func(u int32) []int32 { return di.adj[u] }
-	lab.logging = true
+	lab.own = make([]bool, n)
+	di.view.Store(viewOf(lab.v, lab.d))
 	return di, nil
 }
 
@@ -85,30 +182,36 @@ func (di *DynamicIndex) NumVertices() int { return di.n }
 
 // Query returns the exact s-t distance under all edges inserted so far,
 // or Unreachable.
-func (di *DynamicIndex) Query(s, t int32) int {
-	if s == t {
-		return 0
-	}
-	return di.queryRank(di.rank[s], di.rank[t])
-}
+func (di *DynamicIndex) Query(s, t int32) int { return di.query(di.view.Load(), s, t) }
 
 // Distance is Query in the Oracle convention (int64). A non-nil
 // profile records the merge: its duration and both labels' entries.
 func (di *DynamicIndex) Distance(s, t int32, p *trace.QueryProfile) int64 {
+	vw := di.view.Load()
 	if p == nil {
-		return int64(di.Query(s, t))
+		return int64(di.query(vw, s, t))
 	}
 	start := time.Now()
-	d := di.Query(s, t)
+	d := di.query(vw, s, t)
 	elapsed := time.Since(start)
-	p.AddMerge(int64(len(di.lab.v[di.rank[s]])+len(di.lab.v[di.rank[t]])), elapsed)
+	sv, _ := vw.row(di.rank[s])
+	tv, _ := vw.row(di.rank[t])
+	p.AddMerge(int64(len(sv)+len(tv)), elapsed)
 	return int64(d)
 }
 
-func (di *DynamicIndex) queryRank(rs, rt int32) int {
+// query answers s-t in version vw.
+func (di *DynamicIndex) query(vw *labelView[uint8], s, t int32) int {
+	if s == t {
+		return 0
+	}
+	return queryRank(vw, di.rank[s], di.rank[t])
+}
+
+func queryRank(vw *labelView[uint8], rs, rt int32) int {
 	best := infQuery
-	av, ad := di.lab.v[rs], di.lab.d[rs]
-	bv, bd := di.lab.v[rt], di.lab.d[rt]
+	av, ad := vw.row(rs)
+	bv, bd := vw.row(rt)
 	i, j := 0, 0
 	for i < len(av) && j < len(bv) {
 		switch {
@@ -142,13 +245,17 @@ func (di *DynamicIndex) InsertEdge(a, b int32) (updated int, err error) {
 // entries added or decreased. The batch applies whole or not at all: an
 // edge out of range changes nothing, and an insert that fails
 // (ErrDiameterTooLarge) restores every label the batch touched and
-// drops every edge it added.
+// drops every edge it added. Readers see the batch whole or not at all:
+// its changes go to copied rows, published in one atomic store at the
+// end. Concurrent calls run one at a time.
 func (di *DynamicIndex) InsertEdges(edges []graph.Edge) (updated int, err error) {
 	for _, e := range edges {
 		if e.U < 0 || int(e.U) >= di.n || e.V < 0 || int(e.V) >= di.n {
 			return 0, fmt.Errorf("core: edge (%d,%d) out of range [0,%d)", e.U, e.V, di.n)
 		}
 	}
+	di.mu.Lock()
+	defer di.mu.Unlock()
 	var added [][2]int32 // the new edges, by rank
 	for _, e := range edges {
 		ra, rb := di.rank[e.U], di.rank[e.V]
@@ -167,21 +274,24 @@ func (di *DynamicIndex) InsertEdges(edges []graph.Edge) (updated int, err error)
 		}
 		updated += n
 	}
+	vw := di.view.Load()
 	if err != nil {
-		di.lab.rollback()
+		di.lab.discard(vw)
 		for _, e := range added {
 			di.adj[e[0]] = removeSorted(di.adj[e[0]], e[1])
 			di.adj[e[1]] = removeSorted(di.adj[e[1]], e[0])
 		}
 		return 0, err
 	}
-	di.lab.log = di.lab.log[:0]
+	if len(di.lab.touched) > 0 {
+		di.view.Store(di.lab.publish(vw))
+	}
 	return updated, nil
 }
 
 // repair resumes the pruned BFS of every hub of both endpoints of the
 // new edge {ra, rb}, in rank order, entered at the other endpoint one
-// hop past the hub. Its label changes are logged for rollback.
+// hop past the hub. It changes only the writer's copies of the rows.
 func (di *DynamicIndex) repair(ra, rb int32) (updated int, err error) {
 	type seedEntry struct {
 		root  int32
@@ -189,14 +299,14 @@ func (di *DynamicIndex) repair(ra, rb int32) (updated int, err error) {
 		d     int
 	}
 	lab := di.lab
-	var seeds []seedEntry
+	seeds := make([]seedEntry, 0, len(lab.v[ra])+len(lab.v[rb]))
 	for i, r := range lab.v[ra] {
 		seeds = append(seeds, seedEntry{root: r, start: rb, d: int(lab.d[ra][i]) + 1})
 	}
 	for i, r := range lab.v[rb] {
 		seeds = append(seeds, seedEntry{root: r, start: ra, d: int(lab.d[rb][i]) + 1})
 	}
-	sort.SliceStable(seeds, func(i, j int) bool { return seeds[i].root < seeds[j].root })
+	slices.SortStableFunc(seeds, func(x, y seedEntry) int { return cmp.Compare(x.root, y.root) })
 	for _, s := range seeds {
 		if s.d > MaxDist {
 			return updated, ErrDiameterTooLarge
@@ -210,11 +320,13 @@ func (di *DynamicIndex) repair(ra, rb int32) (updated int, err error) {
 	return updated, nil
 }
 
-// ComputeStats scans the dynamic index and returns summary statistics.
+// ComputeStats scans one published version of the dynamic index and
+// returns summary statistics.
 func (di *DynamicIndex) ComputeStats() Stats {
 	st := Stats{Variant: VariantDynamic, NumVertices: di.n}
+	v, _ := di.view.Load().rows(di.n)
 	sizes := make([]int, di.n)
-	for r, l := range di.lab.v {
+	for r, l := range v {
 		sizes[r] = len(l)
 		st.TotalLabelEntries += int64(len(l))
 		if len(l) > st.MaxLabelSize {
@@ -225,21 +337,22 @@ func (di *DynamicIndex) ComputeStats() Stats {
 		st.AvgLabelSize = float64(st.TotalLabelEntries) / float64(di.n)
 	}
 	insertionSortQuantiles(sizes, &st.LabelSizeQuantiles)
-	applyHubStats(&st, di.n, di.lab.v...)
+	applyHubStats(&st, di.n, v...)
 	st.NormalLabelBytes = st.TotalLabelEntries * 5 // int32 hub + uint8 dist per entry
 	st.IndexBytes = st.NormalLabelBytes + int64(len(di.perm))*8
 	return st
 }
 
-// Freeze snapshots the dynamic index into a static Index (flattened,
-// sentinel-terminated label arrays; no bit-parallel labels). The
-// snapshot answers the same queries and can be serialized, memory-mapped
-// and verified like any statically built index; further InsertEdge
-// calls on the dynamic index do not affect it.
+// Freeze snapshots one published version of the dynamic index into a
+// static Index (flattened, sentinel-terminated label arrays; no
+// bit-parallel labels). The snapshot answers the same queries and can be
+// serialized, memory-mapped and verified like any statically built
+// index; further InsertEdge calls on the dynamic index do not affect it.
 func (di *DynamicIndex) Freeze() *Index {
 	ix := &Index{}
 	ix.setOrder(VariantDynamic, di.perm)
-	ix.out = flatten(di.lab.v, di.lab.d, nil)
+	v, d := di.view.Load().rows(di.n)
+	ix.out = flatten(v, d, nil)
 	ix.in = ix.out
 	return ix
 }

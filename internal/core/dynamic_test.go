@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -214,36 +215,83 @@ func TestDynamicInsertEdgesAllOrNothing(t *testing.T) {
 	assertDynamicExact(t, after, di)
 }
 
-// TestLabelRollback drives growing.add the way resumed searches do —
-// appends, entries inserted in place and entries lowered, several per
-// row — and checks that rollback restores every row exactly.
-func TestLabelRollback(t *testing.T) {
+// TestPublishedRowsNeverWritten drives growing.add the way resumed
+// searches do — appends, entries inserted in place and entries lowered,
+// several per row — on a copy-on-write family. Every row a published
+// view holds must stay as it was. A publish must show exactly what the
+// same adds give without copy-on-write, copying only the chunks of
+// changed rows, and a discard must restore the writer's rows to the
+// view's exactly.
+func TestPublishedRowsNeverWritten(t *testing.T) {
 	r := rng.New(5)
-	const n = 8
+	const n = 2*chunkRows + 5 // the last chunk is partial
+	clone := func(vw *labelView[uint8]) ([][]int32, [][]uint8) {
+		v, d := vw.rows(n)
+		cv, cd := make([][]int32, n), make([][]uint8, n)
+		for u := range v {
+			cv[u], cd[u] = slices.Clone(v[u]), slices.Clone(d[u])
+		}
+		return cv, cd
+	}
+	sameRows := func(vw *labelView[uint8], wantV [][]int32, wantD [][]uint8) bool {
+		for u := range wantV {
+			v, d := vw.row(int32(u))
+			if !slices.Equal(v, wantV[u]) || !slices.Equal(d, wantD[u]) {
+				return false
+			}
+		}
+		return true
+	}
 	for trial := 0; trial < 50; trial++ {
-		g := newGrowing[uint8](n, false)
+		g, model := newGrowing[uint8](n, false), newGrowing[uint8](n, false)
 		for u := int32(0); u < n; u++ {
 			for hub := int32(0); hub < 40; hub += 1 + r.Int31n(4) {
-				g.add(u, hub, uint8(10+r.Intn(40)), nil)
+				d := uint8(10 + r.Intn(40))
+				g.add(u, hub, d, nil)
+				model.add(u, hub, d, nil)
 			}
 		}
-		wantV, wantD := make([][]int32, n), make([][]uint8, n)
-		for u := range wantV {
-			wantV[u] = append([]int32(nil), g.v[u]...)
-			wantD[u] = append([]uint8(nil), g.d[u]...)
-		}
-		g.logging = true
-		for k := 0; k < 60; k++ {
-			g.add(r.Int31n(n), r.Int31n(48), uint8(r.Intn(10)), nil)
-		}
-		g.rollback()
-		for u := range wantV {
-			if !slices.Equal(g.v[u], wantV[u]) || !slices.Equal(g.d[u], wantD[u]) {
-				t.Fatalf("trial %d: row %d after rollback = %v %v, want %v %v", trial, u, g.v[u], g.d[u], wantV[u], wantD[u])
+		g.own = make([]bool, n)
+		vw := viewOf(g.v, g.d)
+		for round := 0; round < 3; round++ {
+			wantV, wantD := clone(vw)
+			for k := 0; k < 12; k++ {
+				u, hub, d := r.Int31n(n), r.Int31n(48), uint8(r.Intn(10))
+				g.add(u, hub, d, nil)
+				model.add(u, hub, d, nil)
 			}
-		}
-		if len(g.log) != 0 {
-			t.Fatalf("trial %d: %d log entries left after rollback", trial, len(g.log))
+			if !sameRows(vw, wantV, wantD) {
+				t.Fatalf("trial %d round %d: adds wrote a published row", trial, round)
+			}
+			if round == 2 && trial%2 == 0 {
+				g.discard(vw)
+				for u := range wantV {
+					if !slices.Equal(g.v[u], wantV[u]) || !slices.Equal(g.d[u], wantD[u]) {
+						t.Fatalf("trial %d: row %d after discard = %v %v, want %v %v", trial, u, g.v[u], g.d[u], wantV[u], wantD[u])
+					}
+				}
+				if len(g.touched) != 0 || slices.Contains(g.own, true) {
+					t.Fatalf("trial %d: discard left %d rows touched", trial, len(g.touched))
+				}
+				break
+			}
+			changed := make(map[int32]bool)
+			for _, u := range g.touched {
+				changed[u>>chunkShift] = true
+			}
+			next := g.publish(vw)
+			if !sameRows(vw, wantV, wantD) {
+				t.Fatalf("trial %d round %d: publish wrote a published row", trial, round)
+			}
+			if !sameRows(next, model.v, model.d) {
+				t.Fatalf("trial %d round %d: published rows differ from the same adds made in place", trial, round)
+			}
+			for k := range next.chunks {
+				if shared := next.chunks[k] == vw.chunks[k]; shared == changed[int32(k)] {
+					t.Fatalf("trial %d round %d: chunk %d shared=%v, changed=%v", trial, round, k, shared, changed[int32(k)])
+				}
+			}
+			vw = next
 		}
 	}
 }
@@ -368,21 +416,34 @@ func TestDynamicAvgLabelSizeGrowsModestly(t *testing.T) {
 	}
 }
 
+// BenchmarkDynamicInsertEdge times one InsertEdge of a random edge, with
+// its allocations: on a small BA graph, and on perfbench's graph (BA
+// n=25,000, m=5, its graph seed), where the per-insert garbage of label
+// repair shows as B/op. Inserts accumulate, so fix -benchtime to a count
+// (e.g. 1500x) when comparing runs.
 func BenchmarkDynamicInsertEdge(b *testing.B) {
-	g := gen.BarabasiAlbert(5000, 4, 1)
-	di, err := BuildDynamic(g, Options{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a, c := r.Int31n(5000), r.Int31n(5000)
-		if a == c {
-			continue
-		}
-		if _, err := di.InsertEdge(a, c); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		n, m int
+		seed uint64
+	}{{5000, 4, 1}, {25000, 5, 20130622}} {
+		b.Run(fmt.Sprintf("BA-n%d-m%d", c.n, c.m), func(b *testing.B) {
+			g := gen.BarabasiAlbert(c.n, c.m, c.seed)
+			di, err := BuildDynamic(g, Options{Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := rng.New(3)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u, v := r.Int31n(int32(c.n)), r.Int31n(int32(c.n))
+				if u == v {
+					continue
+				}
+				if _, err := di.InsertEdge(u, v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -40,8 +40,7 @@ func (s *Server) searchView(w http.ResponseWriter, src int32, f func(sr pll.Sear
 		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 	case errors.Is(err, pll.ErrNoSearch):
 		// Deliberately no Stats() call here: naming the variant would
-		// scan the whole index under the dynamic read lock on every
-		// rejected request.
+		// scan the whole dynamic index on every rejected request.
 		wire.WriteError(w, http.StatusConflict, "served index does not support search queries (a live dynamic index cannot be inverted; serve a frozen snapshot)")
 	default:
 		wire.WriteError(w, http.StatusBadRequest, "%v", err)

@@ -458,11 +458,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	for i, e := range req.Edges {
 		edges[i] = pll.Edge{U: e[0], V: e[1]}
 	}
-	// Validate and insert the whole batch under one write-locked Update,
-	// so the bounds check, every insert, and nothing else all see the
-	// same oracle even if a hot-reload swaps it mid-request, and readers
-	// never observe a half-applied batch. InsertEdges applies every edge
-	// or none, so an error means no edge took effect.
+	// Validate and insert the whole batch in one Update, so the bounds
+	// check and the insert see the same oracle even if a hot-reload swaps
+	// it mid-request. InsertEdges applies every edge or none, so an error
+	// means no edge took effect, and publishes the batch in one atomic
+	// store: readers, which never wait for it, see all of its edges or
+	// none.
 	labelDelta := 0
 	badEdge := false
 	err := s.oracle.Update(func(di *pll.DynamicIndex) error {

@@ -45,8 +45,8 @@ type Closer interface {
 }
 
 // DistanceFrom answers a single-source batch over the current labels.
-// Like every DynamicIndex read it needs external synchronization
-// against InsertEdge (or a ConcurrentOracle wrapper).
+// The whole batch reads one published version, so a concurrent
+// InsertEdge never splits it; no lock is taken.
 func (d *DynamicIndex) DistanceFrom(s int32, targets []int32, dst []int64) []int64 {
 	return d.di.DistanceFrom(s, targets, dst, nil)
 }

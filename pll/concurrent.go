@@ -3,7 +3,6 @@ package pll
 import (
 	"errors"
 	"io"
-	"sync"
 	"sync/atomic"
 )
 
@@ -11,17 +10,16 @@ import (
 // wrapped oracle is a frozen/static variant.
 var ErrNotDynamic = errors.New("pll: oracle is not a dynamic index")
 
-// ConcurrentOracle makes any Oracle safe for concurrent use and
-// atomically replaceable, which is what a long-lived query server
-// needs:
+// ConcurrentOracle makes any Oracle atomically replaceable, which is
+// what a long-lived query server needs:
 //
-//   - Static variants (*Index, *DirectedIndex, *WeightedIndex and
-//     frozen dynamic snapshots) are immutable, so reads go straight
-//     through a single atomic pointer load — no lock, no contention,
-//     same per-query cost as calling the index directly.
-//   - A wrapped *DynamicIndex additionally gets an RWMutex: Distance
-//     and friends take the read lock, InsertEdge takes the write lock,
-//     so online updates interleave safely with queries.
+//   - Every read goes through a single atomic pointer load: no lock, no
+//     contention, the same per-query cost as calling the index directly.
+//     The static variants (*Index, *DirectedIndex, *WeightedIndex and
+//     frozen dynamic snapshots) are immutable. A *DynamicIndex is safe
+//     for concurrent use on its own: each read sees one published
+//     version of its labels, and each InsertEdge or InsertEdges call
+//     publishes whole, so reads never wait for an insert.
 //   - Swap installs a different oracle (e.g. a freshly loaded index
 //     file) in one atomic store. In-flight operations finish against
 //     the oracle they started on; new operations see the replacement.
@@ -30,88 +28,46 @@ var ErrNotDynamic = errors.New("pll: oracle is not a dynamic index")
 // A ConcurrentOracle itself implements Oracle, so servers and tools
 // can program against it unchanged.
 type ConcurrentOracle struct {
-	state atomic.Pointer[concurrentState]
+	state atomic.Pointer[Oracle]
 	gen   atomic.Uint64
-}
-
-// concurrentState pairs an oracle with the lock discipline it needs.
-// The two travel together through the atomic pointer so a swap can
-// never mix one oracle with another's mutex.
-type concurrentState struct {
-	oracle Oracle
-	mu     *sync.RWMutex // nil for immutable (static) oracles
-}
-
-func newConcurrentState(o Oracle) *concurrentState {
-	st := &concurrentState{oracle: o}
-	if _, dynamic := o.(*DynamicIndex); dynamic {
-		st.mu = &sync.RWMutex{}
-	}
-	return st
 }
 
 // NewConcurrentOracle wraps o for concurrent querying, updating and
 // hot-swapping.
 func NewConcurrentOracle(o Oracle) *ConcurrentOracle {
 	c := &ConcurrentOracle{}
-	c.state.Store(newConcurrentState(o))
+	c.state.Store(&o)
 	return c
 }
 
-// read loads the current state and takes its read lock when it has one
-// (a dynamic oracle). The caller releases it with a deferred done.
-func (c *ConcurrentOracle) read() *concurrentState {
-	st := c.state.Load()
-	if st.mu != nil {
-		st.mu.RLock()
-	}
-	return st
-}
+// load returns the current oracle.
+func (c *ConcurrentOracle) load() Oracle { return *c.state.Load() }
 
-// done releases the read lock read took, if any.
-func (st *concurrentState) done() {
-	if st.mu != nil {
-		st.mu.RUnlock()
-	}
-}
-
-// View runs f against a consistent snapshot of the current oracle,
-// holding the read lock (when the oracle is dynamic) for the whole
-// call. Use it when several calls must observe the same index — e.g.
-// validating vertex IDs and then querying, or answering a batch — so a
-// concurrent Swap cannot change the oracle mid-sequence. f must not
-// retain the oracle after returning and must not call InsertEdge or
-// Swap (the former would deadlock on the write lock).
+// View runs f against the current oracle, which a concurrent Swap
+// cannot change for the rest of the call. Use it when several calls
+// must observe the same index — e.g. validating vertex IDs and then
+// querying, or answering a batch. On a *DynamicIndex each read call
+// inside f (a Distance, a whole DistanceFrom batch, a Stats, a WriteTo)
+// sees one published version; a later call may see a later one, never
+// an earlier one. f must not retain the oracle after returning.
 func (c *ConcurrentOracle) View(f func(o Oracle) error) error {
-	st := c.read()
-	defer st.done()
-	return f(st.oracle)
+	return f(c.load())
 }
 
 // Distance returns the exact s-t distance, or Unreachable.
-func (c *ConcurrentOracle) Distance(s, t int32) int64 {
-	st := c.read()
-	defer st.done()
-	return st.oracle.Distance(s, t)
-}
+func (c *ConcurrentOracle) Distance(s, t int32) int64 { return c.load().Distance(s, t) }
 
 // Path returns one exact shortest path, or nil for disconnected pairs.
-func (c *ConcurrentOracle) Path(s, t int32) ([]int32, error) {
-	st := c.read()
-	defer st.done()
-	return st.oracle.Path(s, t)
-}
+func (c *ConcurrentOracle) Path(s, t int32) ([]int32, error) { return c.load().Path(s, t) }
 
-// DistanceFrom answers a single-source batch against one consistent
-// snapshot of the current oracle (see Batcher), forwarding to the
-// snapshot's own Batcher implementation when it has one and falling
-// back to per-target Distance calls otherwise. For a wrapped
-// *DynamicIndex the read lock covers the whole batch, so a concurrent
-// InsertEdge can never split it.
+// DistanceFrom answers a single-source batch against the current oracle
+// (see Batcher), forwarding to its own Batcher implementation when it
+// has one and falling back to per-target Distance calls otherwise. A
+// *DynamicIndex answers the whole batch from one published version, so
+// a concurrent InsertEdge can never split it.
 func (c *ConcurrentOracle) DistanceFrom(s int32, targets []int32, dst []int64) []int64 {
-	st := c.read()
-	defer st.done()
-	if b, ok := st.oracle.(Batcher); ok {
+	o := c.load()
+	if b, ok := o.(Batcher); ok {
 		return b.DistanceFrom(s, targets, dst)
 	}
 	if cap(dst) < len(targets) {
@@ -119,55 +75,41 @@ func (c *ConcurrentOracle) DistanceFrom(s int32, targets []int32, dst []int64) [
 	}
 	dst = dst[:len(targets)]
 	for i, t := range targets {
-		dst[i] = st.oracle.Distance(s, t)
+		dst[i] = o.Distance(s, t)
 	}
 	return dst
 }
 
 // NumVertices returns the number of vertices the current oracle covers.
-func (c *ConcurrentOracle) NumVertices() int {
-	st := c.read()
-	defer st.done()
-	return st.oracle.NumVertices()
-}
+func (c *ConcurrentOracle) NumVertices() int { return c.load().NumVertices() }
 
 // Stats summarizes the current oracle.
-func (c *ConcurrentOracle) Stats() Stats {
-	st := c.read()
-	defer st.done()
-	return st.oracle.Stats()
-}
+func (c *ConcurrentOracle) Stats() Stats { return c.load().Stats() }
 
-// WriteTo serializes the current oracle, excluding concurrent updates
-// for the duration of the write.
-func (c *ConcurrentOracle) WriteTo(w io.Writer) (int64, error) {
-	st := c.read()
-	defer st.done()
-	return st.oracle.WriteTo(w)
-}
+// WriteTo serializes the current oracle; a *DynamicIndex writes one
+// published version whole, while concurrent inserts go on.
+func (c *ConcurrentOracle) WriteTo(w io.Writer) (int64, error) { return c.load().WriteTo(w) }
 
-// Update runs f against the wrapped *DynamicIndex under the write
-// lock, so a multi-step mutation (validate, then insert several edges)
-// is atomic with respect to queries and other updates, and observes
-// one oracle even if Swap runs concurrently. Wrapping any other
-// variant yields ErrNotDynamic without calling f. An update that races
-// with Swap applies to whichever oracle it loaded first and may
-// therefore land on the retired index; callers that swap and update
-// from the same goroutine never observe this.
+// Update runs f against the wrapped *DynamicIndex, so a multi-step
+// mutation (validate, then insert) observes one oracle even if Swap runs
+// concurrently. Wrapping any other variant yields ErrNotDynamic without
+// calling f. Each InsertEdge or InsertEdges call inside f publishes
+// whole and runs alone among the index's writers; readers never wait
+// for it. Pass a batch that must appear at once to one InsertEdges
+// call. An update that races with Swap applies to whichever oracle it
+// loaded first and may therefore land on the retired index; callers
+// that swap and update from the same goroutine never observe this.
 func (c *ConcurrentOracle) Update(f func(di *DynamicIndex) error) error {
-	st := c.state.Load()
-	di, ok := st.oracle.(*DynamicIndex)
+	di, ok := c.load().(*DynamicIndex)
 	if !ok {
 		return ErrNotDynamic
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	return f(di)
 }
 
 // InsertEdge adds the undirected edge {a,b} to a wrapped *DynamicIndex
-// under the write lock and returns the number of label entries
-// repaired. See Update for the interaction with Swap.
+// and returns the number of label entries repaired. See Update for the
+// interaction with Swap.
 func (c *ConcurrentOracle) InsertEdge(a, b int32) (int, error) {
 	var delta int
 	err := c.Update(func(di *DynamicIndex) error {
@@ -179,20 +121,19 @@ func (c *ConcurrentOracle) InsertEdge(a, b int32) (int, error) {
 }
 
 // Snapshot returns the current oracle. The result is stable — a later
-// Swap does not mutate it — and safe to query directly when it is a
-// static variant. A *DynamicIndex snapshot must not be queried or
-// updated directly while others may be writing; go through the
-// ConcurrentOracle (or View) instead.
-func (c *ConcurrentOracle) Snapshot() Oracle { return c.state.Load().oracle }
+// Swap does not replace it — and safe to query directly: a static
+// variant never changes, and a *DynamicIndex is safe for concurrent use
+// (its later inserts show in the snapshot too).
+func (c *ConcurrentOracle) Snapshot() Oracle { return c.load() }
 
 // Swap atomically installs o as the serving oracle and returns the
 // previous one. Operations already running complete against the old
 // oracle; every operation starting after Swap returns sees o. The
 // swap itself never blocks on readers.
 func (c *ConcurrentOracle) Swap(o Oracle) Oracle {
-	old := c.state.Swap(newConcurrentState(o))
+	old := c.state.Swap(&o)
 	c.gen.Add(1)
-	return old.oracle
+	return *old
 }
 
 // Generation counts completed Swaps, starting at 0. Servers use it to

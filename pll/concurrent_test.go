@@ -1,8 +1,16 @@
 package pll
 
 import (
+	"bytes"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"pll/internal/bfs"
+	"pll/internal/gen"
+	"pll/internal/graph"
+	"pll/internal/rng"
 )
 
 // line returns the path graph 0-1-...-(n-1).
@@ -172,3 +180,143 @@ func TestConcurrentOracleRace(t *testing.T) {
 	close(stop)
 	readers.Wait()
 }
+
+// TestDynamicReadsSeeOnePublishedVersion runs a bare *DynamicIndex,
+// with no ConcurrentOracle, under one writer and four readers (run it
+// with -race). On the 60-vertex path the writer inserts the shortcuts
+// (i, i+5) in order, one InsertEdges call each, while the readers loop
+// DistanceFrom(0, every vertex). Every answer must equal the BFS vector
+// after some prefix of the sequence, and a reader's successive answers
+// never go back to an earlier prefix. One WriteTo and Load round trip
+// mid-run must also load a prefix.
+func TestDynamicReadsSeeOnePublishedVersion(t *testing.T) {
+	const n = 60
+	base := line(n)
+	var shortcuts []Edge
+	for i := int32(0); i+5 < n; i++ {
+		shortcuts = append(shortcuts, Edge{U: i, V: i + 5})
+	}
+	// prefixes[k] is the BFS vector from 0 after the first k shortcuts.
+	prefixes := make([][]int64, len(shortcuts)+1)
+	for k := range prefixes {
+		g, err := graph.NewGraph(n, append(base.Edges(), shortcuts[:k]...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefixes[k] = make([]int64, n)
+		for v, d := range bfs.AllDistances(g, 0) {
+			prefixes[k][v] = int64(d)
+		}
+	}
+	// match returns the first prefix at or after lo that equals got, or
+	// -1. Distances only fall as shortcuts arrive, so the prefixes equal
+	// to one answer are consecutive.
+	match := func(got []int64, lo int) int {
+		for k := lo; k < len(prefixes); k++ {
+			if slices.Equal(got, prefixes[k]) {
+				return k
+			}
+		}
+		return -1
+	}
+	targets := make([]int32, n)
+	for v := range targets {
+		targets[v] = int32(v)
+	}
+
+	di, err := BuildDynamic(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var readers sync.WaitGroup
+	done, half := make(chan struct{}), make(chan struct{})
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var dst []int64
+			lo := 0
+			for last := false; !last; {
+				select {
+				case <-done:
+					last = true // one more read sees the final version
+				default:
+				}
+				dst = di.DistanceFrom(0, targets, dst)
+				k := match(dst, lo)
+				if k < 0 {
+					t.Errorf("DistanceFrom(0, all) = %v: no prefix at or after %d has it", dst, lo)
+					return
+				}
+				lo = k
+			}
+			if want := prefixes[len(shortcuts)]; !slices.Equal(dst, want) {
+				t.Errorf("read after the last insert = %v, want %v", dst, want)
+			}
+		}()
+	}
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		select {
+		case <-half:
+		case <-done: // the writer stopped early
+		}
+		var buf bytes.Buffer
+		if _, err := di.WriteTo(&buf); err != nil {
+			t.Error(err)
+			return
+		}
+		o, err := Load(&buf)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if got := o.(Batcher).DistanceFrom(0, targets, nil); match(got, 0) < 0 {
+			t.Errorf("mid-run WriteTo and Load answer %v: no prefix has it", got)
+		}
+	}()
+	for i, e := range shortcuts {
+		if i == len(shortcuts)/2 {
+			close(half)
+		}
+		if _, err := di.InsertEdges([]Edge{e}); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	readers.Wait()
+}
+
+// BenchmarkConcurrentOracleDynamicDistance reads random pairs through a
+// ConcurrentOracle over a dynamic index from GOMAXPROCS goroutines, with
+// no writer: the cost the wrapper adds to every dynamic read, which
+// perfbench reports as pll.concurrent.self_ns.
+func BenchmarkConcurrentOracleDynamicDistance(b *testing.B) {
+	raw := gen.BarabasiAlbert(5000, 4, 1)
+	g, err := NewGraph(raw.NumVertices(), raw.Edges())
+	if err != nil {
+		b.Fatal(err)
+	}
+	di, err := BuildDynamic(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := NewConcurrentOracle(di)
+	n := int32(g.NumVertices())
+	var seed atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		r := rng.New(seed.Add(1))
+		var sum int64
+		for pb.Next() {
+			sum += c.Distance(r.Int31n(n), r.Int31n(n))
+		}
+		distanceSink.Add(sum)
+	})
+}
+
+// distanceSink keeps benchmarked reads from being optimized away.
+var distanceSink atomic.Int64

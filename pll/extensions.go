@@ -32,10 +32,12 @@ func EffectiveWorkers(n int) int { return core.EffectiveWorkers(n) }
 // resumed pruned BFSs). Bit-parallel labels and path reconstruction are
 // not available in dynamic mode.
 //
-// Unlike the static variants, a DynamicIndex is not safe for concurrent
-// use: InsertEdge mutates labels in place, so interleave queries and
-// inserts from one goroutine, synchronize externally, or wrap the index
-// in a ConcurrentOracle.
+// A DynamicIndex is safe for concurrent use, and reads never wait for an
+// insert. An insert repairs copies of the label rows it changes and then
+// publishes them in one atomic store, so each read call (a Distance, a
+// whole DistanceFrom batch, a Stats, a Freeze or WriteTo) sees one
+// published version: every edge of an InsertEdge or InsertEdges call, or
+// none of them. Concurrent inserts run one at a time.
 type DynamicIndex struct {
 	di *core.DynamicIndex
 }
@@ -77,6 +79,7 @@ func (d *DynamicIndex) InsertEdge(a, b int32) (int, error) { return d.di.InsertE
 // Self-loops and edges already present are no-ops. The batch applies
 // whole or not at all: if any edge is out of range or its repair
 // overruns the 8-bit distance budget, the index is left unchanged.
+// Concurrent readers see all of the batch's edges or none of them.
 func (d *DynamicIndex) InsertEdges(edges []Edge) (int, error) { return d.di.InsertEdges(edges) }
 
 // NumVertices returns the number of vertices the index covers.
@@ -86,7 +89,7 @@ func (d *DynamicIndex) NumVertices() int { return d.di.NumVertices() }
 func (d *DynamicIndex) Stats() Stats { return d.di.ComputeStats() }
 
 // Freeze snapshots the dynamic index into a static *Index covering all
-// insertions so far. The snapshot is independent of later InsertEdge
+// insertions published so far. The snapshot is independent of later InsertEdge
 // calls and supports everything a statically built index does
 // (serialization, batch and search queries).
 func (d *DynamicIndex) Freeze() *Index { return newIndex(d.di.Freeze()) }

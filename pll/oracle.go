@@ -39,19 +39,21 @@ import (
 // d != Unreachable first. Both mistakes are flagged mechanically by
 // `go run ./cmd/pllvet ./...` (the distsentinel analyzer).
 //
-// Concurrency contract: the static variants (*Index, *DirectedIndex,
-// *WeightedIndex, and frozen dynamic snapshots) are immutable after
-// construction, so any number of goroutines may call Distance, Path,
-// NumVertices, Stats and WriteTo concurrently without synchronization.
-// Construction itself is internally concurrent (WithWorkers, GOMAXPROCS
-// workers by default) but externally synchronous: Build returns only
-// after every worker goroutine has finished, the returned oracle is
-// already immutable, and the worker count never changes the result —
-// parallel builds are byte-identical to sequential ones.
-// *DynamicIndex is NOT safe for concurrent use — InsertEdge mutates the
-// labels in place, so callers must either serialize all access
-// externally or wrap the index in a ConcurrentOracle, which takes the
-// read/write locks automatically and adds atomic hot-swapping.
+// Concurrency contract: every oracle is safe for concurrent use. The
+// static variants (*Index, *DirectedIndex, *WeightedIndex, and frozen
+// dynamic snapshots) are immutable after construction, so any number of
+// goroutines may call Distance, Path, NumVertices, Stats and WriteTo
+// concurrently without synchronization. Construction itself is
+// internally concurrent (WithWorkers, GOMAXPROCS workers by default) but
+// externally synchronous: Build returns only after every worker
+// goroutine has finished, the returned oracle is already immutable, and
+// the worker count never changes the result — parallel builds are
+// byte-identical to sequential ones. A *DynamicIndex may be read while
+// edges are inserted, with no lock on either side: each read call sees
+// one published version of the labels, and each InsertEdge or
+// InsertEdges call publishes its edges whole, so a read sees all of
+// them or none. Inserts run one at a time. ConcurrentOracle adds atomic
+// hot-swapping on top.
 type Oracle interface {
 	// Distance returns the exact shortest-path distance from s to t, or
 	// Unreachable (-1) if t cannot be reached from s.

@@ -43,14 +43,14 @@ type SearchProfiler interface {
 }
 
 // DistanceProfiled is Distance with merge profiling (see
-// ProfiledOracle). Like every DynamicIndex read it needs external
-// synchronization against InsertEdge.
+// ProfiledOracle). Like every DynamicIndex read it is safe to call
+// while edges are inserted, and sees one published version.
 func (d *DynamicIndex) DistanceProfiled(s, t int32, p *QueryProfile) int64 {
 	return d.di.Distance(s, t, p)
 }
 
 // DistanceFromProfiled is DistanceFrom with merge profiling (see
-// ProfiledOracle).
+// ProfiledOracle): the whole batch reads one published version.
 func (d *DynamicIndex) DistanceFromProfiled(s int32, targets []int32, dst []int64, p *QueryProfile) []int64 {
 	return d.di.DistanceFrom(s, targets, dst, p)
 }
