@@ -1,22 +1,22 @@
-// Command pllrouted is the scatter-gather coordinator for a pool of
-// pllserved replicas serving one index. It exposes the same HTTP/JSON
-// surface as a single replica — answers are byte-identical when the
-// pool is whole — while spreading load across the pool:
+// Command pllrouted is the routing coordinator for a pool of pllserved
+// replicas serving one index. It exposes the same HTTP/JSON surface as
+// a single replica — answers are byte-identical to a replica's — while
+// spreading load across the pool:
 //
 //	GET  /distance, /path         routed to one replica by rendezvous
 //	                              hashing (failover + hedged retries)
 //	POST /batch                   chunk-split across replicas and
 //	                              reassembled in order
-//	GET  /knn, /range             scattered to every shard, top-k merged
-//	POST /nearest, /query         scattered to every shard, top-k merged
+//	GET  /knn, /range             routed to one replica by rendezvous
+//	POST /nearest, /query         hashing (failover, no hedge)
 //	GET  /healthz                 pool health + pooled index identity
 //	GET  /stats                   routing counters, per-backend state
 //	GET  /metrics                 Prometheus text format: the standard
 //	                              per-endpoint families plus per-backend
 //	                              latency/error/hedge/breaker series
 //	GET  /debug/traces            recent sampled trace span trees with one
-//	                              child span per backend attempt (scatter
-//	                              legs, hedges, failover hops)
+//	                              child span per backend attempt (routed
+//	                              requests, hedges, failover hops)
 //
 // Usage:
 //
@@ -25,19 +25,19 @@
 // Replicas must serve the same index: every health sweep compares the
 // identity each replica reports on /healthz (variant, vertex count,
 // content checksum) and stops routing to replicas that disagree with
-// the pool majority. When shards are missing, fan-out answers degrade
-// explicitly — "incomplete": true — instead of failing, while point
-// lookups fail over and /healthz reports "degraded" with a 200 so the
-// coordinator itself is not restarted for a backend's outage.
+// the pool majority. When a replica is down, the requests it owned fail
+// over to the next replica, so answers stay whole, and /healthz reports
+// "degraded" with a 200 so the coordinator itself is not restarted for
+// a backend's outage.
 //
 // -maxbatch and -maxbody must match the replicas' settings; the
-// coordinator enforces them before scattering so an oversized fan-out
-// is shed locally instead of amplified across the pool. -rate, -burst,
-// -maxinflight and -logevery mount the same admission-control and
-// logging middleware pllserved uses, and -trace-sample/-trace-ring/
-// -slow-query the same tracing: every backend attempt becomes a child
-// span and carries a traceparent header, so a replica's own trace joins
-// the coordinator's tree. SIGINT/SIGTERM drain in-flight scatters
+// coordinator enforces them before forwarding anything, so an oversized
+// request is shed locally and a /batch cannot pass the replicas' cap
+// in chunks. -rate, -burst, -maxinflight and -logevery mount the same
+// admission-control and logging middleware pllserved uses, and
+// -trace-sample/-trace-ring/-slow-query the same tracing: every backend
+// attempt becomes a child span and carries a traceparent header, so a
+// replica's own trace joins the coordinator's tree. SIGINT/SIGTERM drain in-flight requests
 // before the backend connection pools are torn down.
 package main
 
@@ -140,7 +140,7 @@ func run() error {
 		log.Printf("graceful shutdown timed out (%v); closing remaining connections", err)
 		httpSrv.Close() //nolint:errcheck // the listeners are already down
 	}
-	// Drain in-flight scatters before Close tears down the health loop
+	// Drain in-flight requests before Close tears down the health loop
 	// and the backend connection pools they are proxying through.
 	drainCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -30,8 +30,8 @@
 //
 //	go run ./examples/loadtest -saturate [-cap 8] [-requests 4000]
 //
-// Distributed mode (-replicas N) measures the scatter-gather tier
-// instead: one index served by N in-process replicas behind a cluster
+// Distributed mode (-replicas N) measures the routing tier instead:
+// one index served by N in-process replicas behind a cluster
 // coordinator (the same wiring cmd/pllrouted mounts). The same point-
 // query workload runs three ways — directly against one replica,
 // through a coordinator with a single backend (isolating the proxy

@@ -16,8 +16,8 @@ import (
 
 // identity is the backend-identity payload replicas report on /healthz.
 // Backends whose identity disagrees with the pool majority are excluded
-// from routing: a replica serving a different index would silently
-// corrupt merged answers.
+// from routing: a replica serving a different index would make an
+// answer depend on which replica it was routed to.
 type identity struct {
 	Variant  string `json:"variant"`
 	Vertices int    `json:"vertices"`
@@ -81,10 +81,10 @@ func (b *backend) routable() bool {
 
 // observe records one completed attempt against the backend: latency
 // in the histogram always, and in the hedge-delay ring only for point
-// lookups, the one kind of request that hedges (a slow scatter leg or
-// /batch chunk says nothing about when to hedge a lookup); success or
-// failure for the breaker. 4xx counts as success — the backend
-// answered; the request was bad.
+// lookups, the one kind of request that hedges (a slow search or /batch
+// chunk says nothing about when to hedge a lookup); success or failure
+// for the breaker. 4xx counts as success — the backend answered; the
+// request was bad.
 func (b *backend) observe(d time.Duration, ok bool, kind attempt) {
 	b.hist.Observe(d)
 	if kind != legAttempt {
@@ -120,9 +120,12 @@ func (b *backend) setIdentity(id identity, gen uint64) {
 // Deciding routability (canRoute) and consuming the probe slot
 // (acquire) are separate on purpose: routability is read from paths
 // that never send a request, and a slot consumed there would never be
-// released by a completed attempt — stranding the breaker open. The
-// slot is also timestamped so a probe abandoned without reporting an
-// outcome expires after probeTTL instead of wedging recovery.
+// released by a completed attempt — stranding the breaker open. Only
+// the probe frees its slot, by release() once its attempt ends: the
+// outcome of an attempt admitted before the breaker opened says
+// nothing about whether the probe is still in flight. The slot is also
+// timestamped so a probe abandoned without releasing it expires after
+// probeTTL instead of wedging recovery.
 type breaker struct {
 	failLimit   int64
 	cooldown    time.Duration
@@ -142,8 +145,8 @@ func (br *breaker) canRoute() bool {
 
 // acquire is called once per attempt at send time. ok says whether the
 // attempt may proceed; probe marks it as the recovery probe, whose
-// holder must report fail()/succeed(), or release() the slot if the
-// attempt is abandoned without a verdict.
+// holder must release() the slot once the attempt ends, after
+// reporting any outcome with fail()/succeed().
 func (br *breaker) acquire() (ok, probe bool) {
 	until := br.openedUntil.Load()
 	if until == 0 {
@@ -164,13 +167,12 @@ func (br *breaker) acquire() (ok, probe bool) {
 	}
 }
 
-// release frees the probe slot without recording an outcome — for
-// attempts aborted by cancellation, which say the pool gave up on the
-// request, nothing about the backend's health.
+// release frees the probe slot. It records no outcome, so a probe
+// aborted by cancellation, which says the pool gave up on the request
+// and nothing about the backend's health, only releases.
 func (br *breaker) release() { br.probeStart.Store(0) }
 
 func (br *breaker) fail() {
-	br.probeStart.Store(0)
 	n := br.consecutive.Add(1)
 	if n >= br.failLimit {
 		br.openedUntil.Store(time.Now().Add(br.cooldown).UnixNano())
@@ -180,7 +182,6 @@ func (br *breaker) fail() {
 func (br *breaker) succeed() {
 	br.consecutive.Store(0)
 	br.openedUntil.Store(0)
-	br.probeStart.Store(0)
 }
 
 func (br *breaker) open() bool {

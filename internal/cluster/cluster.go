@@ -1,14 +1,11 @@
-// Package cluster is the distributed-serving tier: a scatter-gather
-// coordinator fronting N pllserved replicas that together form one
-// logical index.
+// Package cluster is the distributed-serving tier: a routing
+// coordinator fronting N pllserved replicas of one index.
 //
-// The coordinator treats each backend as one shard of the logical
-// index. Today every shard is a full replica (replica-sharding for
-// QPS); the wire contract — point lookups routed by rendezvous
-// hashing, fan-out endpoints scattered to every shard and reduced with
-// the hubsearch (distance, vertex) merge ordering — is exactly the one
-// label-partitioned shards will need, so partitioning can land later
-// without touching clients.
+// Every backend the coordinator routes to holds the whole index: the
+// health loop pools only backends whose /healthz identity matches the
+// majority, so any one of them answers any request whole. The pool
+// adds throughput and fault tolerance; it does not partition the
+// index.
 //
 // Routing and resilience:
 //
@@ -16,20 +13,18 @@
 //     the query pair, with health-checked failover through the
 //     remaining backends and a hedged second request after a p99-based
 //     delay (the loser is canceled).
+//   - /knn, /range, /nearest and /query route to one backend by
+//     rendezvous hashing of the forwarded path, query and body, with
+//     the same failover walk and no hedge: the answer is one replica's,
+//     whole, or an error.
 //   - /batch splits the pair list into contiguous chunks across healthy
 //     backends and reassembles the answers in order, so the response is
 //     byte-identical to a single node while the scan cost spreads over
 //     the pool.
-//   - /knn, /range, /nearest and /query scatter to every shard and
-//     merge the per-shard top-k answers; when a shard cannot answer the
-//     response is served degraded with an explicit "incomplete" marker
-//     instead of failing.
 //   - Per-backend circuit breakers stop hammering a dying replica
-//     between health sweeps; bounded connection pools cap the fan-out's
-//     socket cost. A backend 429 propagates to the caller with its
-//     Retry-After intact on point lookups; on scatters a shedding shard
-//     only degrades the answer ("incomplete"), and the 429 is relayed
-//     when every shard shed.
+//     between health sweeps; bounded connection pools cap each
+//     backend's socket cost. A backend 429 reaches the caller with its
+//     Retry-After intact.
 //
 // Replicas must serve the same index: the health loop compares the
 // backend-identity payload (/healthz variant, vertex count, content
@@ -59,9 +54,10 @@ type Config struct {
 	// Backends are the base URLs of the pllserved replicas
 	// ("http://host:port"). At least one is required.
 	Backends []string
-	// MaxBatch caps every client-controlled fan-out before any scatter
-	// (default 4096). It must match the backends' cap: a request the
-	// coordinator forwards whole must not exceed what a replica accepts.
+	// MaxBatch caps every client-controlled fan-out before anything is
+	// forwarded (default 4096). It must match the backends' cap: a
+	// request the coordinator forwards whole must not exceed what a
+	// replica accepts.
 	MaxBatch int
 	// MaxBody caps POST request bodies in bytes (default 1 MiB).
 	MaxBody int64
@@ -80,7 +76,8 @@ type Config struct {
 	// letting a probe request through (default 1s).
 	BreakerCooldown time.Duration
 	// MaxConnsPerBackend bounds each backend's connection pool
-	// (default 128): a scatter storm cannot grow sockets without bound.
+	// (default 128): a burst of requests cannot grow sockets without
+	// bound.
 	MaxConnsPerBackend int
 	// Stack configures the shared middleware (admission control,
 	// request logging) in front of the coordinator's own handlers.
@@ -97,7 +94,7 @@ const (
 	defaultMaxConns        = 128
 )
 
-// Coordinator fans one HTTP surface out over the backend pool. Create
+// Coordinator serves one HTTP surface from the backend pool. Create
 // with New, mount Handler, and Close when done.
 type Coordinator struct {
 	cfg      Config
@@ -107,10 +104,8 @@ type Coordinator struct {
 	mux      *http.ServeMux
 	start    time.Time
 
-	scatters   atomic.Int64 // fan-out requests served
-	incomplete atomic.Int64 // fan-outs served degraded (missing shards)
-	hedges     atomic.Int64 // hedge requests fired
-	hedgeWins  atomic.Int64 // hedges whose response was used
+	hedges    atomic.Int64 // hedge requests fired
+	hedgeWins atomic.Int64 // hedges whose response was used
 
 	stopHealth chan struct{}
 	healthDone chan struct{}
@@ -189,7 +184,7 @@ func New(cfg Config) (*Coordinator, error) {
 func (c *Coordinator) Handler() http.Handler { return c.stack.Wrap(c.mux) }
 
 // Drain blocks until no request is executing or ctx expires; call it
-// after http.Server.Shutdown so in-flight scatters finish before the
+// after http.Server.Shutdown so in-flight requests finish before the
 // connection pools are torn down.
 func (c *Coordinator) Drain(ctx context.Context) error { return c.stack.Drain(ctx) }
 
@@ -214,10 +209,10 @@ func (c *Coordinator) Healthy() int {
 	return n
 }
 
-// poolable returns the backends whose identity matches the pool (the
-// shard denominator for scatters: an unreachable-but-matching backend
-// counts as a missing shard, a mismatched one is not part of the
-// logical index at all).
+// poolable returns the backends whose identity matches the pool: the
+// count /healthz measures usable backends against. An unreachable but
+// matching backend is a missing pool member; a mismatched one is not
+// part of the pool at all.
 func (c *Coordinator) poolable() []*backend {
 	out := make([]*backend, 0, len(c.backends))
 	for _, b := range c.backends {
@@ -264,7 +259,8 @@ func mix(x uint64) uint64 {
 	return x
 }
 
-// hashName seeds a backend's rendezvous score from its base URL.
+// hashName seeds a backend's rendezvous score from its base URL, and
+// keys a request's ranking from its forwarded path, query and body.
 func hashName(name string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))

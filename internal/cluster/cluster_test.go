@@ -6,6 +6,8 @@ package cluster
 // again from the outside.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -286,9 +288,9 @@ func waitUsable(t *testing.T, c *Coordinator, n int) {
 }
 
 // TestPartialFailureDegradesExplicitly kills one replica of three and
-// checks the degradation contract: fan-outs keep answering with
-// "incomplete":true and unchanged results, point lookups fail over,
-// and the coordinator's own /healthz stays 200 (degraded, not dead).
+// checks the degradation contract: searches keep answering the whole
+// pool's bytes, point lookups fail over, and the coordinator's own
+// /healthz stays 200 (degraded, not dead).
 func TestPartialFailureDegradesExplicitly(t *testing.T) {
 	o := buildOracle(t, "undirected")
 	urls, servers := startReplicas(t, o, 3, server.Config{})
@@ -296,25 +298,19 @@ func TestPartialFailureDegradesExplicitly(t *testing.T) {
 	waitUsable(t, c, 3)
 
 	_, _, whole := do(t, http.MethodGet, coord.URL+"/knn?s=0&k=5", "")
-	if strings.Contains(whole, `"incomplete"`) {
-		t.Fatalf("whole pool answered with incomplete marker: %s", whole)
-	}
 
 	servers[2].CloseClientConnections()
 	servers[2].Close()
 	waitUsable(t, c, 2)
 
-	status, _, degraded := do(t, http.MethodGet, coord.URL+"/knn?s=0&k=5", "")
+	status, _, after := do(t, http.MethodGet, coord.URL+"/knn?s=0&k=5", "")
 	if status != http.StatusOK {
-		t.Fatalf("degraded /knn: status %d, want 200 (%s)", status, degraded)
+		t.Fatalf("/knn after kill: status %d, want 200 (%s)", status, after)
 	}
-	if !strings.Contains(degraded, `"incomplete":true`) {
-		t.Fatalf("degraded /knn missing incomplete marker: %s", degraded)
-	}
-	// Replicas hold the full index, so the merged answer itself must
-	// not change — only the marker differs.
-	if strings.Replace(degraded, `"incomplete":true,`, "", 1) != whole {
-		t.Fatalf("degraded answer differs beyond the marker:\ndegraded: %q\n   whole: %q", degraded, whole)
+	// Every replica holds the whole index, so one fewer changes no
+	// answer.
+	if after != whole {
+		t.Fatalf("/knn after kill differs from the whole pool's:\n after: %q\n whole: %q", after, whole)
 	}
 
 	// Point lookups fail over to surviving replicas (the dead one still
@@ -334,7 +330,7 @@ func TestPartialFailureDegradesExplicitly(t *testing.T) {
 		t.Fatalf("degraded /healthz payload: %s", hbody)
 	}
 
-	// Kill the rest: point lookups and fan-outs now fail fast, and the
+	// Kill the rest: point lookups and searches now fail fast, and the
 	// coordinator finally reports unavailable.
 	servers[0].CloseClientConnections()
 	servers[0].Close()
@@ -352,22 +348,47 @@ func TestPartialFailureDegradesExplicitly(t *testing.T) {
 	}
 }
 
-// TestScatter429DegradesNotAborts pins that admission rejection is
-// per-replica load, not a pool verdict: one shedding replica must not
-// turn an otherwise successful scatter into a client-visible 429 — the
-// merge answers degraded with "incomplete":true — and only when every
-// shard sheds does the 429 (Retry-After intact) reach the caller.
-func TestScatter429DegradesNotAborts(t *testing.T) {
+// ownedSearch returns the first search build(0), build(1), … whose
+// rendezvous owner at c is the backend at base. build returns the path
+// and body the coordinator forwards, which the caller sends unchanged.
+func ownedSearch(t *testing.T, c *Coordinator, base string, build func(s int) (path, body string)) (string, string) {
+	t.Helper()
+	for s := 0; s < 48; s++ {
+		path, body := build(s)
+		if c.rank(hashName(path + body))[0].base == base {
+			return path, body
+		}
+	}
+	t.Fatalf("no search among 48 is owned by %s", base)
+	return "", ""
+}
+
+// TestRoutedSearch429Relays pins that a search's 429 is final. The
+// replica that owns the search relays its 429 with Retry-After intact,
+// and no other replica is asked: walking past the 429 would let a
+// client rate-limited at one replica (keyed by the forwarded
+// X-Client-Id) spend the other replicas' budgets. Once the owner stops
+// shedding, the search answers with the replica's bytes; with every
+// replica shedding, the 429 still relays.
+func TestRoutedSearch429Relays(t *testing.T) {
 	o := buildOracle(t, "undirected")
-	var shed [3]atomic.Bool
+	var (
+		shed     [3]atomic.Bool
+		knns     [3]atomic.Int64
+		clientID [3]atomic.Value
+	)
 	urls := make([]string, len(shed))
 	for i := range urls {
 		s := server.New(pll.NewConcurrentOracle(o), server.Config{})
 		h := s.Handler()
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/knn" {
+				knns[i].Add(1)
+			}
 			// /healthz stays exempt: a loaded replica is still a live,
 			// identity-matched pool member.
 			if shed[i].Load() && r.URL.Path != "/healthz" {
+				clientID[i].Store(r.Header.Get("X-Client-Id"))
 				w.Header().Set("Retry-After", "3")
 				w.Header().Set("Content-Type", "application/json")
 				w.WriteHeader(http.StatusTooManyRequests)
@@ -381,29 +402,52 @@ func TestScatter429DegradesNotAborts(t *testing.T) {
 	}
 	c, coord := startCoordinator(t, urls, nil)
 	waitUsable(t, c, 3)
-
-	_, _, whole := do(t, http.MethodGet, coord.URL+"/knn?s=0&k=5", "")
+	path, _ := ownedSearch(t, c, urls[2], func(s int) (string, string) {
+		return fmt.Sprintf("/knn?s=%d&k=5", s), ""
+	})
+	search := func() (int, http.Header) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, coord.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Client-Id", "tenant-7")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode, resp.Header
+	}
 
 	shed[2].Store(true)
-	st, _, degraded := do(t, http.MethodGet, coord.URL+"/knn?s=0&k=5", "")
-	if st != http.StatusOK {
-		t.Fatalf("scatter with one shedding replica: status %d, want 200 (%s)", st, degraded)
+	st, hdr := search()
+	if st != http.StatusTooManyRequests {
+		t.Fatalf("search owned by a shedding replica: status %d, want its 429", st)
 	}
-	if !strings.Contains(degraded, `"incomplete":true`) {
-		t.Fatalf("shedding shard not marked incomplete: %s", degraded)
+	if got := hdr.Get("Retry-After"); got != "3" {
+		t.Fatalf("Retry-After %q, want \"3\"", got)
 	}
-	if strings.Replace(degraded, `"incomplete":true,`, "", 1) != whole {
-		t.Fatalf("degraded answer differs beyond the marker:\ndegraded: %q\n   whole: %q", degraded, whole)
+	if got, _ := clientID[2].Load().(string); got != "tenant-7" {
+		t.Fatalf("shedding replica saw X-Client-Id %q, want \"tenant-7\"", got)
+	}
+	if n := knns[0].Load() + knns[1].Load(); n != 0 {
+		t.Fatalf("the 429 was walked past: the other replicas got %d /knn requests", n)
 	}
 
-	// Every shard shedding: 429 is now the pool's verdict and relays
-	// with its Retry-After.
+	shed[2].Store(false)
+	_, _, direct := do(t, http.MethodGet, urls[2]+path, "")
+	if st, _, body := do(t, http.MethodGet, coord.URL+path, ""); st != http.StatusOK || body != direct {
+		t.Fatalf("search after shedding stopped: status %d body %q, want 200 %q", st, body, direct)
+	}
+
+	// Every replica shedding: the owner's 429 still relays.
 	for i := range shed {
 		shed[i].Store(true)
 	}
-	st, hdr, _ := do(t, http.MethodGet, coord.URL+"/knn?s=0&k=5", "")
+	st, hdr = search()
 	if st != http.StatusTooManyRequests {
-		t.Fatalf("all-shed scatter: status %d, want 429", st)
+		t.Fatalf("all-shed search: status %d, want 429", st)
 	}
 	if got := hdr.Get("Retry-After"); got != "3" {
 		t.Fatalf("all-shed Retry-After %q, want \"3\"", got)
@@ -435,6 +479,51 @@ func TestBatchChunkFailover(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("failover batch differs:\n got: %q\nwant: %q", got, want)
+	}
+}
+
+// TestRoutedSearchFailover closes a replica WITHOUT waiting for a
+// health sweep: each search the dead replica owns must fail over down
+// the ranking and answer 200 with a live replica's exact bytes.
+func TestRoutedSearchFailover(t *testing.T) {
+	o := buildOracle(t, "undirected")
+	urls, servers := startReplicas(t, o, 3, server.Config{})
+	c, coord := startCoordinator(t, urls, func(c *Config) {
+		// Health sweeps far apart: the coordinator still believes the
+		// dead backend is healthy when the searches arrive.
+		c.HealthInterval = time.Hour
+		// The breaker stays closed, so every search below reaches its
+		// dead owner first and the owner's error count shows it.
+		c.BreakerFailures = 100
+	})
+	dead := c.backends[1]
+	servers[1].CloseClientConnections()
+	servers[1].Close()
+
+	for _, search := range []struct {
+		method string
+		build  func(s int) (path, body string)
+	}{
+		{http.MethodGet, func(s int) (string, string) { return fmt.Sprintf("/knn?s=%d&k=5", s), "" }},
+		{http.MethodGet, func(s int) (string, string) { return fmt.Sprintf("/range?s=%d&r=3&limit=20", s), "" }},
+		{http.MethodPost, func(s int) (string, string) {
+			return "/nearest", fmt.Sprintf(`{"source":%d,"set":[1,5,9,13,21],"k":2}`, s)
+		}},
+		// The canonical form ParseQuery forwards.
+		{http.MethodPost, func(s int) (string, string) {
+			return "/query", fmt.Sprintf(`{"where":{"near":{"source":%d,"max_dist":3}},"rank":{"by":"sum","terms":[{"source":%d,"weight":1}]},"k":5}`, s, s)
+		}},
+	} {
+		path, body := ownedSearch(t, c, dead.base, search.build)
+		tried := dead.errs.Load()
+		_, _, want := do(t, search.method, urls[0]+path, body)
+		st, _, got := do(t, search.method, coord.URL+path, body)
+		if st != http.StatusOK || got != want {
+			t.Errorf("%s %s owned by the dead replica: status %d body %q, want 200 %q", search.method, path, st, got, want)
+		}
+		if dead.errs.Load() != tried+1 {
+			t.Errorf("%s %s never tried its dead owner", search.method, path)
+		}
 	}
 }
 
@@ -493,6 +582,38 @@ func TestIdentityMismatchExcluded(t *testing.T) {
 	ds, _, dbody := do(t, http.MethodGet, urlsA[0]+"/knn?s=0&k=5", "")
 	if st != ds || body != dbody {
 		t.Fatalf("answer over mixed pool differs from majority index:\n coord: %q\ndirect: %q", body, dbody)
+	}
+}
+
+func TestRendezvousRankStability(t *testing.T) {
+	cfg := Config{Backends: []string{"http://a:1", "http://b:1", "http://c:1"}}
+	bs := []*backend{
+		newBackend("http://a:1", "a:1", cfg),
+		newBackend("http://b:1", "b:1", cfg),
+		newBackend("http://c:1", "c:1", cfg),
+	}
+	for _, b := range bs {
+		b.healthy.Store(true)
+	}
+	c := &Coordinator{backends: bs}
+	// Removing one backend must not remap keys it did not own: every
+	// key ranked (x, y, ...) keeps x as its primary when a different
+	// backend drops out.
+	moved := 0
+	const keys = 500
+	for i := 0; i < keys; i++ {
+		key := hashName(string(rune('k')) + string(rune(i)))
+		full := c.rank(key)
+		loser := full[len(full)-1]
+		loser.healthy.Store(false)
+		reduced := c.rank(key)
+		loser.healthy.Store(true)
+		if reduced[0] != full[0] {
+			moved++
+		}
+	}
+	if moved != 0 {
+		t.Fatalf("%d/%d keys changed primary when a non-primary backend dropped", moved, keys)
 	}
 }
 
@@ -564,5 +685,49 @@ func TestBreakerProbeReleaseAndExpiry(t *testing.T) {
 	time.Sleep(40 * time.Millisecond)
 	if ok, probe := br.acquire(); !ok || !probe {
 		t.Fatal("abandoned probe never expired; breaker stranded open")
+	}
+}
+
+// TestBreakerOnlyProbeFreesSlot pins that only the probe frees its
+// slot. A plain attempt admitted before the breaker opened may fail
+// while the recovery probe is in flight; that failure must leave the
+// slot held, or the next cooldown admits a second concurrent probe.
+// The probe frees the slot itself when its attempt ends, so after a
+// failed probe the next cooldown admits the next one.
+func TestBreakerOnlyProbeFreesSlot(t *testing.T) {
+	br := breaker{failLimit: 1, cooldown: time.Millisecond, probeTTL: 10 * time.Second}
+	if ok, probe := br.acquire(); !ok || probe {
+		t.Fatal("closed breaker did not admit a plain attempt")
+	}
+	br.fail() // another attempt fails and opens the breaker
+	time.Sleep(5 * time.Millisecond)
+	if ok, probe := br.acquire(); !ok || !probe {
+		t.Fatal("probe not admitted after cooldown")
+	}
+	br.fail() // the plain attempt fails while the probe is in flight
+	time.Sleep(5 * time.Millisecond)
+	if ok, probe := br.acquire(); ok {
+		t.Fatalf("acquire = (%v, %v) while the probe is in flight: a plain failure freed its slot", ok, probe)
+	}
+
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	c, err := New(Config{
+		Backends:        []string{gone.URL},
+		HealthInterval:  time.Hour,
+		BreakerFailures: 1,
+		BreakerCooldown: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	in := httptest.NewRequest(http.MethodGet, "/distance?s=0&t=1", nil)
+	for i := 0; i < 3; i++ {
+		time.Sleep(5 * time.Millisecond)
+		pr := c.fetch(context.Background(), c.backends[0], in, http.MethodGet, "/distance?s=0&t=1", nil, pointAttempt)
+		if errors.Is(pr.err, errBreakerOpen) {
+			t.Fatalf("attempt %d rejected by the breaker: the failed probe before it kept its slot", i)
+		}
 	}
 }

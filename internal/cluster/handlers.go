@@ -15,7 +15,8 @@ import (
 )
 
 // poolIdentity is the majority identity among healthy backends (the
-// identity scatters are served from), or false when nothing is healthy.
+// index every routed answer comes from), or false when nothing is
+// healthy.
 func (c *Coordinator) poolIdentity() (identity, uint64, bool) {
 	for _, b := range c.backends {
 		if b.healthy.Load() && !b.mismatch.Load() {
@@ -84,13 +85,11 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"coordinator": map[string]any{
-			"uptime_seconds":      time.Since(c.start).Seconds(),
-			"backends":            len(c.backends),
-			"usable":              len(c.usable()),
-			"scatters":            c.scatters.Load(),
-			"scatters_incomplete": c.incomplete.Load(),
-			"hedges":              c.hedges.Load(),
-			"hedge_wins":          c.hedgeWins.Load(),
+			"uptime_seconds": time.Since(c.start).Seconds(),
+			"backends":       len(c.backends),
+			"usable":         len(c.usable()),
+			"hedges":         c.hedges.Load(),
+			"hedge_wins":     c.hedgeWins.Load(),
 		},
 		"backends": backends,
 		"tracing":  c.stack.TraceStats(),
@@ -155,12 +154,6 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP pll_hedge_wins_total Hedged lookups answered by the hedge instead of the primary.\n")
 	fmt.Fprintf(w, "# TYPE pll_hedge_wins_total counter\n")
 	fmt.Fprintf(w, "pll_hedge_wins_total %d\n", c.hedgeWins.Load())
-	fmt.Fprintf(w, "# HELP pll_scatter_total Fan-out requests served (merged from per-shard answers).\n")
-	fmt.Fprintf(w, "# TYPE pll_scatter_total counter\n")
-	fmt.Fprintf(w, "pll_scatter_total %d\n", c.scatters.Load())
-	fmt.Fprintf(w, "# HELP pll_scatter_incomplete_total Fan-out requests served degraded (at least one shard missing).\n")
-	fmt.Fprintf(w, "# TYPE pll_scatter_incomplete_total counter\n")
-	fmt.Fprintf(w, "pll_scatter_incomplete_total %d\n", c.incomplete.Load())
 	fmt.Fprintf(w, "# HELP pll_backends Configured backends.\n")
 	fmt.Fprintf(w, "# TYPE pll_backends gauge\n")
 	fmt.Fprintf(w, "pll_backends %d\n", len(c.backends))

@@ -72,9 +72,9 @@ func (c *Coordinator) healthSweep() {
 	}
 	for _, b := range c.backends {
 		if !b.healthy.Load() {
-			// Unreachable backends keep their previous mismatch verdict;
-			// flipping them to matching would shrink the scatter
-			// denominator and hide the degradation.
+			// Unreachable backends keep their previous mismatch verdict,
+			// so a pool member that died still counts in /healthz's pool
+			// and the pool reads degraded rather than ok.
 			continue
 		}
 		id, _ := b.identitySnapshot()

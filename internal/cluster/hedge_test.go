@@ -156,10 +156,10 @@ func TestHedgeOvertakesSlowPrimaryAndCancelsLoser(t *testing.T) {
 }
 
 // TestHedgeDelayIgnoresScatterLatency: only point lookups hedge, so
-// only their attempts may set the adaptive hedge delay. Three slow /knn
-// scatters after 100 lookups must leave the backend's latency ring
-// (samples, fill and write position) and the hedge delay exactly as
-// the lookups left them.
+// only their attempts may set the adaptive hedge delay. Three slow
+// routed /knn searches after 100 lookups must leave the backend's
+// latency ring (samples, fill and write position) and the hedge delay
+// exactly as the lookups left them.
 func TestHedgeDelayIgnoresScatterLatency(t *testing.T) {
 	const scatterDelay = 40 * time.Millisecond
 	fb := startFake(t, &fakeBackend{name: "only", knnDelay: scatterDelay}, "ff")

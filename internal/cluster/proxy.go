@@ -86,7 +86,7 @@ var errAttemptSuperseded = errors.New("superseded: another backend answered firs
 type attempt uint8
 
 const (
-	legAttempt   attempt = iota // a scatter leg or a /batch chunk
+	legAttempt   attempt = iota // a search or a /batch chunk
 	pointAttempt                // a point lookup's primary or failover attempt
 	hedgeAttempt                // a point lookup's hedge
 )
@@ -95,11 +95,10 @@ const (
 // request (same method, path and query; forwarded identity headers),
 // read the whole response, and record the attempt with the backend
 // (observe). The breaker's probe slot is consumed here, at send time —
-// the routability checks that picked b are read-only. Attempts aborted
-// by cancellation (a lost hedge race, a gone client) are not charged
-// to the breaker — cancellation says the pool was slow, not that the
-// backend failed — but a held probe slot is released so the breaker
-// can still admit the next probe.
+// the routability checks that picked b are read-only — and a probe
+// releases it when the attempt ends. Attempts aborted by cancellation
+// (a lost hedge race, a gone client) are not charged to the breaker —
+// cancellation says the pool was slow, not that the backend failed.
 func (c *Coordinator) fetch(ctx context.Context, b *backend, in *http.Request, method, pathQuery string, body []byte, kind attempt) *proxyResult {
 	hedged := kind == hedgeAttempt
 	var rd io.Reader
@@ -114,10 +113,10 @@ func (c *Coordinator) fetch(ctx context.Context, b *backend, in *http.Request, m
 		req.Header.Set("Content-Type", "application/json")
 	}
 	forwardHeaders(req, in)
-	// One child span per backend attempt — a scatter leg, a hedge, a
-	// failover hop — under the coordinator's request span, with the
-	// attempt's span ID forwarded as the replica's traceparent parent so
-	// the replica's own trace joins the same tree.
+	// One child span per backend attempt — a search, a /batch chunk, a
+	// hedge, a failover hop — under the coordinator's request span, with
+	// the attempt's span ID forwarded as the replica's traceparent parent
+	// so the replica's own trace joins the same tree.
 	treq := trace.FromContext(in.Context())
 	sp := treq.StartSpan(b.spanName)
 	sp.SetAttr("path", pathQuery)
@@ -145,18 +144,14 @@ func (c *Coordinator) fetch(ctx context.Context, b *backend, in *http.Request, m
 	if !ok {
 		return finishSpan(&proxyResult{b: b, hedged: hedged, err: errBreakerOpen})
 	}
-	settleAbort := func() {
-		if probe {
-			b.breaker.release()
-		}
+	if probe {
+		defer b.breaker.release() // after observe has recorded any outcome
 	}
 	start := time.Now()
 	resp, err := b.client.Do(req)
 	if err != nil {
 		if ctx.Err() == nil {
 			b.observe(time.Since(start), false, kind)
-		} else {
-			settleAbort()
 		}
 		return finishSpan(&proxyResult{b: b, hedged: hedged, err: err})
 	}
@@ -165,8 +160,6 @@ func (c *Coordinator) fetch(ctx context.Context, b *backend, in *http.Request, m
 	if err != nil {
 		if ctx.Err() == nil {
 			b.observe(time.Since(start), false, kind)
-		} else {
-			settleAbort()
 		}
 		return finishSpan(&proxyResult{b: b, hedged: hedged, err: err})
 	}

@@ -1,10 +1,10 @@
 package cluster
 
-// Distributed-tracing behavior at the coordinator: a scatter's trace
-// carries one child span per live shard with the forwarded traceparent
-// joining the replica's own trace to the same tree, and a hedged point
-// lookup's losing attempt shows up as a span canceled with the
-// "superseded" cause. Run under -race in CI: spans for losers finish
+// Distributed-tracing behavior at the coordinator: a routed search's
+// trace carries one child span per backend attempt, with the forwarded
+// traceparent joining the replica's own trace to the same tree, and a
+// hedged point lookup's losing attempt shows up as a span canceled with
+// the "superseded" cause. Run under -race in CI: spans for losers finish
 // after the handler has returned.
 
 import (
@@ -84,57 +84,52 @@ func fetchTrace(t *testing.T, coordURL, tid string, want int) *clusterTrace {
 	return nil
 }
 
-// TestScatterTraceOneSpanPerShard runs a sampled /knn scatter over real
-// replicas and asserts the coordinator's trace holds one finished child
-// span per live shard, each carrying the shard's path and a 200 status,
-// and that the replica it hit adopted the same trace ID (the forwarded
-// traceparent stitched both tiers into one tree).
+// TestScatterTraceOneSpanPerShard runs a sampled /knn over real
+// replicas and asserts the coordinator's trace holds exactly one
+// finished backend span, the routed attempt, carrying its path and a
+// 200 status. Only the replica that owns the search adopted the same
+// trace ID: the forwarded traceparent stitched both tiers into one
+// tree, and no other replica was asked.
 func TestScatterTraceOneSpanPerShard(t *testing.T) {
 	o := buildOracle(t, "undirected")
 	// Replicas sample nothing on their own: only the coordinator's
 	// forwarded sampled flag can put the request into a replica's ring.
 	urls, replicas := startReplicas(t, o, 3, server.Config{TraceSampleRate: 0})
-	_, coord := startCoordinator(t, urls, func(cfg *Config) {
+	c, coord := startCoordinator(t, urls, func(cfg *Config) {
 		cfg.Stack.Tracer = newTestTracer(1)
 	})
 
 	st, hdr, _ := do(t, http.MethodGet, coord.URL+"/knn?s=0&k=5", "")
 	if st != http.StatusOK {
-		t.Fatalf("scatter status %d", st)
+		t.Fatalf("search status %d", st)
 	}
 	tid := hdr.Get("X-Trace-Id")
 	if tid == "" {
-		t.Fatal("no X-Trace-Id on the scatter response")
+		t.Fatal("no X-Trace-Id on the search response")
 	}
 
-	tr := fetchTrace(t, coord.URL, tid, 3)
+	tr := fetchTrace(t, coord.URL, tid, 1)
 	if tr.Root.Name != "knn" {
 		t.Fatalf("root span %q, want \"knn\"", tr.Root.Name)
 	}
 	legs := backendSpans(tr.Root)
-	if len(legs) != 3 {
-		t.Fatalf("%d backend spans, want one per live shard (3)", len(legs))
+	if len(legs) != 1 {
+		t.Fatalf("%d backend spans, want one for the one routed attempt", len(legs))
 	}
-	for _, sp := range legs {
-		if sp.Attrs["status"] != "200" {
-			t.Fatalf("scatter leg %q attrs = %v, want status=200", sp.Name, sp.Attrs)
-		}
-		if !strings.HasPrefix(sp.Attrs["path"], "/knn?") {
-			t.Fatalf("scatter leg %q path attr = %q", sp.Name, sp.Attrs["path"])
-		}
+	if sp := legs[0]; sp.Attrs["status"] != "200" || !strings.HasPrefix(sp.Attrs["path"], "/knn?") {
+		t.Fatalf("backend span %q attrs = %v, want status=200 and a /knn? path", sp.Name, sp.Attrs)
 	}
 
-	// The forwarded traceparent put the same trace into each replica's
-	// own ring: the two tiers share one trace ID.
-	joined := 0
+	owner := c.rank(hashName("/knn?s=0&k=5"))[0].base
+	var joined []string
 	for _, rts := range replicas {
 		st, _, _ := do(t, http.MethodGet, rts.URL+"/debug/traces?id="+tid, "")
 		if st == http.StatusOK {
-			joined++
+			joined = append(joined, rts.URL)
 		}
 	}
-	if joined != 3 {
-		t.Fatalf("%d replicas adopted the coordinator's trace id, want 3", joined)
+	if len(joined) != 1 || joined[0] != owner {
+		t.Fatalf("replicas %v adopted the coordinator's trace id, want only the owner %s", joined, owner)
 	}
 }
 

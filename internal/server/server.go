@@ -205,9 +205,9 @@ func (s *Server) Oracle() *pll.ConcurrentOracle { return s.oracle }
 
 // handleHealthz answers the liveness probe with a backend-identity
 // payload: which index this replica serves (variant, vertex count, a
-// content checksum) and which local generation it is on. A scatter-
-// gather coordinator uses the identity to refuse pooling replicas that
-// serve different indexes; a bare 200 cannot carry that contract.
+// content checksum) and which local generation it is on. A routing
+// coordinator uses the identity to refuse pooling replicas that serve
+// different indexes; a bare 200 cannot carry that contract.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.cachedStats()
 	wire.WriteJSON(w, http.StatusOK, wire.Health{

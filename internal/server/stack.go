@@ -3,7 +3,7 @@ package server
 // Stack is the serving-tier middleware shared by every binary that
 // exposes a query surface: cmd/pllserved mounts it in front of the
 // index handlers (via Server), and cmd/pllrouted mounts the same stack
-// in front of the cluster coordinator's scatter-gather handlers. One
+// in front of the cluster coordinator's routing handlers. One
 // request passes, outermost first, through
 //
 //	Wrap       – the global in-flight count Drain waits on at shutdown

@@ -10,7 +10,7 @@ import (
 // QueryProfile accumulates the cheap per-stage counters of one
 // request: admission wait, cache hit/miss, label-merge mass and
 // duration in the distance engines, hub-run scan counts in the search
-// engines. Fields are atomic because scatter legs and hedge attempts
+// engines. Fields are atomic because /batch chunks and hedge attempts
 // record from their own goroutines.
 //
 // Every method is safe on a nil receiver and does nothing — the

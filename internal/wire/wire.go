@@ -1,5 +1,5 @@
 // Package wire is the part of the HTTP contract both serving tiers
-// speak: the replica server (internal/server) and the scatter-gather
+// speak: the replica server (internal/server) and the routing
 // coordinator (internal/cluster). It owns, once, the parsing of every
 // request both tiers accept — /knn, /range, /nearest, /query and
 // /batch — with its messages and check order, the typed response
@@ -136,8 +136,9 @@ type errReader struct{ err error }
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // CheckFanout answers 400 unless a client-controlled count is in
-// [1, MaxBatch]. The coordinator checks before it scatters, so an
-// oversized fan-out is shed once instead of amplified across the pool.
+// [1, MaxBatch]. The coordinator checks before it forwards anything:
+// a /batch split into chunks would otherwise pass every replica's cap,
+// and a rejected search costs no backend request.
 func (l Limits) CheckFanout(w http.ResponseWriter, name string, v int) bool {
 	if v < 1 || v > l.MaxBatch {
 		WriteError(w, http.StatusBadRequest, "%s=%d outside [1,%d]", name, v, l.MaxBatch)
@@ -356,14 +357,12 @@ func NeighborsOrEmpty(ns []pll.Neighbor) []pll.Neighbor {
 	return ns
 }
 
-// KNNResponse is the /knn answer. Incomplete is set only by the
-// coordinator, when a shard could not answer.
+// KNNResponse is the /knn answer.
 type KNNResponse struct {
-	Count      int            `json:"count"`
-	Incomplete bool           `json:"incomplete,omitempty"`
-	K          int32          `json:"k"`
-	Neighbors  []pll.Neighbor `json:"neighbors"`
-	S          int32          `json:"s"`
+	Count     int            `json:"count"`
+	K         int32          `json:"k"`
+	Neighbors []pll.Neighbor `json:"neighbors"`
+	S         int32          `json:"s"`
 }
 
 // RangeResponse is the /range answer: the first Count of the Total
@@ -371,7 +370,6 @@ type KNNResponse struct {
 // TotalExact, and Truncated says the limit cut the list.
 type RangeResponse struct {
 	Count      int            `json:"count"`
-	Incomplete bool           `json:"incomplete,omitempty"`
 	Neighbors  []pll.Neighbor `json:"neighbors"`
 	Radius     int64          `json:"radius"`
 	S          int32          `json:"s"`
@@ -383,19 +381,17 @@ type RangeResponse struct {
 // NearestResponse is the /nearest answer; SetSize counts the distinct
 // members of the request's set.
 type NearestResponse struct {
-	Count      int            `json:"count"`
-	Incomplete bool           `json:"incomplete,omitempty"`
-	K          int            `json:"k"`
-	Neighbors  []pll.Neighbor `json:"neighbors"`
-	SetSize    int            `json:"set_size"`
-	Source     int32          `json:"source"`
+	Count     int            `json:"count"`
+	K         int            `json:"k"`
+	Neighbors []pll.Neighbor `json:"neighbors"`
+	SetSize   int            `json:"set_size"`
+	Source    int32          `json:"source"`
 }
 
 // QueryResponse is the /query answer, with the Total/TotalExact/
 // Truncated semantics of RangeResponse.
 type QueryResponse struct {
 	Count      int                  `json:"count"`
-	Incomplete bool                 `json:"incomplete,omitempty"`
 	Matches    []pll.CompositeMatch `json:"matches"`
 	Total      int                  `json:"total"`
 	TotalExact bool                 `json:"total_exact"`
