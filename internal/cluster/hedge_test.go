@@ -24,7 +24,7 @@ type fakeBackend struct {
 	ts       *httptest.Server
 	name     string
 	delay    time.Duration
-	knnDelay time.Duration
+	legDelay time.Duration // /knn and /batch answer after it
 	status   int           // non-zero: /distance answers this status
 	pool     *inflightPeak // non-nil: /distance requests count in it
 	canceled atomic.Int64
@@ -82,9 +82,17 @@ func startFake(tb testing.TB, fb *fakeBackend, checksum string) *fakeBackend {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-time.After(fb.knnDelay):
+		case <-time.After(fb.legDelay):
 		}
 		fmt.Fprintln(w, `{"count":0,"k":1,"neighbors":[],"s":0}`)
+	})
+	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+			return
+		case <-time.After(fb.legDelay):
+		}
+		fmt.Fprintln(w, `{"count":1,"distances":[1]}`)
 	})
 	fb.ts = httptest.NewServer(mux)
 	tb.Cleanup(fb.ts.Close)
@@ -162,7 +170,7 @@ func TestHedgeOvertakesSlowPrimaryAndCancelsLoser(t *testing.T) {
 // exactly as the lookups left them.
 func TestHedgeDelayIgnoresScatterLatency(t *testing.T) {
 	const scatterDelay = 40 * time.Millisecond
-	fb := startFake(t, &fakeBackend{name: "only", knnDelay: scatterDelay}, "ff")
+	fb := startFake(t, &fakeBackend{name: "only", legDelay: scatterDelay}, "ff")
 	c, coord := fakeCoordinator(t, 0, fb)
 	for i := 0; i < 100; i++ {
 		if st, _, body := do(t, http.MethodGet, fmt.Sprintf("%s/distance?s=%d&t=1", coord.URL, i%10), ""); st != http.StatusOK {

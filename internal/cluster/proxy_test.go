@@ -240,6 +240,46 @@ func TestPointLookupClientGone(t *testing.T) {
 	}
 }
 
+// TestRoutedSearchClientGone abandons a search and a /batch while the
+// first attempt of each is in flight: the failover walk stops there, and
+// the coordinator books each as a 4xx (its 499), not as a 502 from the
+// canceled attempt.
+func TestRoutedSearchClientGone(t *testing.T) {
+	a := startFake(t, &fakeBackend{name: "a", legDelay: 2 * time.Second}, "ff")
+	b := startFake(t, &fakeBackend{name: "b", legDelay: 2 * time.Second}, "ff")
+	_, coord := fakeCoordinator(t, time.Hour, a, b)
+
+	for _, leg := range []struct{ endpoint, method, path, body string }{
+		{"knn", http.MethodGet, "/knn?s=1&k=2", ""},
+		{"batch", http.MethodPost, "/batch", `{"pairs":[[1,2]]}`},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		req, err := http.NewRequestWithContext(ctx, leg.method, coord.URL+leg.path, strings.NewReader(leg.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+			t.Fatalf("%s answered %d before the client left", leg.endpoint, resp.StatusCode)
+		}
+		cancel()
+
+		var metrics string
+		booked := waitFor(func() bool {
+			_, _, metrics = do(t, http.MethodGet, coord.URL+"/metrics", "")
+			return strings.Contains(metrics, `pll_http_requests_total{endpoint="`+leg.endpoint+`",code="4xx"} 1`+"\n")
+		})
+		if !booked {
+			t.Fatalf("abandoned %s not booked as 4xx:\n%s", leg.endpoint, metrics)
+		}
+		for _, class := range []string{"2xx", "5xx"} {
+			if line := `pll_http_requests_total{endpoint="` + leg.endpoint + `",code="` + class + `"} 0`; !strings.Contains(metrics, line+"\n") {
+				t.Fatalf("want %q in /metrics:\n%s", line, metrics)
+			}
+		}
+	}
+}
+
 // TestPointLookupAtMostTwoInFlight counts /distance requests in flight
 // across three fakes — two slow, one failing — while lookups hedge and
 // fail over: never more than two at once, and two is reached.

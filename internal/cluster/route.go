@@ -81,7 +81,7 @@ func (c *Coordinator) search(w http.ResponseWriter, r *http.Request, method, pat
 		wire.WriteError(w, http.StatusServiceUnavailable, "no usable backends (%d configured)", len(c.backends))
 		return
 	}
-	writeAttempt(w, c.failover(r, ranked, 0, method, pathQuery, body))
+	writeAttempt(w, r, c.failover(r, ranked, 0, method, pathQuery, body))
 }
 
 // handleBatch splits the (validated, capped) pair list into contiguous
@@ -143,7 +143,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	distances := make([]int64, 0, n)
 	for i := range results {
 		if pr := results[i].fail; pr != nil {
-			writeAttempt(w, pr)
+			writeAttempt(w, r, pr)
 			return
 		}
 		distances = append(distances, results[i].distances...)
@@ -152,12 +152,15 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // failover sends one request to ranked[first] and, after a transport
-// error or a 5xx, to each following backend in turn, wrapping around.
-// The first answer below 500 is final; without one, the last failed
-// attempt is returned.
+// error or a 5xx, to each following backend in turn, wrapping around,
+// for as long as the client waits. The first answer below 500 is final;
+// without one, the last failed attempt is returned.
 func (c *Coordinator) failover(in *http.Request, ranked []*backend, first int, method, pathQuery string, body []byte) *proxyResult {
 	var last *proxyResult
 	for j := range ranked {
+		if j > 0 && in.Context().Err() != nil {
+			break
+		}
 		b := ranked[(first+j)%len(ranked)]
 		pr := func() *proxyResult {
 			ctx, cancel := context.WithTimeout(in.Context(), c.cfg.RequestTimeout)
@@ -172,12 +175,17 @@ func (c *Coordinator) failover(in *http.Request, ranked []*backend, first int, m
 	return last
 }
 
-// writeAttempt writes a final attempt: the backend's response verbatim,
-// or a 502 naming the transport error.
-func writeAttempt(w http.ResponseWriter, pr *proxyResult) {
-	if pr.err != nil {
+// writeAttempt writes the final attempt of in: the backend's response
+// verbatim, or a 502 naming the transport error. An attempt that failed
+// after the client went away gets the 499 handlePoint stamps too, so the
+// Instrument layer books it as the client's, not as a 5xx.
+func writeAttempt(w http.ResponseWriter, in *http.Request, pr *proxyResult) {
+	switch {
+	case !pr.answered() && in.Context().Err() != nil:
+		w.WriteHeader(statusClientClosedRequest)
+	case pr.err != nil:
 		wire.WriteError(w, http.StatusBadGateway, "backend %s: %v", pr.b.host, pr.err)
-		return
+	default:
+		relay(w, pr)
 	}
-	relay(w, pr)
 }

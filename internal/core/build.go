@@ -346,17 +346,19 @@ func (b *builder[D]) pruned(sc *scratch[D], scan *growing[D], u int32, d uint64)
 			}
 		}
 	}
-	return sc.covers(scan, u, d)
+	return covers(sc.rootLab, scan, u, d)
 }
 
 // covers is the prune test's normal-label half: it scans only u's label
-// in the sweep's scan family against the root-label array T. Dijkstra
-// searches call it directly (weighted builds have no bit-parallel
-// labels), where it inlines into the settle loop.
-func (sc *scratch[D]) covers(scan *growing[D], u int32, d uint64) bool {
+// in the sweep's scan family against a root-label array t, the search's
+// T. Dijkstra searches call it directly (weighted builds have no
+// bit-parallel labels), where it inlines into the settle loop.
+// DynamicIndex.repair calls it with root and entry vertex swapped: the
+// root's label against the entry vertex's, pinned as a t.
+func covers[D dist](t []D, scan *growing[D], u int32, d uint64) bool {
 	// Locals, and the distances resliced to the hubs' length, keep the
 	// loop free of reloads and of a second bounds check.
-	t, lv := sc.rootLab, scan.v[u]
+	lv := scan.v[u]
 	ld := scan.d[u][:len(lv)]
 	for i, w := range lv {
 		if tw := t[w]; tw != infOf[D]() && uint64(tw)+uint64(ld[i]) <= d {

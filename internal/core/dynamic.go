@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -19,9 +18,11 @@ import (
 // evolving networks (§8), following the resumed-pruned-BFS technique
 // of the authors' follow-up work (Akiba, Iwata, Yoshida, WWW 2014):
 // inserting edge (a,b) resumes a pruned BFS from every hub of L(a)
-// through b and vice versa, inserting or decreasing label entries.
-// After updates the index remains a correct 2-hop cover; it may lose
-// minimality (stale over-estimates are kept but never win a merge join).
+// through b and vice versa, inserting or decreasing label entries. A hub
+// whose label already covers the other endpoint is skipped without a
+// search. After updates the index remains a correct 2-hop cover; it may
+// lose minimality (stale over-estimates are kept but never win a merge
+// join).
 //
 // A DynamicIndex is safe for concurrent use. Readers load the published
 // labelView once per call and never lock; writers serialize on mu, and
@@ -42,10 +43,15 @@ type DynamicIndex struct {
 	// labels: inserts resume its pruned BFS along its one sweep, which
 	// follows adj. lab is that sweep's label family, the writer's rows:
 	// the published ones, except those copied since the last publish.
-	mu  sync.Mutex
-	adj [][]int32
-	b   *builder[uint8]
-	lab *growing[uint8]
+	// seeds and pins are repair's: the seed list of the edge it repairs,
+	// and the edge's two endpoint labels as rank-indexed distance
+	// arrays, InfDist where the label has no entry.
+	mu    sync.Mutex
+	adj   [][]int32
+	b     *builder[uint8]
+	lab   *growing[uint8]
+	seeds []seed
+	pins  [2][]uint8
 
 	batchPool sync.Pool // recycles *sourceScratch[uint8] for DistanceFrom
 }
@@ -167,6 +173,7 @@ func BuildDynamic(g *graph.Graph, opt Options) (*DynamicIndex, error) {
 		adj:  make([][]int32, n),
 		b:    b,
 		lab:  lab,
+		pins: [2][]uint8{filled(make([]uint8, n), InfDist), filled(make([]uint8, n), InfDist)},
 	}
 	for v := int32(0); int(v) < n; v++ {
 		di.adj[v] = append([]int32(nil), h.Neighbors(v)...)
@@ -289,35 +296,66 @@ func (di *DynamicIndex) InsertEdges(edges []graph.Edge) (updated int, err error)
 	return updated, nil
 }
 
+// A seed is one search an edge insert resumes: hub root's, whose
+// distance to endpoint end (0 for a, 1 for b) of the new edge {a, b} is
+// dist. The search enters at the other endpoint, dist+1 hops from root.
+type seed struct {
+	root int32
+	dist uint8
+	end  uint8
+}
+
 // repair resumes the pruned BFS of every hub of both endpoints of the
 // new edge {ra, rb}, in rank order, entered at the other endpoint one
 // hop past the hub. It changes only the writer's copies of the rows.
+//
+// A hub whose label already covers the other endpoint within that entry
+// distance is skipped without a search, which would prune its entry
+// vertex and add nothing. The test is covers with root and entry vertex
+// swapped: the hub's label against the entry vertex's, pinned when the
+// repair starts. A repair only adds entries or lowers them, so a pin
+// over-estimates the live label and a hub it finds covered is covered.
 func (di *DynamicIndex) repair(ra, rb int32) (updated int, err error) {
-	type seedEntry struct {
-		root  int32
-		start int32
-		d     int
-	}
-	lab := di.lab
-	seeds := make([]seedEntry, 0, len(lab.v[ra])+len(lab.v[rb]))
-	for i, r := range lab.v[ra] {
-		seeds = append(seeds, seedEntry{root: r, start: rb, d: int(lab.d[ra][i]) + 1})
-	}
-	for i, r := range lab.v[rb] {
-		seeds = append(seeds, seedEntry{root: r, start: ra, d: int(lab.d[rb][i]) + 1})
-	}
-	slices.SortStableFunc(seeds, func(x, y seedEntry) int { return cmp.Compare(x.root, y.root) })
-	for _, s := range seeds {
-		if s.d > MaxDist {
-			return updated, ErrDiameterTooLarge
+	lab, ends := di.lab, [2]int32{ra, rb}
+	// Both rows are sorted by hub rank: merging them orders the seeds by
+	// rank, a's first on a tie.
+	av, ad, bv, bd := lab.v[ra], lab.d[ra], lab.v[rb], lab.d[rb]
+	seeds := di.seeds[:0]
+	for i, j := 0, 0; i < len(av) || j < len(bv); {
+		if j == len(bv) || i < len(av) && av[i] <= bv[j] {
+			seeds = append(seeds, seed{root: av[i], dist: ad[i], end: 0})
+			i++
+		} else {
+			seeds = append(seeds, seed{root: bv[j], dist: bd[j], end: 1})
+			j++
 		}
-		added, _, err := di.b.bfs(s.root, s.start, uint8(s.d), &di.b.sweeps[0])
-		if err != nil {
-			return updated, err
+	}
+	di.seeds = seeds
+	// Pin and unpin from the seeds, never from the rows: a search may
+	// insert into an endpoint's row in place, once an earlier edge of
+	// the call has copied it, shifting the entries under a kept header.
+	for _, s := range seeds {
+		di.pins[s.end][s.root] = s.dist
+	}
+	for _, s := range seeds {
+		d := int(s.dist) + 1
+		if d > MaxDist {
+			err = ErrDiameterTooLarge
+			break
+		}
+		if covers(di.pins[1-s.end], lab, s.root, uint64(d)) {
+			continue
+		}
+		var added int64
+		if added, _, err = di.b.bfs(s.root, ends[1-s.end], uint8(d), &di.b.sweeps[0]); err != nil {
+			break
 		}
 		updated += int(added)
 	}
-	return updated, nil
+	for _, s := range seeds {
+		di.pins[s.end][s.root] = InfDist
+	}
+	return updated, err
 }
 
 // ComputeStats scans one published version of the dynamic index and

@@ -419,8 +419,9 @@ func TestDynamicAvgLabelSizeGrowsModestly(t *testing.T) {
 // BenchmarkDynamicInsertEdge times one InsertEdge of a random edge, with
 // its allocations: on a small BA graph, and on perfbench's graph (BA
 // n=25,000, m=5, its graph seed), where the per-insert garbage of label
-// repair shows as B/op. Inserts accumulate, so fix -benchtime to a count
-// (e.g. 1500x) when comparing runs.
+// repair shows as B/op. Inserts accumulate and every one grows the
+// labels, so the time per insert grows with -benchtime: compare two
+// builds only at the same count (e.g. -benchtime 3000x for both).
 func BenchmarkDynamicInsertEdge(b *testing.B) {
 	for _, c := range []struct {
 		n, m int

@@ -109,7 +109,7 @@ func (b *builder[D]) dijkstra(vk int32, sw *sweep[D]) (added, visited int64, err
 	lv := sc.load(sw.root, vk)
 	sc.startDijkstra(vk)
 	for u, d, ok := sc.settle(); ok; u, d, ok = sc.settle() {
-		if sc.covers(sw.scan, u, d) {
+		if covers(sc.rootLab, sw.scan, u, d) {
 			continue
 		}
 		if overBudget[D](d) {
@@ -138,7 +138,7 @@ func (b *builder[D]) relaxedDijkstra(vk int32, sw *sweep[D], sc *scratch[D], can
 	lv := sc.load(sw.root, vk)
 	sc.startDijkstra(vk)
 	for u, d, ok := sc.settle(); ok; u, d, ok = sc.settle() {
-		if sc.covers(sw.scan, u, d) {
+		if covers(sc.rootLab, sw.scan, u, d) {
 			if b.paths {
 				cands = append(cands, cand[D]{v: u, pruned: true})
 			}

@@ -46,3 +46,41 @@ func BenchmarkBatchHandler(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkUpdateHandler times one single-edge POST /update through the
+// replica's whole handler, middleware stack included, without a
+// network: decode, the insert, both cache purges and the answer. The
+// index is perfbench's: a BuildDynamic index of BA n=25,000, m=5 (its
+// graph seed), served with its 65,536-entry caches. Each update inserts
+// a fresh non-edge, so the labels grow with every one and the time per
+// update with -benchtime: compare runs only at the same count (e.g.
+// -benchtime 2000x).
+func BenchmarkUpdateHandler(b *testing.B) {
+	const n = 25000
+	g, err := pll.NewGraph(n, gen.BarabasiAlbert(n, 5, 20130622).Edges())
+	if err != nil {
+		b.Fatal(err)
+	}
+	di, err := pll.BuildDynamic(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := New(pll.NewConcurrentOracle(di), Config{CacheSize: 65536}).Handler()
+	r := rng.New(7)
+	var body []byte
+	b.ReportAllocs()
+	for b.Loop() {
+		u, v := r.Int31n(n), r.Int31n(n)
+		for u == v || di.Distance(u, v) == 1 {
+			u, v = r.Int31n(n), r.Int31n(n)
+		}
+		body = strconv.AppendInt(append(body[:0], `{"edges":[[`...), int64(u), 10)
+		body = strconv.AppendInt(append(body, ','), int64(v), 10)
+		body = append(body, "]]}"...)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/update", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+	}
+}
